@@ -34,14 +34,13 @@ from .data import load_cifar10, assign_labels, partition, synth_generate
 from .nn import desk_arch
 from .seeds import seed_key, substream
 from .topology import erdos_renyi, ring, to_edge_list
-from .trainer import (ALGORITHMS, HyperConfig, bound_check, mask_vs_weight_verify,
-                      random_bound_instance, run)
+from .trainer import (_MASK_ALGORITHMS, ALGORITHMS, HyperConfig, bound_check,
+                      mask_vs_weight_verify, random_bound_instance, run)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "render_config",
            "run_experiment", "main"]
 
 _KINDS = ("train", "mask_vs_weight", "bound_check", "sweep")
-_MASK_ALGORITHMS = ("gossip_mask", "ind_mask")
 
 
 class ConfigError(Exception):

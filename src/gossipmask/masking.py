@@ -40,17 +40,33 @@ def retained_count(r, n):
 def threshold_layer(z, r):
     """Keep the ``retained_count(r, n)`` entries of largest magnitude.
 
-    Ties at equal magnitude are broken by the lower flat index winning, so
-    the result is deterministic and scale-invariant.
+    Ties at equal magnitude are broken by the lower flat index winning
+    (+0.0 and -0.0 are equal magnitudes), so the result is deterministic
+    and scale-invariant. Scores must be finite: a NaN or infinite score
+    raises ValueError, whatever ``r``.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.size == 0:
+    n = z.size
+    if n == 0:
         raise ValueError("empty score tensor")
-    k = retained_count(r, z.size)
-    order = np.argsort(-np.abs(z).ravel(), kind="stable")
-    mask = np.zeros(z.size)
-    mask[order[:k]] = 1.0
-    return mask.reshape(z.shape)
+    k = retained_count(r, n)
+    a = np.abs(z).ravel()
+    if not np.isfinite(a.max()):
+        bad = n - np.count_nonzero(np.isfinite(a))
+        raise ValueError(
+            f"{bad} non-finite score(s) in a tensor of shape {z.shape}")
+    if k == n:
+        return np.ones(z.shape)
+    # everything at or above the k-th largest magnitude; when that keeps
+    # more than k, the entries equal to it with the highest flat indices
+    # are dropped
+    kth = np.partition(a, n - k)[n - k]
+    keep = a >= kth
+    excess = np.count_nonzero(keep) - k
+    if excess:
+        ties = np.flatnonzero(a == kth)
+        keep[ties[len(ties) - excess:]] = False
+    return keep.astype(np.float64).reshape(z.shape)
 
 
 def filter_zero(mask, min_nonzero):

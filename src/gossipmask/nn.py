@@ -28,6 +28,7 @@ __all__ = [
     "init_params",
     "identity_masks",
     "forward",
+    "loss",
     "loss_and_grad_v",
     "grad_z",
     "finite_diff_check",
@@ -319,12 +320,7 @@ def _backward(caches, grad_logits):
     return dict(sorted(grad_v.items()))
 
 
-def loss_and_grad_v(arch, w, m, batch, labels):
-    """Mean softmax cross-entropy over the batch and its gradient.
-
-    The gradient is taken with respect to the effective parameters
-    ``v = w * m`` of each parameterized layer, one tensor per layer.
-    """
+def _labelled_batch(arch, batch, labels):
     y = np.asarray(labels)
     x = np.asarray(batch, dtype=np.float64)
     if x.shape[0] == 0:
@@ -333,9 +329,27 @@ def loss_and_grad_v(arch, w, m, batch, labels):
         raise ValueError("batch and labels disagree in length")
     if y.size and (y.min() < 0 or y.max() >= arch.num_classes):
         raise ValueError(f"labels must lie in [0, {arch.num_classes})")
+    return x, y
+
+
+def loss(arch, w, m, batch, labels):
+    """Mean softmax cross-entropy over the batch, forward pass only; the
+    same float :func:`loss_and_grad_v` returns."""
+    x, y = _labelled_batch(arch, batch, labels)
+    logits, _ = forward(arch, w, m, x)
+    return _softmax_cross_entropy(logits, y)[0]
+
+
+def loss_and_grad_v(arch, w, m, batch, labels):
+    """Mean softmax cross-entropy over the batch and its gradient.
+
+    The gradient is taken with respect to the effective parameters
+    ``v = w * m`` of each parameterized layer, one tensor per layer.
+    """
+    x, y = _labelled_batch(arch, batch, labels)
     logits, caches = forward(arch, w, m, x)
-    loss, grad_logits = _softmax_cross_entropy(logits, y)
-    return loss, _backward(caches, grad_logits)
+    value, grad_logits = _softmax_cross_entropy(logits, y)
+    return value, _backward(caches, grad_logits)
 
 
 def grad_z(grad_v, w, z):

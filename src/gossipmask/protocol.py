@@ -67,8 +67,9 @@ class MaskFrame:
 
     def header_bits(self):
         """Everything that is not a mask entry: frame header, segment
-        headers and padding bits."""
-        return len(self.to_bytes()) * 8 - self.payload_bits()
+        headers and padding bits, counted from the layout."""
+        padding = sum(-count % 8 for _, count, _ in self.segments)
+        return 8 * (_HEADER.size + _SEGMENT.size * len(self.segments)) + padding
 
     def to_bytes(self):
         out = [_HEADER.pack(MAGIC, VERSION, self.sender, self.round_index,
@@ -108,14 +109,24 @@ class MaskFrame:
         return cls(sender, round_index, tuple(segments))
 
 
+def _check_field(name, value, bits):
+    if not 0 <= value < 1 << bits:
+        raise ValueError(
+            f"{name} {value} does not fit its u{bits} field [0, {(1 << bits) - 1}]")
+
+
 def encode_mask(mask_set, sender, round_index):
     """Bit-pack a mask set into a :class:`MaskFrame` (LSB-first, zero
-    padding, segments in ascending layer order)."""
-    if sender < 0 or round_index < 0:
-        raise ValueError("sender and round index must be nonnegative")
+    padding, segments in ascending layer order). A header field out of its
+    wire range raises ValueError naming the field."""
+    _check_field("sender", sender, 16)
+    _check_field("round index", round_index, 32)
+    _check_field("layer count", len(mask_set), 16)
     segments = []
     for layer in sorted(mask_set):
+        _check_field("layer index", layer, 16)
         bits = np.asarray(mask_set[layer]).ravel()
+        _check_field(f"layer {layer} entry count", bits.size, 32)
         if not np.isin(bits, (0.0, 1.0)).all():
             raise ValueError(f"layer {layer}: mask entries must be 0 or 1")
         payload = np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()

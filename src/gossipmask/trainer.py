@@ -40,7 +40,7 @@ import numpy as np
 from .masking import (MaskState, extract, extract_mask, group_lasso_grad,
                       threshold_layer)
 from .nn import (ModelArch, conv2d, flatten, forward, grad_z, init_params,
-                 linear, loss_and_grad_v, relu)
+                 linear, loss as batch_loss, loss_and_grad_v, relu)
 from .protocol import (CommLedger, SimulationError, account_real_bits,
                        decode_mask, encode_mask, exchange)
 from .seeds import seed_key, substream
@@ -243,6 +243,18 @@ def _local_batch(state, hyper, round_index):
     return state.train_x[idx], state.train_y[idx]
 
 
+def _decode_once(outbox, shapes):
+    """Decode every frame of one exchange once. All receivers of a frame
+    share its decoded arrays, so they are made read-only."""
+    decoded = {}
+    for sender, frame in outbox.items():
+        masks = decode_mask(frame, shapes)
+        for m in masks.values():
+            m.setflags(write=False)
+        decoded[sender] = masks
+    return decoded
+
+
 def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
     """One synchronous collaborative round: per-agent half-step, one frame
     exchange, then fine-tuning and aggregation per agent."""
@@ -253,9 +265,9 @@ def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
         _, _, m_half = backprop_half_step(state, w, arch, bx, by)
         outbox[state.agent_id] = encode_mask(m_half, state.agent_id, round_index)
     inbox = exchange(graph, outbox, ledger)
+    decoded = _decode_once(outbox, shapes)
     for state in states:
-        received = {f.sender: decode_mask(f, shapes)
-                    for f in inbox[state.agent_id]}
+        received = {f.sender: decoded[f.sender] for f in inbox[state.agent_id]}
         fine_tune_step(state, received)
         aggregate_step(state, received)
     return states
@@ -351,9 +363,7 @@ def _accuracy(arch, params, masks, x, y, chunk=512):
 
 def _train_loss(arch, params, masks, state, limit=256):
     n = min(limit, len(state.train_y))
-    loss, _ = loss_and_grad_v(arch, params, masks,
-                              state.train_x[:n], state.train_y[:n])
-    return loss
+    return batch_loss(arch, params, masks, state.train_x[:n], state.train_y[:n])
 
 
 def _evaluate_round(log, round_index, states, w, arch, ledger):
@@ -434,8 +444,9 @@ def run(arch, hyper, graph, train, test, plan):
             # bootstrap neighbor masks with one (accounted) exchange
             outbox = {s.agent_id: encode_mask(s.m, s.agent_id, 0) for s in states}
             inbox = exchange(graph, outbox, ledger)
+            decoded = _decode_once(outbox, shapes)
             for state in states:
-                state.neighbor_masks = {f.sender: decode_mask(f, shapes)
+                state.neighbor_masks = {f.sender: decoded[f.sender]
                                         for f in inbox[state.agent_id]}
     else:
         for state in states:

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,11 @@ from hypothesis import strategies as st
 
 from gossipmask import (MaskState, extract, extract_mask, filter_zero,
                         finite_diff_check, group_lasso_grad,
-                        group_lasso_value, retained_count, threshold_layer)
+                        group_lasso_value, masking, retained_count,
+                        threshold_layer, trainer)
+from gossipmask.cli import parse_config, run_experiment
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # -------------------------------------------------------- threshold_layer
@@ -43,6 +50,69 @@ def test_threshold_never_empty():
 def test_threshold_exact_count_property(n, r, seed):
     z = np.random.default_rng(seed).standard_normal(n)
     assert threshold_layer(z, r).sum() == retained_count(r, n)
+
+
+def argsort_threshold(z, r):
+    """Reference: a stable argsort of -|z|, keeping the first k."""
+    z = np.asarray(z, dtype=np.float64)
+    k = retained_count(r, z.size)
+    order = np.argsort(-np.abs(z).ravel(), kind="stable")
+    mask = np.zeros(z.size)
+    mask[order[:k]] = 1.0
+    return mask.reshape(z.shape)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       st.sampled_from(["normal", "ties", "signed_zeros"]),
+       st.integers(0, 2 ** 31), st.data())
+def test_threshold_matches_argsort_reference(shape, values, seed, data):
+    rng = np.random.default_rng(seed)
+    shape = tuple(shape)
+    n = int(np.prod(shape))
+    if values == "normal":
+        z = rng.standard_normal(shape)
+    elif values == "ties":
+        z = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=shape)
+    else:
+        z = rng.choice([-0.0, 0.0, -1.0, 1.0], size=shape)
+    # k = 1, k = n and everything between
+    k = data.draw(st.integers(1, n))
+    r = data.draw(st.sampled_from([k / n, 1.0, 1.0 / (2 * n),
+                                   float(rng.uniform(0.01, 1.0))]))
+    np.testing.assert_array_equal(threshold_layer(z, r), argsort_threshold(z, r))
+
+
+def test_run_matches_argsort_reference(tmp_path, monkeypatch):
+    # configs/train.conf shape; masking.extract and the weight baselines'
+    # pruning both threshold, so the reference replaces both bindings
+    cfg = replace(parse_config((CONFIGS / "train.conf").read_text()),
+                  rounds=10, algorithm=("gossip_mask", "par_weipru"))
+    outputs = []
+    for name in ("partition", "argsort"):
+        if name == "argsort":
+            monkeypatch.setattr(masking, "threshold_layer", argsort_threshold)
+            monkeypatch.setattr(trainer, "threshold_layer", argsort_threshold)
+        out = tmp_path / name
+        run_experiment(replace(cfg, out=str(out)), quiet=True)
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+    assert sorted(outputs[0]) == ["metrics_gossip_mask.csv", "metrics_par_weipru.csv",
+                                  "sparsity_gossip_mask.csv", "sparsity_par_weipru.csv"]
+    assert outputs[0] == outputs[1]
+
+
+def test_threshold_signed_zero_ties_lowest_index():
+    mask = threshold_layer(np.array([-0.0, 0.0, 0.0, -0.0, 1.0]), 0.6)
+    np.testing.assert_array_equal(mask, [1, 1, 0, 0, 1])
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_threshold_rejects_non_finite_scores(r, bad):
+    with pytest.raises(ValueError, match="1 non-finite"):
+        threshold_layer(np.array([bad, 0.5, -0.2, 0.1]), r)
+    with pytest.raises(ValueError, match="2 non-finite"):
+        threshold_layer(np.array([[bad, 0.5], [-0.2, np.nan]]), r)
 
 
 def test_threshold_scale_invariance():

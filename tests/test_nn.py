@@ -4,7 +4,7 @@ import pytest
 from gossipmask import (ModelArch, conv2d, desk_arch, finite_diff_check,
                         flatten, forward, grad_z, identity_masks, init_params,
                         linear, loss_and_grad_v, maxpool2d, relu, shape_chain)
-from gossipmask.nn import _maxpool_backward, _maxpool_forward
+from gossipmask.nn import _maxpool_backward, _maxpool_forward, loss
 
 
 def small_arch():
@@ -135,6 +135,29 @@ def test_labels_out_of_range_rejected():
     x = np.zeros((2, 2, 6, 6))
     with pytest.raises(ValueError):
         loss_and_grad_v(arch, w, None, x, np.array([0, 4]))
+
+
+def test_forward_only_loss_shares_input_checks():
+    arch = small_arch()
+    w = init_params(arch, 3)
+    x = np.zeros((2, 2, 6, 6))
+    for batch, labels in ((np.zeros((0, 2, 6, 6)), np.zeros(0, int)),
+                          (x, np.array([0, 4])), (x, np.array([0, 1, 2]))):
+        with pytest.raises(ValueError):
+            loss(arch, w, None, batch, labels)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_forward_only_loss_bitwise_equal(masked):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        arch = small_arch() if seed % 2 else desk_arch((3, 8, 8), 6, (16, 32), 32)
+        w = init_params(arch, seed)
+        m = random_masks(arch, rng) if masked else None
+        x = rng.random((int(rng.integers(1, 20)),) + arch.input_shape)
+        y = rng.integers(0, arch.num_classes, len(x))
+        value, _ = loss_and_grad_v(arch, w, m, x, y)
+        assert loss(arch, w, m, x, y) == value
 
 
 def test_duplicated_batch_same_loss_and_grad():

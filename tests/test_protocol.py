@@ -115,6 +115,41 @@ def test_account_bits():
     assert account_real_bits({}) == 0
 
 
+@pytest.mark.parametrize("masks, sender, round_index, field", [
+    ({0: np.ones((2, 2))}, 70000, 0, "sender"),
+    ({0: np.ones((2, 2))}, -1, 0, "sender"),
+    ({0: np.ones((2, 2))}, 1, 2 ** 32, "round index"),
+    ({0: np.ones((2, 2))}, 1, -1, "round index"),
+    ({70000: np.ones(3)}, 1, 0, "layer index"),
+    ({-1: np.ones(3)}, 1, 0, "layer index"),
+])
+def test_header_field_out_of_range_rejected(masks, sender, round_index, field):
+    with pytest.raises(ValueError, match=field):
+        encode_mask(masks, sender, round_index)
+
+
+def test_layer_count_out_of_range_rejected():
+    with pytest.raises(ValueError, match="layer count"):
+        encode_mask({layer: np.ones(1) for layer in range(2 ** 16)}, 0, 0)
+
+
+def test_header_field_limits_accepted():
+    frame = encode_mask({65535: np.ones(3)}, 65535, 2 ** 32 - 1)
+    back = MaskFrame.from_bytes(frame.to_bytes())
+    assert (back.sender, back.round_index) == (65535, 2 ** 32 - 1)
+    assert back.segments[0][0] == 65535
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31), st.integers(0, 5))
+def test_header_bits_match_serialized_length(seed, layers):
+    rng = np.random.default_rng(seed)
+    masks = {int(layer): (rng.random(int(rng.integers(1, 40))) < 0.5).astype(float)
+             for layer in rng.choice(1000, layers, replace=False)}
+    frame = encode_mask(masks, int(rng.integers(2 ** 16)), int(rng.integers(2 ** 32)))
+    assert frame.header_bits() == len(frame.to_bytes()) * 8 - frame.payload_bits()
+
+
 def test_header_bits_separate_from_payload():
     masks = {0: np.ones(5), 1: np.ones(16)}
     frame = encode_mask(masks, 0, 0)

@@ -6,11 +6,13 @@ import pytest
 from gossipmask import (AgentState, Graph, HyperConfig, MaskState, ModelArch,
                         SimulationError, aggregate_step, assign_labels,
                         backprop_half_step, baseline_round, bound_check,
-                        build_states, conv2d, erdos_renyi, fine_tune_step,
-                        flatten, gossip_mask_round, init_params, linear,
+                        build_states, conv2d, decode_mask, erdos_renyi,
+                        extract_mask, fine_tune_step, flatten,
+                        gossip_mask_round, init_params, linear,
                         mask_vs_weight_verify, partition,
                         random_bound_instance, retained_count, run,
                         sample_batch, synth_generate)
+from gossipmask import trainer
 from gossipmask.trainer import _average_masks
 
 
@@ -184,6 +186,36 @@ def test_shared_params_frozen_under_mask_rounds():
     baseline_round("ind_mask", states, w, arch, graph, hyper, 3)
     for idx in w:
         assert np.array_equal(w[idx], w_copy[idx])
+
+
+def test_each_frame_decoded_once_and_shared_read_only(monkeypatch):
+    calls = []
+
+    def counting_decode(frame, shapes):
+        calls.append(frame.sender)
+        return decode_mask(frame, shapes)
+
+    monkeypatch.setattr(trainer, "decode_mask", counting_decode)
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(rounds=2)
+    run(arch, hyper, graph, train, test, plan)
+    # the bootstrap exchange and each of the 2 rounds: one decode per frame
+    assert sorted(calls) == sorted(list(range(graph.n)) * 3)
+
+    states = build_states(arch, hyper, graph, train, test, plan)
+    for s in states:
+        s.m = extract_mask(s.mask)
+        # any previous-round masks do; the round replaces them
+        s.neighbor_masks = {int(j): s.m for j in graph.neighbors[s.agent_id]}
+    gossip_mask_round(states, init_params(arch, 0), arch, graph, hyper, 1)
+    for sender in range(graph.n):
+        receivers = [s for s in states if sender in s.neighbor_masks]
+        assert len(receivers) == len(graph.neighbors[sender]) > 0
+        for layer in arch.param_shapes():
+            arrays = [s.neighbor_masks[sender][layer] for s in receivers]
+            assert all(a is arrays[0] for a in arrays)
+            assert not arrays[0].flags.writeable
+            with pytest.raises(ValueError):
+                arrays[0][...] = 0.0
 
 
 def test_round_determinism():
