@@ -201,6 +201,9 @@ def _validate(cfg, lines):
         fail("experiment", f"experiment must be one of {_KINDS}")
     if cfg.n < 2:
         fail("n", "need at least 2 agents")
+    if cfg.n > 1 << 16:
+        fail("n", f"at most {1 << 16} agents: agent ids travel in a u16 "
+                  f"wire field")
     if cfg.topology not in ("er", "ring"):
         fail("topology", "topology must be 'er' or 'ring'")
     if cfg.topology == "ring" and cfg.n < 3:
@@ -288,17 +291,18 @@ def _resolve_retention(cfg):
     return replace(cfg, retention=sampled)
 
 
-def _load_task(cfg):
+def _task(cfg):
+    """The config's train and test data, per-agent label sets and model."""
     if cfg.cifar10:
-        return load_cifar10(cfg.cifar10)
-    return synth_generate(cfg.classes, cfg.dim, cfg.per_class, cfg.noise,
-                          seed=seed_key(cfg.seed, "data"))
-
-
-def _task_dim_classes(cfg):
-    if cfg.cifar10:
-        return (3, 32, 32), 10
-    return cfg.dim, cfg.classes
+        train, test = load_cifar10(cfg.cifar10)
+        dim, classes = (3, 32, 32), 10
+    else:
+        train, test = synth_generate(cfg.classes, cfg.dim, cfg.per_class,
+                                     cfg.noise, seed=seed_key(cfg.seed, "data"))
+        dim, classes = cfg.dim, cfg.classes
+    label_sets = assign_labels(cfg.n, classes, cfg.c, seed_key(cfg.seed, "labels"))
+    arch = desk_arch(dim, classes, cfg.conv_channels, cfg.hidden)
+    return train, test, label_sets, arch
 
 
 def _build_graph(cfg, topology=None, p=None):
@@ -307,10 +311,6 @@ def _build_graph(cfg, topology=None, p=None):
         return ring(cfg.n)
     return erdos_renyi(cfg.n, p if p is not None else cfg.p,
                        seed_key(cfg.seed, "topology"))
-
-
-def _eta_for(cfg, algorithm):
-    return cfg.eta_mask if algorithm in _MASK_ALGORITHMS else cfg.eta_weight
 
 
 def _fmt_float(x):
@@ -339,31 +339,37 @@ def _say(quiet, message):
         print(message)
 
 
-def _run_train(cfg, out, quiet):
-    train, test = _load_task(cfg)
-    dim, classes = _task_dim_classes(cfg)
-    label_sets = assign_labels(cfg.n, classes, cfg.c, seed_key(cfg.seed, "labels"))
+def _trainer(cfg, out):
+    """Training on the config's task and partition: returns
+    ``train_on(algorithm, graph, name)``, which runs the algorithm, writes
+    ``metrics_<name>.csv`` and ``sparsity_<name>.csv`` and returns the log."""
+    train, test, label_sets, arch = _task(cfg)
     plan = partition(train, test, label_sets, seed_key(cfg.seed, "partition"))
-    graph = _build_graph(cfg)
-    (out / "graph.edges").write_text(to_edge_list(graph))
-    arch = desk_arch(dim, classes, cfg.conv_channels, cfg.hidden)
-    for alg in cfg.algorithm:
-        hyper = HyperConfig(alg, cfg.rounds, cfg.batch_size, _eta_for(cfg, alg),
-                            cfg.lam, cfg.seed, cfg.retention, cfg.min_nonzero,
+
+    def train_on(alg, graph, name):
+        eta = cfg.eta_mask if alg in _MASK_ALGORITHMS else cfg.eta_weight
+        hyper = HyperConfig(alg, cfg.rounds, cfg.batch_size, eta, cfg.lam,
+                            cfg.seed, cfg.retention, cfg.min_nonzero,
                             cfg.eval_interval)
         log = run(arch, hyper, graph, train, test, plan)
-        _write_metrics(out / f"metrics_{alg}.csv", log)
-        _write_sparsity(out / f"sparsity_{alg}.csv", log)
+        _write_metrics(out / f"metrics_{name}.csv", log)
+        _write_sparsity(out / f"sparsity_{name}.csv", log)
+        return log
+    return train_on
+
+
+def _run_train(cfg, out, quiet):
+    train_on = _trainer(cfg, out)
+    graph = _build_graph(cfg)
+    (out / "graph.edges").write_text(to_edge_list(graph))
+    for alg in cfg.algorithm:
+        log = train_on(alg, graph, alg)
         _say(quiet, f"{alg}: final mean accuracy "
                     f"{log.final_mean_accuracy():.4f} over {cfg.rounds} rounds")
 
 
 def _run_sweep(cfg, out, quiet):
-    train, test = _load_task(cfg)
-    dim, classes = _task_dim_classes(cfg)
-    label_sets = assign_labels(cfg.n, classes, cfg.c, seed_key(cfg.seed, "labels"))
-    plan = partition(train, test, label_sets, seed_key(cfg.seed, "partition"))
-    arch = desk_arch(dim, classes, cfg.conv_channels, cfg.hidden)
+    train_on = _trainer(cfg, out)
     alg = cfg.algorithm[0]
     for entry in cfg.sweep:
         if entry == "ring":
@@ -371,27 +377,19 @@ def _run_sweep(cfg, out, quiet):
         else:
             label, graph = f"p{entry:g}", _build_graph(cfg, topology="er", p=entry)
         (out / f"graph_{label}.edges").write_text(to_edge_list(graph))
-        hyper = HyperConfig(alg, cfg.rounds, cfg.batch_size, _eta_for(cfg, alg),
-                            cfg.lam, cfg.seed, cfg.retention, cfg.min_nonzero,
-                            cfg.eval_interval)
-        log = run(arch, hyper, graph, train, test, plan)
-        _write_metrics(out / f"metrics_{label}.csv", log)
-        _write_sparsity(out / f"sparsity_{label}.csv", log)
+        log = train_on(alg, graph, label)
         _say(quiet, f"{alg} on {label}: final mean accuracy "
                     f"{log.final_mean_accuracy():.4f}")
 
 
 def _run_mask_vs_weight(cfg, out, quiet):
-    train, test = _load_task(cfg)
-    dim, classes = _task_dim_classes(cfg)
-    label_sets = assign_labels(cfg.n, classes, cfg.c, seed_key(cfg.seed, "labels"))
+    train, test, label_sets, arch = _task(cfg)
     shards = []
     for labels in label_sets:
         tr = np.flatnonzero(np.isin(train.labels, list(labels)))
         te = np.flatnonzero(np.isin(test.labels, list(labels)))
         shards.append((train.features[tr], train.labels[tr],
                        test.features[te], test.labels[te]))
-    arch = desk_arch(dim, classes, cfg.conv_channels, cfg.hidden)
     traces = mask_vs_weight_verify(arch, shards, cfg.mask_vs_weight_r,
                                    cfg.mask_vs_weight_steps, cfg.eta_weight,
                                    cfg.eta_mask, cfg.batch_size, cfg.seed,

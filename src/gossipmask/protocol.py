@@ -127,7 +127,7 @@ def encode_mask(mask_set, sender, round_index):
         _check_field("layer index", layer, 16)
         bits = np.asarray(mask_set[layer]).ravel()
         _check_field(f"layer {layer} entry count", bits.size, 32)
-        if not np.isin(bits, (0.0, 1.0)).all():
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValueError(f"layer {layer}: mask entries must be 0 or 1")
         payload = np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
         segments.append((int(layer), int(bits.size), payload))

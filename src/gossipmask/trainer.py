@@ -13,18 +13,15 @@ Algorithms
     mask from the aggregation tensor built on the fine-tuned scores. Only
     1-bit masks ever cross the wire.
 ``ind_mask``
-    The same score/mask update without any communication.
-``ind_weipru``
-    Per-agent SGD on real weights, magnitude-pruned back to the agent's
-    retention ratio after every step; no communication.
-``avr_weipru``
-    ind_weipru plus transmission of the pruned weights and replacement by
-    the neighborhood average (self included).
-``par_weipru``
-    avr_weipru restricted to the coordinates kept by the local mask;
-    all other coordinates stay local.
-``dsgd``
-    Dense SGD with neighborhood averaging, no pruning.
+    The collaborative round with an empty neighborhood: (c) and (d) change
+    nothing, so the mask extracted in (a) is the new mask; nothing is sent.
+``ind_weipru``, ``avr_weipru``, ``par_weipru``, ``dsgd``
+    One step-prune-mix skeleton on per-agent copies of the parameters: a
+    local SGD step, magnitude pruning back to the agent's retention ratio
+    (not for dsgd), then a mixing rule over the transmitted weights: none
+    (ind_weipru, no communication), the neighborhood average, self
+    included (avr_weipru, and D-PSGD for dsgd), or that average only where
+    the local mask keeps the entry (par_weipru).
 
 Within a round agents are processed in ascending id and all reductions
 over neighbors iterate in ascending sender id, so results do not depend
@@ -113,6 +110,9 @@ class AgentState:
     neighbor_masks: dict = field(default_factory=dict)  # sender -> mask set
     weights: dict = None              # per-agent weights (weight baselines)
     last_loss: float = math.nan
+    # (mask set, its average) of the last neighbor average taken
+    _average: tuple = field(default=(None, None), init=False, repr=False,
+                            compare=False)
 
 
 @dataclass
@@ -171,6 +171,17 @@ def _average_masks(mask_sets):
     return avg
 
 
+def _neighbor_average(state, mask_sets):
+    """:func:`_average_masks`, cached on the state by the identity of the
+    set (never modified) until the next half-step: fine-tuning, aggregation
+    and that half-step share the average of one received set."""
+    source, avg = state._average
+    if source is not mask_sets:
+        avg = _average_masks(mask_sets)
+        state._average = (mask_sets, avg)
+    return avg
+
+
 def _aggregation_tensor(z, neighbor_avg):
     """Blend neighbor mask information into the scores: per layer
     y = z + mean(|z|) * sign(z) * neighbor_average."""
@@ -194,7 +205,9 @@ def backprop_half_step(state, w, arch, batch_x, batch_y):
     g = {layer: grad_z(grad_v[layer], w[layer], z_prev[layer]) + reg[layer]
          for layer in z_prev}
     z_half = {layer: z_prev[layer] - state.eta * g[layer] for layer in z_prev}
-    y_half = _aggregation_tensor(z_half, _average_masks(state.neighbor_masks))
+    y_half = _aggregation_tensor(
+        z_half, _neighbor_average(state, state.neighbor_masks))
+    state._average = (None, None)     # not needed again; free it
     m_half = extract(y_half, state.mask.r, state.mask.min_nonzero)
     state.mask.z = z_half
     state.grad_cache = g
@@ -217,7 +230,7 @@ def fine_tune_step(state, received):
         raise SimulationError(
             f"agent {state.agent_id}: fine-tune before the gradient half-step")
     _check_received(state, received)
-    avg = _average_masks(received)
+    avg = _neighbor_average(state, received)
     if avg is not None:
         state.mask.z = {layer: t - state.eta * state.grad_cache[layer] * avg[layer]
                         for layer, t in state.mask.z.items()}
@@ -229,10 +242,10 @@ def aggregate_step(state, received):
     fine-tuned scores, re-extract the agent's mask and retain the received
     masks for the next round. Returns (aggregation tensors, new mask set)."""
     _check_received(state, received)
-    y = _aggregation_tensor(state.mask.z, _average_masks(received))
+    y = _aggregation_tensor(state.mask.z, _neighbor_average(state, received))
     m = extract(y, state.mask.r, state.mask.min_nonzero)
     state.m = m
-    state.neighbor_masks = {s: received[s] for s in sorted(received)}
+    state.neighbor_masks = received
     state.grad_cache = None
     return y, m
 
@@ -243,109 +256,84 @@ def _local_batch(state, hyper, round_index):
     return state.train_x[idx], state.train_y[idx]
 
 
-def _decode_once(outbox, shapes):
-    """Decode every frame of one exchange once. All receivers of a frame
-    share its decoded arrays, so they are made read-only."""
+def _exchange_masks(graph, masks, round_index, shapes, ledger):
+    """Send every agent's mask set to its neighbors: one frame per agent
+    through :func:`exchange`, each frame decoded once. ``masks`` yields
+    (agent, mask set) pairs, each encoded as it comes, so only the packed
+    frames are held. All receivers of a frame share its decoded arrays, so
+    they are made read-only. Returns agent -> {sender: mask set}."""
+    outbox = {a: encode_mask(m, a, round_index) for a, m in masks}
+    inbox = exchange(graph, outbox, ledger)
     decoded = {}
     for sender, frame in outbox.items():
-        masks = decode_mask(frame, shapes)
-        for m in masks.values():
+        decoded[sender] = decode_mask(frame, shapes)
+        for m in decoded[sender].values():
             m.setflags(write=False)
-        decoded[sender] = masks
-    return decoded
+    return {a: {f.sender: decoded[f.sender] for f in inbox[a]} for a in outbox}
 
 
 def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
     """One synchronous collaborative round: per-agent half-step, one frame
     exchange, then fine-tuning and aggregation per agent."""
-    shapes = arch.param_shapes()
-    outbox = {}
+    def half_steps():
+        for state in states:
+            bx, by = _local_batch(state, hyper, round_index)
+            yield state.agent_id, backprop_half_step(state, w, arch, bx, by)[2]
+
+    inbox = _exchange_masks(graph, half_steps(), round_index,
+                            arch.param_shapes(), ledger)
     for state in states:
-        bx, by = _local_batch(state, hyper, round_index)
-        _, _, m_half = backprop_half_step(state, w, arch, bx, by)
-        outbox[state.agent_id] = encode_mask(m_half, state.agent_id, round_index)
-    inbox = exchange(graph, outbox, ledger)
-    decoded = _decode_once(outbox, shapes)
-    for state in states:
-        received = {f.sender: decoded[f.sender] for f in inbox[state.agent_id]}
-        fine_tune_step(state, received)
-        aggregate_step(state, received)
+        fine_tune_step(state, inbox[state.agent_id])
+        aggregate_step(state, inbox[state.agent_id])
     return states
 
 
-def _ind_mask_round(states, w, arch, hyper, round_index):
-    for state in states:
-        bx, by = _local_batch(state, hyper, round_index)
-        loss, grad_v = loss_and_grad_v(arch, w, state.m, bx, by)
-        reg = group_lasso_grad(state.mask.z, state.lam)
-        for layer, t in state.mask.z.items():
-            g = grad_z(grad_v[layer], w[layer], t) + reg[layer]
-            state.mask.z[layer] = t - state.eta * g
-        state.m = extract_mask(state.mask)
-        state.last_loss = loss
-
-
-def _dsgd_round(states, arch, graph, hyper, round_index, ledger):
-    stepped = {}
-    for state in states:
-        bx, by = _local_batch(state, hyper, round_index)
-        loss, grad = loss_and_grad_v(arch, state.weights, None, bx, by)
-        stepped[state.agent_id] = {layer: state.weights[layer] - state.eta * grad[layer]
-                                   for layer in state.weights}
-        state.last_loss = loss
-        if ledger is not None:
-            ledger.add_transmission(round_index, state.agent_id,
-                                    graph.neighbors[state.agent_id],
-                                    account_real_bits(stepped[state.agent_id]))
-    for state in states:
-        parties = [state.agent_id] + [int(j) for j in graph.neighbors[state.agent_id]]
-        state.weights = {layer: sum(stepped[p][layer] for p in parties) / len(parties)
-                         for layer in state.weights}
-
-
-def _weipru_round(kind, states, arch, graph, hyper, round_index, ledger):
-    pruned = {}
-    for state in states:
-        bx, by = _local_batch(state, hyper, round_index)
-        loss, grad_v = loss_and_grad_v(arch, state.weights, state.m, bx, by)
-        # v = w * m, so the weight gradient is the v-gradient masked
-        state.weights = {layer: state.weights[layer]
-                         - state.eta * grad_v[layer] * state.m[layer]
-                         for layer in state.weights}
-        state.m = {layer: threshold_layer(state.weights[layer], state.mask.r)
-                   for layer in state.weights}
-        pruned[state.agent_id] = {layer: state.weights[layer] * state.m[layer]
-                                  for layer in state.weights}
-        state.last_loss = loss
-    if kind == "ind_weipru":
-        return
-    for state in states:
-        if ledger is not None:
-            ledger.add_transmission(round_index, state.agent_id,
-                                    graph.neighbors[state.agent_id],
-                                    account_real_bits(pruned[state.agent_id]))
-    for state in states:
-        parties = [state.agent_id] + [int(j) for j in graph.neighbors[state.agent_id]]
-        avg = {layer: sum(pruned[p][layer] for p in parties) / len(parties)
-               for layer in state.weights}
-        if kind == "avr_weipru":
-            state.weights = avg
-        else:  # par_weipru: average only where the local mask keeps the entry
-            state.weights = {layer: np.where(state.m[layer] == 1.0, avg[layer],
-                                             state.weights[layer])
-                             for layer in state.weights}
+def _weight_step(state, arch, batch_x, batch_y):
+    """Local SGD step on the agent's own weights. Dense when ``state.m`` is
+    None; otherwise masked (v = w * m, so the weight gradient is the
+    v-gradient masked) and then magnitude-pruned back to the retention
+    ratio. Returns the weights the agent would transmit."""
+    loss, grad = loss_and_grad_v(arch, state.weights, state.m, batch_x, batch_y)
+    state.last_loss = loss
+    if state.m is None:
+        state.weights = {layer: t - state.eta * grad[layer]
+                         for layer, t in state.weights.items()}
+        return state.weights
+    state.weights = {layer: t - state.eta * grad[layer] * state.m[layer]
+                     for layer, t in state.weights.items()}
+    state.m = {layer: threshold_layer(t, state.mask.r)
+               for layer, t in state.weights.items()}
+    return {layer: t * state.m[layer] for layer, t in state.weights.items()}
 
 
 def baseline_round(kind, states, w, arch, graph, hyper, round_index, ledger=None):
-    """One synchronous round of a baseline algorithm."""
+    """One synchronous round of a baseline algorithm (see the module
+    docstring): the half-step alone for ``ind_mask``, a weight step and the
+    algorithm's mixing rule for the weight baselines."""
     if kind == "ind_mask":
-        _ind_mask_round(states, w, arch, hyper, round_index)
-    elif kind == "dsgd":
-        _dsgd_round(states, arch, graph, hyper, round_index, ledger)
-    elif kind in ("ind_weipru", "avr_weipru", "par_weipru"):
-        _weipru_round(kind, states, arch, graph, hyper, round_index, ledger)
-    else:
+        for state in states:
+            bx, by = _local_batch(state, hyper, round_index)
+            state.m = backprop_half_step(state, w, arch, bx, by)[2]
+        return states
+    if kind not in ("ind_weipru", "avr_weipru", "par_weipru", "dsgd"):
         raise ValueError(f"unknown baseline '{kind}'")
+    sent = {state.agent_id: _weight_step(state, arch,
+                                         *_local_batch(state, hyper, round_index))
+            for state in states}
+    if kind == "ind_weipru":
+        return states
+    for state in states:
+        neighbors = graph.neighbors[state.agent_id]
+        if ledger is not None:
+            ledger.add_transmission(round_index, state.agent_id, neighbors,
+                                    account_real_bits(sent[state.agent_id]))
+        parties = [state.agent_id] + [int(j) for j in neighbors]
+        avg = {layer: sum(sent[p][layer] for p in parties) / len(parties)
+               for layer in state.weights}
+        if kind == "par_weipru":     # mix only the entries the mask keeps
+            avg = {layer: np.where(state.m[layer] == 1.0, avg[layer], t)
+                   for layer, t in state.weights.items()}
+        state.weights = avg
     return states
 
 
@@ -435,25 +423,20 @@ def run(arch, hyper, graph, train, test, plan):
     w = init_params(arch, seed_key(hyper.seed, "params"))
     states = build_states(arch, hyper, graph, train, test, plan)
     ledger = CommLedger()
-    shapes = arch.param_shapes()
 
     if hyper.algorithm in _MASK_ALGORITHMS:
         for state in states:
             state.m = extract_mask(state.mask)
         if hyper.algorithm == "gossip_mask":
             # bootstrap neighbor masks with one (accounted) exchange
-            outbox = {s.agent_id: encode_mask(s.m, s.agent_id, 0) for s in states}
-            inbox = exchange(graph, outbox, ledger)
-            decoded = _decode_once(outbox, shapes)
+            inbox = _exchange_masks(graph, ((s.agent_id, s.m) for s in states),
+                                    0, arch.param_shapes(), ledger)
             for state in states:
-                state.neighbor_masks = {f.sender: decoded[f.sender]
-                                        for f in inbox[state.agent_id]}
+                state.neighbor_masks = inbox[state.agent_id]
     else:
         for state in states:
             state.weights = {layer: w[layer].copy() for layer in w}
-            if hyper.algorithm == "dsgd":
-                state.m = None
-            else:
+            if hyper.algorithm != "dsgd":   # dsgd stays unmasked
                 state.m = {layer: threshold_layer(state.weights[layer],
                                                   state.mask.r)
                            for layer in state.weights}
@@ -490,10 +473,11 @@ class MaskVsWeightTraces:
 
 def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
                           batch_size, seed, eval_interval=3):
-    """Train each agent independently twice: full SGD on the weights, and
-    mask-only training (plain sign-approximated score updates, no
-    regularizer, no filter zeroing) at each retention ratio, from the same
-    fixed random initialization. Accuracy is recorded at step 0 and every
+    """Train each agent independently twice: full SGD on the weights (the
+    weight step of ``dsgd`` without mixing), and mask-only training at each
+    retention ratio (the half-step of an agent without neighbors, with no
+    regularizer and no filter zeroing), from the same fixed random
+    initialization. Accuracy is recorded at step 0 and every
     ``eval_interval`` steps."""
     w0 = init_params(arch, seed_key(seed, "params"))
     shapes = arch.param_shapes()
@@ -501,31 +485,38 @@ def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
     for a, (tx, ty, ex, ey) in enumerate(shards):
         batches = [sample_batch(seed, a, k, len(ty), batch_size)
                    for k in range(1, steps + 1)]
-        wa = {layer: w0[layer].copy() for layer in w0}
-        trace = [(0, _accuracy(arch, wa, None, ex, ey))]
-        for k in range(1, steps + 1):
-            idx = batches[k - 1]
-            _, grad = loss_and_grad_v(arch, wa, None, tx[idx], ty[idx])
-            for layer in wa:
-                wa[layer] -= eta_weight * grad[layer]
-            if k % eval_interval == 0:
-                trace.append((k, _accuracy(arch, wa, None, ex, ey)))
-        weight_traces[a] = trace
+        weight_traces[a] = _train_arm(
+            arch, w0, AgentState(a, MaskState({}, 1.0), tx, ty, ex, ey,
+                                 eta_weight, 0.0, weights=w0),
+            batches, eval_interval)
         for ri, r in enumerate(r_values):
             z = {layer: substream(seed, "z", a, ri, layer).uniform(-1.0, 1.0, shape)
                  for layer, shape in shapes.items()}
-            m = extract(z, r, 0)
-            trace = [(0, _accuracy(arch, w0, m, ex, ey))]
-            for k in range(1, steps + 1):
-                idx = batches[k - 1]
-                _, grad_v = loss_and_grad_v(arch, w0, m, tx[idx], ty[idx])
-                for layer in z:
-                    z[layer] -= eta_mask * grad_z(grad_v[layer], w0[layer], z[layer])
-                m = extract(z, r, 0)
-                if k % eval_interval == 0:
-                    trace.append((k, _accuracy(arch, w0, m, ex, ey)))
-            mask_traces[(a, r)] = trace
+            mask_traces[(a, r)] = _train_arm(
+                arch, w0, AgentState(a, MaskState(z, r, 0), tx, ty, ex, ey,
+                                     eta_mask, 0.0, m=extract(z, r, 0)),
+                batches, eval_interval)
     return MaskVsWeightTraces(weight_traces, mask_traces)
+
+
+def _train_arm(arch, w, state, batches, eval_interval):
+    """One harness arm: a dense weight step per batch if the state has
+    weights (its mask state is then unused), else a half-step without
+    neighbors. Returns the test accuracy at step 0 and every
+    ``eval_interval`` steps."""
+    trace = []
+    for k in range(len(batches) + 1):
+        if k > 0:
+            bx, by = state.train_x[batches[k - 1]], state.train_y[batches[k - 1]]
+            if state.weights is None:
+                state.m = backprop_half_step(state, w, arch, bx, by)[2]
+            else:
+                _weight_step(state, arch, bx, by)
+        if k % eval_interval == 0:
+            params = state.weights if state.weights is not None else w
+            trace.append((k, _accuracy(arch, params, state.m, state.test_x,
+                                       state.test_y)))
+    return trace
 
 
 # ----------------------------------------------------- output-gap bounds

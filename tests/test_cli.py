@@ -82,6 +82,7 @@ def test_validation_errors():
     for text, pat in [
         ("experiment = fly\n", "experiment"),
         ("n = 1\n", "agents"),
+        ("seed = 0\nn = 70000\n", "line 2: at most 65536 agents"),
         ("p = 0\n", "probability"),
         ("c = 11\n", "labels per agent"),
         ("algorithm = magic\n", "unknown algorithm"),

@@ -100,8 +100,12 @@ def test_trailing_bytes_rejected():
 
 
 def test_non_binary_mask_rejected():
-    with pytest.raises(ValueError):
-        encode_mask({0: np.array([0.5, 1.0])}, 0, 0)
+    for bad in (0.5, np.nan, np.inf, -np.inf, 2.0, -1.0):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            encode_mask({0: np.array([bad, 1.0])}, 0, 0)
+    # -0.0 is a zero entry
+    frame = encode_mask({0: np.array([-0.0, 1.0])}, 0, 0)
+    np.testing.assert_array_equal(decode_mask(frame, {0: (2,)})[0], [0.0, 1.0])
 
 
 # ------------------------------------------------------------- accounting

@@ -218,6 +218,21 @@ def test_each_frame_decoded_once_and_shared_read_only(monkeypatch):
                 arrays[0][...] = 0.0
 
 
+def test_received_masks_averaged_once_per_round(monkeypatch):
+    calls = []
+
+    def counting_average(mask_sets):
+        calls.append(mask_sets)
+        return _average_masks(mask_sets)
+
+    monkeypatch.setattr(trainer, "_average_masks", counting_average)
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(rounds=3)
+    run(arch, hyper, graph, train, test, plan)
+    # the bootstrap masks once, then each round's received masks once:
+    # fine-tuning, aggregation and the next half-step share the average
+    assert len(calls) == graph.n * (hyper.rounds + 1)
+
+
 def test_round_determinism():
     logs = []
     for _ in range(2):
