@@ -18,12 +18,14 @@ Outputs (per run directory): ``manifest.txt``, ``graph*.edges`` where a
 topology exists, metrics CSVs with header
 ``round,agent,accuracy,loss,payload_bits,header_bits`` (rows sorted by
 round then agent, agent -1 being the per-round mean), and per-agent
-``sparsity*.csv`` files.
+``sparsity*.csv`` files. Each file is written whole, through a temp file
+renamed over it, so a crashed run leaves no half-written output.
 
 Exit codes: 0 success, 1 config error, 2 runtime error.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -317,12 +319,25 @@ def _fmt_float(x):
     return repr(float(x))
 
 
+def _write(path, text):
+    """Write ``text`` to ``path`` through a temp file in the same directory
+    and ``os.replace``, so a crash leaves the old file or the new one whole.
+    The temp name ends in ``.tmp`` and never matches an output pattern."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_metrics(path, log):
     lines = ["round,agent,accuracy,loss,payload_bits,header_bits"]
     for row in log.rows:
         lines.append(f"{row.round},{row.agent},{_fmt_float(row.accuracy)},"
                      f"{_fmt_float(row.loss)},{row.payload_bits},{row.header_bits}")
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_sparsity(path, log):
@@ -331,7 +346,7 @@ def _write_sparsity(path, log):
         for layer in sorted(log.final_sparsity[agent]):
             ones, total = log.final_sparsity[agent][layer]
             lines.append(f"{agent},{layer},{ones},{total},{_fmt_float(ones / total)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _say(quiet, message):
@@ -361,7 +376,7 @@ def _trainer(cfg, out):
 def _run_train(cfg, out, quiet):
     train_on = _trainer(cfg, out)
     graph = _build_graph(cfg)
-    (out / "graph.edges").write_text(to_edge_list(graph))
+    _write(out / "graph.edges", to_edge_list(graph))
     for alg in cfg.algorithm:
         log = train_on(alg, graph, alg)
         _say(quiet, f"{alg}: final mean accuracy "
@@ -376,7 +391,7 @@ def _run_sweep(cfg, out, quiet):
             label, graph = "ring", _build_graph(cfg, topology="ring")
         else:
             label, graph = f"p{entry:g}", _build_graph(cfg, topology="er", p=entry)
-        (out / f"graph_{label}.edges").write_text(to_edge_list(graph))
+        _write(out / f"graph_{label}.edges", to_edge_list(graph))
         log = train_on(alg, graph, label)
         _say(quiet, f"{alg} on {label}: final mean accuracy "
                     f"{log.final_mean_accuracy():.4f}")
@@ -401,7 +416,7 @@ def _run_mask_vs_weight(cfg, out, quiet):
         for r in cfg.mask_vs_weight_r:
             for step, acc in traces.mask[(agent, r)]:
                 lines.append(f"{step},{agent},mask,{_fmt_float(r)},{_fmt_float(acc)}")
-    (out / "mask_vs_weight.csv").write_text("\n".join(lines) + "\n")
+    _write(out / "mask_vs_weight.csv", "\n".join(lines) + "\n")
     for agent in sorted(traces.weight):
         final_w = traces.weight[agent][-1][1]
         per_r = ", ".join(f"r={r:g}: {traces.mask[(agent, r)][-1][1]:.4f}"
@@ -423,7 +438,7 @@ def _run_bound_check(cfg, out, quiet):
             f"{_fmt_float(rep.alpha_u)},{_fmt_float(rep.alpha_l)},"
             f"{_fmt_float(rep.sup_gap)},{_fmt_float(rep.inf_gap)},"
             f"{int(rep.upper_holds)},{int(rep.lower_holds)}")
-    (out / "bounds.csv").write_text("\n".join(lines) + "\n")
+    _write(out / "bounds.csv", "\n".join(lines) + "\n")
     _say(quiet, f"upper inequality held on {upper_ok}/{cfg.instances} instances")
 
 
@@ -433,7 +448,7 @@ def run_experiment(config, quiet=False):
     cfg = _resolve_retention(config)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.txt").write_text(render_config(cfg))
+    _write(out / "manifest.txt", render_config(cfg))
     if cfg.experiment == "train":
         _run_train(cfg, out, quiet)
     elif cfg.experiment == "sweep":

@@ -5,7 +5,8 @@ flatten / linear). Only conv2d and linear layers own parameters, and no
 layer carries a bias term. A masked layer is evaluated with the effective
 tensor ``v = w * m`` where ``w`` is the real-valued parameter tensor and
 ``m`` a binary mask of identical shape; every gradient returned here is
-taken with respect to ``v``.
+taken with respect to ``v``. The backward pass stops at the first
+parameterized layer: nothing below it, its input included, gets a gradient.
 
 Tensors are plain numpy float64 arrays in row-major order. All functions
 are pure: no global state, no randomness outside :func:`init_params`.
@@ -198,21 +199,22 @@ def _conv_forward(x, v, padding):
     return out.transpose(0, 3, 1, 2), (cols, x.shape, padding)
 
 
+def _conv_grad_v(grad_out, v, cache):
+    g = grad_out.transpose(0, 2, 3, 1).reshape(-1, v.shape[0])
+    return (g.T @ cache[0].reshape(-1, cache[0].shape[-1])).reshape(v.shape)
+
+
 def _conv_backward(grad_out, v, cache):
-    cols, x_shape, padding = cache
-    n, c, h, w = x_shape
+    _, (n, c, h, w), padding = cache
     o, _, kh, kw = v.shape
-    oh, ow = grad_out.shape[2], grad_out.shape[3]
-    g = grad_out.transpose(0, 2, 3, 1)
-    grad_v = (g.reshape(-1, o).T @ cols.reshape(-1, cols.shape[-1])).reshape(v.shape)
-    gc = (g @ v.reshape(o, -1)).reshape(n, oh, ow, c, kh, kw)
-    gxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    oh, ow = grad_out.shape[2:]
+    gc = (grad_out.transpose(0, 2, 3, 1) @ v.reshape(o, -1)).reshape(n, oh, ow, c, kh, kw)
+    # channel-last col2im: each entry gets the (n, c, h, w) layout's adds
+    gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
     for a in range(kh):
         for b in range(kw):
-            gxp[:, :, a:a + oh, b:b + ow] += gc[:, :, :, :, a, b].transpose(0, 3, 1, 2)
-    if padding:
-        gxp = gxp[:, :, padding:padding + h, padding:padding + w]
-    return gxp, grad_v
+            gxp[:, a:a + oh, b:b + ow] += gc[:, :, :, :, a, b]
+    return gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
 
 
 def _maxpool_forward(x, window, stride):
@@ -228,18 +230,15 @@ def _maxpool_forward(x, window, stride):
 
 
 def _maxpool_backward(grad_out, cache):
-    idx, x_shape, window, stride = cache
+    idx, x_shape, (wh, ww), stride = cache
     n, c, oh, ow = grad_out.shape
-    ww = window[1]
-    gx = np.zeros(x_shape)
-    ni = np.arange(n)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    ri = np.arange(oh)[None, None, :, None] * stride + idx // ww
-    cj = np.arange(ow)[None, None, None, :] * stride + idx % ww
-    # overlapping windows may select the same source entry; accumulate
-    np.add.at(gx, (np.broadcast_to(ni, idx.shape), np.broadcast_to(ci, idx.shape),
-                   ri, cj), grad_out)
-    return gx
+    h, w = x_shape[2:]
+    # flat source index of each window's maximum; overlapping windows may
+    # share one, and bincount adds their shares in ascending window order
+    src = ((np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+           + stride * (w * np.arange(oh)[:, None] + np.arange(ow))
+           + (w * np.arange(wh)[:, None] + np.arange(ww)).ravel()[idx])
+    return np.bincount(src.ravel(), grad_out.ravel(), n * c * h * w).reshape(x_shape)
 
 
 def _softmax_cross_entropy(logits, labels):
@@ -299,24 +298,24 @@ def forward(arch, w, m, batch):
 
 
 def _backward(caches, grad_logits):
+    # nothing below the lowest parameterized layer needs a gradient
+    first = next((e[1] for e in caches if e[0] in ("conv2d", "linear")), len(caches))
     g = grad_logits
     grad_v = {}
-    for entry in reversed(caches):
-        kind = entry[0]
+    for kind, idx, *rest in reversed(caches[first:]):
         if kind == "linear":
-            _, idx, v, xin = entry
+            v, xin = rest
             grad_v[idx] = g.T @ xin
-            g = g @ v
+            g = g @ v if idx > first else None
         elif kind == "conv2d":
-            _, idx, v, cache = entry
-            g, gv = _conv_backward(g, v, cache)
-            grad_v[idx] = gv
+            grad_v[idx] = _conv_grad_v(g, *rest)
+            g = _conv_backward(g, *rest) if idx > first else None
         elif kind == "relu":
-            g = g * entry[2]
+            g = g * rest[0]
         elif kind == "maxpool2d":
-            g = _maxpool_backward(g, entry[2])
+            g = _maxpool_backward(g, rest[0])
         elif kind == "flatten":
-            g = g.reshape(entry[2])
+            g = g.reshape(rest[0])
     return dict(sorted(grad_v.items()))
 
 

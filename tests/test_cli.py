@@ -1,3 +1,6 @@
+import os
+from dataclasses import replace
+
 import pytest
 
 from gossipmask.cli import (ConfigError, main, parse_config, render_config,
@@ -135,7 +138,6 @@ def test_rounds_zero_only_initial_rows(tmp_path):
 def test_rerun_is_byte_identical(tmp_path):
     cfg = parse_config(SMALL_TRAIN + f"out = {tmp_path/'a'}\n")
     run_experiment(cfg, quiet=True)
-    from dataclasses import replace
     run_experiment(replace(cfg, out=str(tmp_path / "b")), quiet=True)
     a = (tmp_path / "a" / "metrics_gossip_mask.csv").read_bytes()
     b = (tmp_path / "b" / "metrics_gossip_mask.csv").read_bytes()
@@ -147,10 +149,30 @@ def test_manifest_reproduces_run(tmp_path):
     run_experiment(cfg, quiet=True)
     manifest = (tmp_path / "a" / "manifest.txt").read_text()
     cfg2 = parse_config(manifest)
-    from dataclasses import replace
     run_experiment(replace(cfg2, out=str(tmp_path / "b")), quiet=True)
     assert ((tmp_path / "a" / "metrics_gossip_mask.csv").read_bytes()
             == (tmp_path / "b" / "metrics_gossip_mask.csv").read_bytes())
+
+
+def test_failed_write_leaves_earlier_output_whole(tmp_path, monkeypatch):
+    cfg = parse_config(SMALL_TRAIN.replace("rounds = 2", "rounds = 0")
+                       + f"out = {tmp_path/'run'}\n")
+    run_experiment(cfg, quiet=True)
+    out = tmp_path / "run"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_replace = os.replace
+
+    def refuse_metrics(src, dst):
+        if os.path.basename(dst) == "metrics_gossip_mask.csv":
+            raise OSError("disk full")
+        real_replace(src, dst)
+    monkeypatch.setattr(os, "replace", refuse_metrics)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(replace(cfg, seed=4), quiet=True)
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(after) == sorted(before)  # no temp file left behind
+    assert after["metrics_gossip_mask.csv"] == before["metrics_gossip_mask.csv"]
+    assert after["manifest.txt"] != before["manifest.txt"]  # written in full
 
 
 def test_sweep_writes_one_file_per_topology(tmp_path):

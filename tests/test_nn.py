@@ -4,6 +4,7 @@ import pytest
 from gossipmask import (ModelArch, conv2d, desk_arch, finite_diff_check,
                         flatten, forward, grad_z, identity_masks, init_params,
                         linear, loss_and_grad_v, maxpool2d, relu, shape_chain)
+from gossipmask import nn
 from gossipmask.nn import _maxpool_backward, _maxpool_forward, loss
 
 
@@ -294,3 +295,169 @@ def test_relu_blocks_inactive_gradient():
     _, g = loss_and_grad_v(arch, w, None, x, np.array([0]))
     assert np.abs(g[1][1]).sum() == 0.0
     assert np.abs(g[3][:, 1]).sum() == 0.0
+
+
+# ------------------------------------------ backward kernels, bit for bit
+
+def _ref_conv_backward(grad_out, v, cache):
+    """The earlier conv backward: col2im over kernel offsets into an
+    (n, c, h, w) buffer with transposed reads, and the weight gradient."""
+    cols, x_shape, padding = cache
+    n, c, h, w = x_shape
+    o, _, kh, kw = v.shape
+    oh, ow = grad_out.shape[2], grad_out.shape[3]
+    g = grad_out.transpose(0, 2, 3, 1)
+    grad_v = (g.reshape(-1, o).T @ cols.reshape(-1, cols.shape[-1])).reshape(v.shape)
+    gc = (g @ v.reshape(o, -1)).reshape(n, oh, ow, c, kh, kw)
+    gxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    for a in range(kh):
+        for b in range(kw):
+            gxp[:, :, a:a + oh, b:b + ow] += gc[:, :, :, :, a, b].transpose(0, 3, 1, 2)
+    if padding:
+        gxp = gxp[:, :, padding:padding + h, padding:padding + w]
+    return gxp, grad_v
+
+
+def _ref_maxpool_backward(grad_out, cache):
+    """The earlier max-pool backward: one ``np.add.at`` scatter."""
+    idx, x_shape, window, stride = cache
+    n, c, oh, ow = grad_out.shape
+    ww = window[1]
+    gx = np.zeros(x_shape)
+    ni = np.arange(n)[:, None, None, None]
+    ci = np.arange(c)[None, :, None, None]
+    ri = np.arange(oh)[None, None, :, None] * stride + idx // ww
+    cj = np.arange(ow)[None, None, None, :] * stride + idx % ww
+    np.add.at(gx, (np.broadcast_to(ni, idx.shape), np.broadcast_to(ci, idx.shape),
+                   ri, cj), grad_out)
+    return gx
+
+
+def _wide_magnitudes(rng, shape):
+    """Normal draws scaled entry by entry by 10**k, k uniform in [-8, 8]."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
+def _layouts(g):
+    """``g`` as a contiguous array, a channel-last transposed view and a
+    strided slice of a larger array."""
+    wide = np.zeros(g.shape[:-1] + (2 * g.shape[-1],))
+    wide[..., ::2] = g
+    return (g, np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+            wide[..., ::2])
+
+
+def _conv_cases():
+    rng = np.random.default_rng(2024)
+    # the desk arch's second conv: 3x3 output positions, fewer than its
+    # 5x5 kernel offsets; then the README default shape's second conv
+    yield rng, (8, 16, 3, 3), (32, 16, 5, 5), 2
+    yield rng, (16, 16, 7, 7), (32, 16, 5, 5), 2
+    for _ in range(40):
+        kh, kw = (int(k) for k in rng.integers(1, 6, 2))
+        pad = int(rng.integers(0, 3))
+        h = int(rng.integers(max(1, kh - 2 * pad), 9))
+        w = int(rng.integers(max(1, kw - 2 * pad), 9))
+        n, c = (int(k) for k in rng.integers(1, 6, 2))
+        o = int(rng.choice([1, 3, 8, 32, 33]))
+        yield rng, (n, c, h, w), (o, c, kh, kw), pad
+
+
+def test_conv_backward_bitwise_equal_to_reference():
+    cases = 0
+    for rng, x_shape, v_shape, pad in _conv_cases():
+        x = _wide_magnitudes(rng, x_shape)
+        v = _wide_magnitudes(rng, v_shape)
+        out, cache = nn._conv_forward(x, v, pad)
+        for g in _layouts(_wide_magnitudes(rng, out.shape)):
+            want_gx, want_gv = _ref_conv_backward(g, v, cache)
+            gx = nn._conv_backward(g, v, cache)
+            assert gx.shape == x_shape
+            assert gx.tobytes() == want_gx.tobytes(), (x_shape, v_shape, pad)
+            assert nn._conv_grad_v(g, v, cache).tobytes() == want_gv.tobytes()
+            cases += 1
+    assert cases == 3 * 42
+
+
+def test_maxpool_backward_bitwise_equal_to_reference():
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        wh, ww, stride = (int(k) for k in rng.integers(1, 4, 3))
+        n, c = (int(k) for k in rng.integers(1, 4, 2))
+        h, w = int(rng.integers(wh, 10)), int(rng.integers(ww, 10))
+        if trial % 2:
+            x = rng.integers(0, 2, (n, c, h, w)).astype(np.float64)  # heavy ties
+        else:
+            x = rng.standard_normal((n, c, h, w))
+        out, cache = _maxpool_forward(x, (wh, ww), stride)
+        g = _wide_magnitudes(rng, out.shape)
+        g[rng.random(g.shape) < 0.1] = -0.0
+        if trial % 10 == 0:
+            g.flat[0], g.flat[-1] = np.inf, np.nan
+        for layout in _layouts(g):
+            want = _ref_maxpool_backward(layout, cache)
+            assert _maxpool_backward(layout, cache).tobytes() == want.tobytes(), \
+                (trial, (wh, ww), stride)
+
+
+class _MatmulSpy:
+    """Stands in for a linear layer's weight in the backward cache and
+    counts the products ``g @ v`` that form the layer's input gradient."""
+
+    __array_ufunc__ = None  # numpy defers ``g @ spy`` to __rmatmul__
+
+    def __init__(self, v):
+        self.v, self.calls = v, 0
+
+    def __rmatmul__(self, g):
+        self.calls += 1
+        return g @ self.v
+
+
+def test_backward_skips_input_gradient_of_lowest_conv(monkeypatch):
+    conv_calls, pool_calls = [], []
+    conv_bw, pool_bw = nn._conv_backward, nn._maxpool_backward
+
+    def conv_spy(g, v, cache):
+        conv_calls.append(v.shape)
+        return conv_bw(g, v, cache)
+
+    def pool_spy(g, cache):
+        pool_calls.append(g.shape)
+        return pool_bw(g, cache)
+    monkeypatch.setattr(nn, "_conv_backward", conv_spy)
+    monkeypatch.setattr(nn, "_maxpool_backward", pool_spy)
+    rng = np.random.default_rng(1)
+
+    arch = desk_arch((3, 8, 8), 6, (16, 32), 32)
+    x = rng.random((8, 3, 8, 8))
+    grads = loss_and_grad_v(arch, init_params(arch, 1), None, x, np.arange(8) % 6)[1]
+    assert sorted(grads) == [0, 3, 7, 9]
+    assert conv_calls == [(32, 16, 5, 5)]  # never conv0's input gradient
+    assert len(pool_calls) == 2
+
+    # a pool below the lowest conv is not back-propagated at all
+    conv_calls.clear()
+    pool_calls.clear()
+    arch = ModelArch((maxpool2d(2, 1), conv2d(2, 3, 3, padding=1), relu(),
+                      maxpool2d(2, 2), flatten(), linear(12, 4)), (2, 5, 5), 4)
+    grads = loss_and_grad_v(arch, init_params(arch, 1), None,
+                            rng.random((4, 2, 5, 5)), np.arange(4))[1]
+    assert sorted(grads) == [1, 5]
+    assert conv_calls == [] and pool_calls == [(4, 3, 2, 2)]
+
+
+def test_backward_skips_input_gradient_of_lowest_linear():
+    rng = np.random.default_rng(1)
+    arch = ModelArch((flatten(), linear(12, 7), relu(), linear(7, 3)), (3, 2, 2), 3)
+    w = init_params(arch, 1)
+    x = rng.random((5, 3, 2, 2))
+    logits, caches = forward(arch, w, None, x)
+    spies = {}
+    for pos, entry in enumerate(caches):
+        if entry[0] == "linear":
+            spies[entry[1]] = _MatmulSpy(entry[2])
+            caches[pos] = entry[:2] + (spies[entry[1]],) + entry[3:]
+    grads = nn._backward(caches, np.ones_like(logits))
+    assert sorted(grads) == [1, 3]
+    assert spies[3].calls == 1 and spies[1].calls == 0

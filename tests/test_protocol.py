@@ -99,6 +99,35 @@ def test_trailing_bytes_rejected():
         MaskFrame.from_bytes(data + b"\x00")
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31),
+       st.lists(st.tuples(st.sampled_from(("flip", "truncate", "insert")),
+                          st.integers(0, 2 ** 16), st.integers(1, 255)),
+                min_size=1, max_size=4))
+def test_mutated_frames_raise_only_protocol_error(seed, edits):
+    rng = np.random.default_rng(seed)
+    masks = random_mask_set(rng, max_layers=4, max_entries=40)
+    shapes = {k: v.shape for k, v in masks.items()}
+    data = bytearray(encode_mask(masks, int(rng.integers(0, 9)), 5).to_bytes())
+    for op, pos, byte in edits:
+        pos %= len(data) + 1
+        if op == "flip" and pos < len(data):
+            data[pos] ^= byte
+        elif op == "truncate":
+            del data[pos:]
+        elif op == "insert":
+            data.insert(pos, byte)
+    try:
+        decoded = decode_mask(MaskFrame.from_bytes(bytes(data)), shapes)
+    except ProtocolError:
+        return
+    # a mutation the codec accepts (a flipped payload or header bit) still
+    # yields a well-formed mask set
+    for layer, shape in shapes.items():
+        assert decoded[layer].shape == shape
+        assert ((decoded[layer] == 0) | (decoded[layer] == 1)).all()
+
+
 def test_non_binary_mask_rejected():
     for bad in (0.5, np.nan, np.inf, -np.inf, 2.0, -1.0):
         with pytest.raises(ValueError, match="must be 0 or 1"):
