@@ -8,6 +8,11 @@ tensor ``v = w * m`` where ``w`` is the real-valued parameter tensor and
 taken with respect to ``v``. The backward pass stops at the first
 parameterized layer: nothing below it, its input included, gets a gradient.
 
+Convolutions are im2col products: the columns are a copy of a strided
+window view over the zero-padded input, multiplied with one gemm per
+sample and output row. Their input gradient scatters the column gradient
+back (col2im) one cache-sized block of samples at a time.
+
 Tensors are plain numpy float64 arrays in row-major order. All functions
 are pure: no global state, no randomness outside :func:`init_params`.
 """
@@ -15,6 +20,7 @@ are pure: no global state, no randomness outside :func:`init_params`.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "LayerSpec",
@@ -188,13 +194,25 @@ def identity_masks(arch):
 
 # ----------------------------------------------------------- layer kernels
 
+# bytes of column gradient _conv_backward handles per sample block: half of
+# a 2 MiB per-core L2 cache
+_BLOCK_BYTES = 1 << 20
+
+
 def _conv_forward(x, v, padding):
-    n = x.shape[0]
+    n, c, h, w = x.shape
     o, _, kh, kw = v.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    oh, ow = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh, ow, -1)
+    # a contiguous padded copy, also at padding 0: columns viewed straight
+    # from a strided input could reach the gemm with other strides
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    sn, sc, sh, sw = xp.strides
+    win = as_strided(xp, (n, oh, ow, c, kh, kw), (sn, sh, sw, sc, sh, sw),
+                     writeable=False)
+    cols = win.reshape(n, oh, ow, -1)
+    # one gemm per (sample, output row); a single 2-d gemm over all rows
+    # would round differently
     out = cols @ v.reshape(o, -1).T
     return out.transpose(0, 3, 1, 2), (cols, x.shape, padding)
 
@@ -208,25 +226,34 @@ def _conv_backward(grad_out, v, cache):
     _, (n, c, h, w), padding = cache
     o, _, kh, kw = v.shape
     oh, ow = grad_out.shape[2:]
-    gc = (grad_out.transpose(0, 2, 3, 1) @ v.reshape(o, -1)).reshape(n, oh, ow, c, kh, kw)
-    # channel-last col2im: each entry gets the (n, c, h, w) layout's adds
+    g = grad_out.transpose(0, 2, 3, 1)
+    vm = v.reshape(o, -1)
+    # channel-last col2im: each entry gets the (n, c, h, w) layout's adds.
+    # It runs over blocks of samples whose column gradient fits in cache;
+    # blocking changes neither the row gemms nor any entry's add order.
     gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
-    for a in range(kh):
-        for b in range(kw):
-            gxp[:, a:a + oh, b:b + ow] += gc[:, :, :, :, a, b]
+    blk = max(1, _BLOCK_BYTES // (oh * ow * c * kh * kw * 8))
+    for s in range(0, n, blk):
+        gc = (g[s:s + blk] @ vm).reshape(-1, oh, ow, c, kh, kw)
+        dst = gxp[s:s + blk]
+        for a in range(kh):
+            for b in range(kw):
+                dst[:, a:a + oh, b:b + ow] += gc[:, :, :, :, a, b]
     return gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
 
 
 def _maxpool_forward(x, window, stride):
     wh, ww = window
-    win = np.lib.stride_tricks.sliding_window_view(x, (wh, ww), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    n, c, oh, ow = win.shape[:4]
-    flat = win.reshape(n, c, oh, ow, wh * ww)
+    n, c, h, w = x.shape
+    oh, ow = (h - wh) // stride + 1, (w - ww) // stride + 1
+    sn, sc, sh, sw = x.strides
+    win = as_strided(x, (n, c, oh, ow, wh, ww),
+                     (sn, sc, stride * sh, stride * sw, sh, sw), writeable=False)
+    flat = win.reshape(-1, wh * ww)
     # argmax takes the first maximum, i.e. the lowest flat index in the window
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    return out, (idx, x.shape, window, stride)
+    idx = flat.argmax(axis=1)
+    out = flat[np.arange(len(flat)), idx].reshape(n, c, oh, ow)
+    return out, (idx.reshape(n, c, oh, ow), x.shape, window, stride)
 
 
 def _maxpool_backward(grad_out, cache):

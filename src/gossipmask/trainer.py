@@ -30,6 +30,7 @@ mask-based algorithms.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,9 +202,14 @@ def backprop_half_step(state, w, arch, batch_x, batch_y):
     """
     z_prev = state.mask.z
     loss, grad_v = loss_and_grad_v(arch, w, state.m, batch_x, batch_y)
-    reg = group_lasso_grad(z_prev, state.lam)
-    g = {layer: grad_z(grad_v[layer], w[layer], z_prev[layer]) + reg[layer]
-         for layer in z_prev}
+    g = {layer: grad_z(grad_v[layer], w[layer], z_prev[layer]) for layer in z_prev}
+    # at lam = 0 the group-lasso term is +-0 everywhere. Since gz + (+-0) == gz
+    # and z - (+-0) == z for nonzero gz and z, skipping it can change only
+    # the sign of a zero gradient or score entry; thresholding compares
+    # magnitudes, so no mask or metric sees it
+    if state.lam:
+        reg = group_lasso_grad(z_prev, state.lam)
+        g = {layer: g[layer] + reg[layer] for layer in z_prev}
     z_half = {layer: z_prev[layer] - state.eta * g[layer] for layer in z_prev}
     y_half = _aggregation_tensor(
         z_half, _neighbor_average(state, state.neighbor_masks))
@@ -250,6 +256,21 @@ def aggregate_step(state, received):
     return y, m
 
 
+@contextmanager
+def _checked_step(state, round_index):
+    """Wrap one per-agent step. A step diverged when its loss is not finite
+    or when thresholding met a non-finite score or weight (the ValueError
+    of :func:`threshold_layer`); either raises SimulationError naming the
+    agent and round."""
+    where = f"agent {state.agent_id}, round {round_index}"
+    try:
+        yield
+    except ValueError as exc:
+        raise SimulationError(f"{where}: {exc}") from exc
+    if not math.isfinite(state.last_loss):
+        raise SimulationError(f"{where}: non-finite loss {state.last_loss}")
+
+
 def _local_batch(state, hyper, round_index):
     idx = sample_batch(hyper.seed, state.agent_id, round_index,
                        len(state.train_y), hyper.batch_size)
@@ -278,13 +299,16 @@ def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
     def half_steps():
         for state in states:
             bx, by = _local_batch(state, hyper, round_index)
-            yield state.agent_id, backprop_half_step(state, w, arch, bx, by)[2]
+            with _checked_step(state, round_index):
+                m_half = backprop_half_step(state, w, arch, bx, by)[2]
+            yield state.agent_id, m_half
 
     inbox = _exchange_masks(graph, half_steps(), round_index,
                             arch.param_shapes(), ledger)
     for state in states:
-        fine_tune_step(state, inbox[state.agent_id])
-        aggregate_step(state, inbox[state.agent_id])
+        with _checked_step(state, round_index):
+            fine_tune_step(state, inbox[state.agent_id])
+            aggregate_step(state, inbox[state.agent_id])
     return states
 
 
@@ -313,13 +337,16 @@ def baseline_round(kind, states, w, arch, graph, hyper, round_index, ledger=None
     if kind == "ind_mask":
         for state in states:
             bx, by = _local_batch(state, hyper, round_index)
-            state.m = backprop_half_step(state, w, arch, bx, by)[2]
+            with _checked_step(state, round_index):
+                state.m = backprop_half_step(state, w, arch, bx, by)[2]
         return states
     if kind not in ("ind_weipru", "avr_weipru", "par_weipru", "dsgd"):
         raise ValueError(f"unknown baseline '{kind}'")
-    sent = {state.agent_id: _weight_step(state, arch,
-                                         *_local_batch(state, hyper, round_index))
-            for state in states}
+    sent = {}
+    for state in states:
+        bx, by = _local_batch(state, hyper, round_index)
+        with _checked_step(state, round_index):
+            sent[state.agent_id] = _weight_step(state, arch, bx, by)
     if kind == "ind_weipru":
         return states
     for state in states:
@@ -419,6 +446,7 @@ def run(arch, hyper, graph, train, test, plan):
     of the shared parameters. Evaluation happens at round 0, every
     ``eval_interval`` rounds and at the final round; the logged loss is the
     current model's loss over (at most) the first 256 local train samples.
+    A diverging step raises SimulationError naming the agent and round.
     """
     w = init_params(arch, seed_key(hyper.seed, "params"))
     states = build_states(arch, hyper, graph, train, test, plan)
@@ -508,10 +536,11 @@ def _train_arm(arch, w, state, batches, eval_interval):
     for k in range(len(batches) + 1):
         if k > 0:
             bx, by = state.train_x[batches[k - 1]], state.train_y[batches[k - 1]]
-            if state.weights is None:
-                state.m = backprop_half_step(state, w, arch, bx, by)[2]
-            else:
-                _weight_step(state, arch, bx, by)
+            with _checked_step(state, k):
+                if state.weights is None:
+                    state.m = backprop_half_step(state, w, arch, bx, by)[2]
+                else:
+                    _weight_step(state, arch, bx, by)
         if k % eval_interval == 0:
             params = state.weights if state.weights is not None else w
             trace.append((k, _accuracy(arch, params, state.m, state.test_x,

@@ -1,6 +1,7 @@
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gossipmask.cli import (ConfigError, main, parse_config, render_config,
@@ -249,3 +250,13 @@ def test_main_runtime_error_exit_2(tmp_path, monkeypatch):
         raise RuntimeError("synthetic failure")
     monkeypatch.setattr(cli, "_run_train", boom)
     assert main(["run", str(conf), "--quiet"]) == 2
+
+
+def test_main_diverging_run_names_agent_and_round(tmp_path, capsys):
+    conf = tmp_path / "c.conf"
+    conf.write_text(SMALL_TRAIN.replace("gossip_mask", "dsgd")
+                    + f"eta_weight = 1e200\nout = {tmp_path/'out'}\n")
+    with np.errstate(all="ignore"):
+        assert main(["run", str(conf), "--quiet"]) == 2
+    assert "agent 0, round 2: non-finite loss nan" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics_dsgd.csv").exists()

@@ -297,7 +297,30 @@ def test_relu_blocks_inactive_gradient():
     assert np.abs(g[3][:, 1]).sum() == 0.0
 
 
-# ------------------------------------------ backward kernels, bit for bit
+# ------------------------------------------------ layer kernels, bit for bit
+
+def _ref_conv_forward(x, v, padding):
+    """The earlier conv forward: ``np.pad`` and a transposed
+    ``sliding_window_view``. Returns the output and the columns."""
+    n = x.shape[0]
+    o, _, kh, kw = v.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    oh, ow = win.shape[2], win.shape[3]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh, ow, -1)
+    out = cols @ v.reshape(o, -1).T
+    return out.transpose(0, 3, 1, 2), cols
+
+
+def _ref_maxpool_forward(x, window, stride):
+    """The earlier max-pool forward: a strided ``sliding_window_view`` and
+    ``take_along_axis``. Returns the output and the argmax indices."""
+    win = np.lib.stride_tricks.sliding_window_view(x, window, axis=(2, 3))
+    flat = win[:, :, ::stride, ::stride]
+    flat = flat.reshape(flat.shape[:4] + (-1,))
+    idx = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], idx
+
 
 def _ref_conv_backward(grad_out, v, cache):
     """The earlier conv backward: col2im over kernel offsets into an
@@ -353,6 +376,10 @@ def _conv_cases():
     # 5x5 kernel offsets; then the README default shape's second conv
     yield rng, (8, 16, 3, 3), (32, 16, 5, 5), 2
     yield rng, (16, 16, 7, 7), (32, 16, 5, 5), 2
+    # _conv_backward's sample blocks: 6, 6 and a remainder of 1 here, and
+    # one sample per block at a 32x32 output
+    yield rng, (13, 16, 7, 7), (32, 16, 5, 5), 2
+    yield rng, (2, 8, 32, 32), (4, 8, 5, 5), 2
     for _ in range(40):
         kh, kw = (int(k) for k in rng.integers(1, 6, 2))
         pad = int(rng.integers(0, 3))
@@ -361,6 +388,60 @@ def _conv_cases():
         n, c = (int(k) for k in rng.integers(1, 6, 2))
         o = int(rng.choice([1, 3, 8, 32, 33]))
         yield rng, (n, c, h, w), (o, c, kh, kw), pad
+
+
+def _special_values(rng, x):
+    """``x`` with a few NaN, +-inf and -0.0 entries."""
+    x = x.copy()
+    flat = x.reshape(-1)
+    for value in (np.nan, np.inf, -np.inf, -0.0):
+        flat[rng.integers(0, flat.size, max(1, flat.size // 50))] = value
+    return x
+
+
+def test_conv_forward_bitwise_equal_to_reference():
+    cases = 0
+    for i, (rng, x_shape, v_shape, pad) in enumerate(_conv_cases()):
+        x = _wide_magnitudes(rng, x_shape)
+        if i % 2:
+            x = _special_values(rng, x)
+        v = _wide_magnitudes(rng, v_shape)
+        for layout in _layouts(x):
+            before = layout.copy()
+            with np.errstate(invalid="ignore"):  # inf - inf in the products
+                want_out, want_cols = _ref_conv_forward(layout, v, pad)
+                out, (cols, shape, padding) = nn._conv_forward(layout, v, pad)
+            assert out.tobytes() == want_out.tobytes(), (x_shape, v_shape, pad)
+            assert out.strides == want_out.strides
+            assert cols.tobytes() == want_cols.tobytes()
+            assert (shape, padding) == (x_shape, pad)
+            assert layout.tobytes() == before.tobytes()
+            cases += 1
+    assert cases == 3 * 44
+
+
+def test_maxpool_forward_bitwise_equal_to_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        wh, ww = (int(k) for k in rng.integers(1, 4, 2))
+        stride = int(rng.integers(1, 5))  # up to wider than the window
+        n, c = (int(k) for k in rng.integers(1, 4, 2))
+        h, w = int(rng.integers(wh, 10)), int(rng.integers(ww, 10))
+        if trial % 2:
+            x = rng.integers(0, 2, (n, c, h, w)).astype(np.float64)  # heavy ties
+        else:
+            x = rng.standard_normal((n, c, h, w))
+        if trial % 3 == 0:
+            x = _special_values(rng, x)
+        for layout in _layouts(x):
+            before = layout.copy()
+            want_out, want_idx = _ref_maxpool_forward(layout, (wh, ww), stride)
+            out, (idx, x_shape, window, s) = _maxpool_forward(layout, (wh, ww), stride)
+            assert out.tobytes() == want_out.tobytes(), (trial, (wh, ww), stride)
+            assert out.strides == want_out.strides
+            assert idx.tobytes() == want_idx.tobytes() and idx.shape == want_idx.shape
+            assert (x_shape, window, s) == (x.shape, (wh, ww), stride)
+            assert layout.tobytes() == before.tobytes()
 
 
 def test_conv_backward_bitwise_equal_to_reference():
@@ -376,7 +457,7 @@ def test_conv_backward_bitwise_equal_to_reference():
             assert gx.tobytes() == want_gx.tobytes(), (x_shape, v_shape, pad)
             assert nn._conv_grad_v(g, v, cache).tobytes() == want_gv.tobytes()
             cases += 1
-    assert cases == 3 * 42
+    assert cases == 3 * 44
 
 
 def test_maxpool_backward_bitwise_equal_to_reference():

@@ -9,7 +9,7 @@ from gossipmask import (AgentState, Graph, HyperConfig, MaskState, ModelArch,
                         build_states, conv2d, decode_mask, erdos_renyi,
                         extract_mask, fine_tune_step, flatten,
                         gossip_mask_round, init_params, linear,
-                        mask_vs_weight_verify, partition,
+                        mask_vs_weight_verify, partition, relu,
                         random_bound_instance, retained_count, run,
                         sample_batch, synth_generate)
 from gossipmask import trainer
@@ -142,6 +142,32 @@ def test_backprop_half_step_isolated_extracts_from_scores():
     z_half, _, m_half = backprop_half_step(state, w, arch, bx, by)
     expected = extract(z_half, 0.5, 0)
     np.testing.assert_array_equal(m_half[0], expected[0])
+
+
+def test_half_step_skips_group_lasso_at_zero_lambda(monkeypatch):
+    from gossipmask import group_lasso_grad, grad_z, loss_and_grad_v
+    calls = []
+
+    def spy(z, lam):
+        calls.append(lam)
+        return group_lasso_grad(z, lam)
+    monkeypatch.setattr(trainer, "group_lasso_grad", spy)
+    arch = tiny_arch()
+    rng = np.random.default_rng(3)
+    w = init_params(arch, 5)
+    z = {0: rng.standard_normal((3, 1, 2, 2))}
+    m = {0: np.ones((3, 1, 2, 2))}
+    bx, by = rng.random((4, 1, 2, 2)), np.array([0, 1, 2, 0])
+    z_half, _, _ = backprop_half_step(make_state(copy.deepcopy(z), lam=0.0, m=m),
+                                      w, arch, bx, by)
+    assert calls == []
+    # the skipped term is +-0, so every nonzero score comes out bit for bit
+    grad_v = loss_and_grad_v(arch, w, m, bx, by)[1]
+    with_reg = z[0] - 1.0 * (grad_z(grad_v[0], w[0], z[0])
+                             + group_lasso_grad(z, 0.0)[0])
+    assert z_half[0].tobytes() == with_reg.tobytes()
+    backprop_half_step(make_state(copy.deepcopy(z), lam=0.001, m=m), w, arch, bx, by)
+    assert calls == [0.001]
 
 
 def test_average_masks_ascending_and_empty():
@@ -299,6 +325,49 @@ def test_unknown_algorithm_rejected():
         HyperConfig("magic", 1, 8, 1.0, 0.0, 0, (0.5,) * 4)
     with pytest.raises(ValueError, match="unknown baseline"):
         baseline_round("magic", [], None, arch, graph, hyper, 1)
+
+
+# ------------------------------------------------------------- divergence
+
+@pytest.mark.parametrize("algorithm,message", [
+    ("dsgd", "non-finite loss nan"),
+    ("par_weipru", r"\d+ non-finite score"),
+])
+def test_diverging_weight_step_names_agent_and_round(algorithm, message):
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(
+        algorithm=algorithm, rounds=4)
+    hyper.eta = 1e200
+    with np.errstate(all="ignore"), pytest.raises(
+            SimulationError, match=f"^agent 0, round 2: {message}"):
+        run(arch, hyper, graph, train, test, plan)
+
+
+@pytest.mark.parametrize("algorithm", ["gossip_mask", "ind_mask"])
+def test_non_finite_score_names_agent_and_round(algorithm):
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm=algorithm)
+    states = build_states(arch, hyper, graph, train, test, plan)
+    for s in states:
+        s.m = extract_mask(s.mask)
+        s.neighbor_masks = {int(j): s.m for j in graph.neighbors[s.agent_id]}
+    states[2].mask.z[0][0, 0, 0, 0] = np.nan
+    w = init_params(arch, 0)
+    with pytest.raises(SimulationError, match=r"^agent 2, round 5: \d+ non-finite score"):
+        if algorithm == "gossip_mask":
+            gossip_mask_round(states, w, arch, graph, hyper, 5)
+        else:
+            baseline_round(algorithm, states, w, arch, graph, hyper, 5)
+
+
+def test_diverging_harness_arm_names_agent_and_step():
+    train, test = synth_generate(3, (1, 3, 3), 20, noise=0.2, seed=0)
+    arch = ModelArch((conv2d(1, 4, 3, padding=1), relu(), flatten(),
+                      linear(36, 3)), (1, 3, 3), 3)
+    shards = [(train.features, train.labels, test.features, test.labels)]
+    with np.errstate(all="ignore"), pytest.raises(
+            SimulationError, match="^agent 0, round 2: non-finite loss nan"):
+        mask_vs_weight_verify(arch, shards, r_values=(0.5,), steps=6,
+                              eta_weight=1e200, eta_mask=1.0, batch_size=4,
+                              seed=3)
 
 
 # -------------------------------------------------------- weight baselines
