@@ -10,7 +10,9 @@ algorithms with their baselines, and verification harnesses.
 """
 
 from .data import (Dataset, DataFormatError, PartitionPlan, assign_labels,
-                   load_cifar10, partition, synth_generate)
+                   check_labels, check_synth, load_cifar10, partition,
+                   synth_generate)
+from .errors import FieldError
 from .masking import (MaskState, extract, extract_mask, filter_zero,
                       group_lasso_grad, group_lasso_value, retained_count,
                       threshold_layer)

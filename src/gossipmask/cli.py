@@ -2,10 +2,11 @@
 metrics and ledger export.
 
 Config format: one ``key = value`` per line, ``#`` starts a comment,
-lists are comma-separated. Unknown keys, type errors and invariant
-violations are reported with the offending line number. Every unspecified
-key is filled from its documented default and echoed into the run
-manifest, which is itself a valid config reproducing the run bit for bit.
+lists are comma-separated. Unknown keys, type errors, non-finite numbers
+and invariant violations are reported with the offending line number.
+Every unspecified key is filled from its documented default and echoed
+into the run manifest, which is itself a valid config reproducing the run
+bit for bit.
 
 Experiments
 -----------
@@ -25,18 +26,22 @@ Exit codes: 0 success, 1 config error, 2 runtime error.
 """
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import load_cifar10, assign_labels, partition, synth_generate
+from .data import (assign_labels, check_labels, check_synth, load_cifar10,
+                   partition, synth_generate)
+from .errors import FieldError
+from .masking import MaskState, group_lasso_value
 from .nn import desk_arch
 from .seeds import seed_key, substream
 from .topology import erdos_renyi, ring, to_edge_list
-from .trainer import (_MASK_ALGORITHMS, ALGORITHMS, HyperConfig, bound_check,
+from .trainer import (_MASK_ALGORITHMS, HyperConfig, bound_check,
                       mask_vs_weight_verify, random_bound_instance, run)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "render_config",
@@ -90,81 +95,50 @@ class RunConfig:
     sweep: tuple = ("ring", 0.3, 0.5, 0.7)
 
 
-def _as_int(v):
-    return int(v)
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not finite")
+    return value
 
 
-def _as_float(v):
-    return float(v)
+def _probability_or_name(text):
+    try:
+        return _finite(text)
+    except ValueError:
+        return text
 
 
-def _as_str(v):
-    return v
+# what the field defaults cannot tell: the key of a field named otherwise,
+# and the element type of the empty and of the mixed tuple default
+_KEY_OF = {"lam": "lambda"}
+_ELEMENT_OF = {"retention": float, "sweep": _probability_or_name}
 
 
-def _as_ints(v):
-    return tuple(int(x.strip()) for x in v.split(","))
+def _value_parser(f):
+    """Parse with the type of the field's default, or of a tuple default's
+    elements from a comma-separated list; floats must be finite."""
+    is_list = isinstance(f.default, tuple)
+    kind = _ELEMENT_OF.get(f.name) or type(f.default[0] if is_list else f.default)
+    parse = _finite if kind is float else kind
+    if not is_list:
+        return parse
+    return lambda text: tuple(parse(x.strip()) for x in text.split(","))
 
 
-def _as_floats(v):
-    return tuple(float(x.strip()) for x in v.split(","))
+# key -> (config field, value parser), in field order
+_SCHEMA = {_KEY_OF.get(f.name, f.name): (f.name, _value_parser(f))
+           for f in fields(RunConfig)}
 
 
-def _as_strs(v):
-    return tuple(x.strip() for x in v.split(","))
+def parse_config(text, overrides=None):
+    """Parse and validate a flat-text config into a :class:`RunConfig`.
 
-
-def _as_mixed(v):
-    out = []
-    for x in v.split(","):
-        x = x.strip()
-        try:
-            out.append(float(x))
-        except ValueError:
-            out.append(x)
-    return tuple(out)
-
-
-# key -> (config field, value parser)
-_KEYS = {
-    "experiment": ("experiment", _as_str),
-    "seed": ("seed", _as_int),
-    "out": ("out", _as_str),
-    "classes": ("classes", _as_int),
-    "per_class": ("per_class", _as_int),
-    "noise": ("noise", _as_float),
-    "dim": ("dim", _as_ints),
-    "cifar10": ("cifar10", _as_str),
-    "n": ("n", _as_int),
-    "topology": ("topology", _as_str),
-    "p": ("p", _as_float),
-    "c": ("c", _as_int),
-    "retention": ("retention", _as_floats),
-    "retention_set": ("retention_set", _as_floats),
-    "conv_channels": ("conv_channels", _as_ints),
-    "hidden": ("hidden", _as_int),
-    "algorithm": ("algorithm", _as_strs),
-    "eta_mask": ("eta_mask", _as_float),
-    "eta_weight": ("eta_weight", _as_float),
-    "lambda": ("lam", _as_float),
-    "batch_size": ("batch_size", _as_int),
-    "rounds": ("rounds", _as_int),
-    "eval_interval": ("eval_interval", _as_int),
-    "min_nonzero": ("min_nonzero", _as_int),
-    "mask_vs_weight_r": ("mask_vs_weight_r", _as_floats),
-    "mask_vs_weight_steps": ("mask_vs_weight_steps", _as_int),
-    "mask_vs_weight_eval": ("mask_vs_weight_eval", _as_int),
-    "instances": ("instances", _as_int),
-    "probes": ("probes", _as_int),
-    "sweep": ("sweep", _as_mixed),
-}
-_FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
-
-
-def parse_config(text):
-    """Parse and validate a flat-text config into a :class:`RunConfig`."""
+    ``overrides`` maps keys to values that replace the text's, as the
+    command line's ``--seed`` and ``--out`` do; an error in one names its
+    flag where a config error names its line."""
     values = {}
-    lines = {}
+    where = {}  # key -> "line N" or "--key"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -173,34 +147,43 @@ def parse_config(text):
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{raw.strip()}'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        if key in lines:
+        if key in where:
             raise ConfigError(f"line {lineno}: duplicate key '{key}' "
-                              f"(first set on line {lines[key]})")
-        field, parser = _KEYS[key]
+                              f"(first set on {where[key]})")
+        field, parser = _SCHEMA[key]
         try:
             values[field] = parser(value)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: key '{key}' cannot parse value '{value}'") from None
-        lines[key] = lineno
+        where[key] = f"line {lineno}"
+    for key, value in (overrides or {}).items():
+        values[_SCHEMA[key][0]] = value
+        where[key] = f"--{key}"
     config = RunConfig(**values)
-    _validate(config, lines)
+    _validate(config, where)
     return config
 
 
-def _where(lines, field):
-    key = _FIELD_TO_KEY[field]
-    return f"line {lines[key]}: " if key in lines else ""
-
-
-def _validate(cfg, lines):
+def _validate(cfg, where):
     def fail(field, message):
-        raise ConfigError(f"{_where(lines, field)}{message}")
+        key = _KEY_OF.get(field, field)
+        raise ConfigError(f"{where[key]}: {message}" if key in where else message)
+
+    def check(fields_of, library_check, *args):
+        """Run a library check and fail at the field its FieldError names,
+        looked up in ``fields_of`` where the library names it otherwise."""
+        try:
+            library_check(*args)
+        except FieldError as exc:
+            fail(fields_of.get(exc.field, exc.field), str(exc))
 
     if cfg.experiment not in _KINDS:
         fail("experiment", f"experiment must be one of {_KINDS}")
+    if cfg.seed < 0:
+        fail("seed", f"seed must be nonnegative, got {cfg.seed}")
     if cfg.n < 2:
         fail("n", "need at least 2 agents")
     if cfg.n > 1 << 16:
@@ -212,50 +195,25 @@ def _validate(cfg, lines):
         fail("n", "a ring topology needs at least 3 agents")
     if not 0.0 < cfg.p <= 1.0:
         fail("p", f"connectivity probability must be in (0, 1], got {cfg.p}")
-    if cfg.classes < 2:
-        fail("classes", "need at least 2 classes")
-    if not 1 <= cfg.c <= cfg.classes:
-        fail("c", f"labels per agent must be in [1, {cfg.classes}]")
-    if cfg.per_class < 2:
-        fail("per_class", "need at least 2 samples per class")
-    if cfg.noise < 0:
-        fail("noise", "noise must be nonnegative")
-    if not cfg.dim or any(d < 1 for d in cfg.dim):
-        fail("dim", "feature extents must be positive")
-    if cfg.retention:
-        if len(cfg.retention) != cfg.n:
-            fail("retention", f"retention lists {len(cfg.retention)} ratios "
-                              f"for {cfg.n} agents")
-        if any(not 0.0 < r <= 1.0 for r in cfg.retention):
-            fail("retention", "retention ratios must be in (0, 1]")
-    if not cfg.retention_set or any(not 0.0 < r <= 1.0 for r in cfg.retention_set):
-        fail("retention_set", "retention_set values must be in (0, 1]")
+    check({"num_classes": "classes"}, check_synth, cfg.classes, cfg.per_class,
+          cfg.noise)
+    if cfg.retention and len(cfg.retention) != cfg.n:
+        fail("retention", f"retention lists {len(cfg.retention)} ratios "
+                          f"for {cfg.n} agents")
+    for field in ("retention", "retention_set", "mask_vs_weight_r"):
+        for r in getattr(cfg, field):
+            check({"r": field}, MaskState, {}, r, cfg.min_nonzero)
     for alg in cfg.algorithm:
-        if alg not in ALGORITHMS:
-            fail("algorithm", f"unknown algorithm '{alg}' (choose from {ALGORITHMS})")
-    if cfg.eta_mask <= 0 or cfg.eta_weight <= 0:
-        fail("eta_mask" if cfg.eta_mask <= 0 else "eta_weight",
-             "learning rates must be positive")
-    if cfg.lam < 0:
-        fail("lambda", "lambda must be nonnegative")
-    if cfg.batch_size < 1:
-        fail("batch_size", "batch size must be at least 1")
-    if cfg.rounds < 0:
-        fail("rounds", "rounds must be nonnegative")
-    if cfg.eval_interval < 1:
-        fail("eval_interval", "eval interval must be at least 1")
-    if cfg.min_nonzero < 0:
-        fail("min_nonzero", "min_nonzero must be nonnegative")
-    if any(not 0.0 < r <= 1.0 for r in cfg.mask_vs_weight_r):
-        fail("mask_vs_weight_r", "mask_vs_weight_r ratios must be in (0, 1]")
-    if cfg.mask_vs_weight_steps < 1:
-        fail("mask_vs_weight_steps", "mask_vs_weight_steps must be at least 1")
-    if cfg.mask_vs_weight_eval < 1:
-        fail("mask_vs_weight_eval", "mask_vs_weight_eval must be at least 1")
-    if cfg.instances < 1:
-        fail("instances", "instances must be at least 1")
-    if cfg.probes < 1:
-        fail("probes", "probes must be at least 1")
+        for eta in ("eta_mask", "eta_weight"):
+            check({"eta": eta}, _hyper, cfg, alg, getattr(cfg, eta))
+    check({}, group_lasso_value, {}, cfg.lam)
+    for i, r in enumerate(cfg.mask_vs_weight_r):
+        if r in cfg.mask_vs_weight_r[:i]:
+            fail("mask_vs_weight_r", f"mask_vs_weight_r repeats the ratio {r:g}")
+    for field in ("mask_vs_weight_steps", "mask_vs_weight_eval", "instances",
+                  "probes"):
+        if getattr(cfg, field) < 1:
+            fail(field, f"{field} must be at least 1")
     for entry in cfg.sweep:
         if isinstance(entry, str):
             if entry != "ring":
@@ -264,6 +222,10 @@ def _validate(cfg, lines):
             fail("sweep", f"sweep probability {entry} outside (0, 1]")
     if cfg.cifar10 and not Path(cfg.cifar10).is_dir():
         fail("cifar10", f"cifar10 directory '{cfg.cifar10}' does not exist")
+    dim, classes = _task_shape(cfg)
+    check({"labels_per_agent": "c"}, check_labels, cfg.n, classes, cfg.c)
+    check({"input_shape": "dim", "num_classes": "classes"},
+          desk_arch, dim, classes, cfg.conv_channels, cfg.hidden)
 
 
 def _fmt_value(v):
@@ -277,10 +239,10 @@ def _fmt_value(v):
 def render_config(cfg):
     """Config text with every field resolved; parses back to ``cfg``."""
     out = []
-    for key, (field, _) in _KEYS.items():
+    for key, (field, _) in _SCHEMA.items():
         value = getattr(cfg, field)
-        if value == "" or value == ():
-            continue
+        if value in ("", ()) and value == getattr(RunConfig, field):
+            continue  # unset: the empty default has no line
         out.append(f"{key} = {_fmt_value(value)}")
     return "\n".join(out) + "\n"
 
@@ -293,15 +255,24 @@ def _resolve_retention(cfg):
     return replace(cfg, retention=sampled)
 
 
+def _hyper(cfg, alg, eta):
+    return HyperConfig(alg, cfg.rounds, cfg.batch_size, eta, cfg.lam, cfg.seed,
+                       cfg.retention, cfg.min_nonzero, cfg.eval_interval)
+
+
+def _task_shape(cfg):
+    """The feature extents and class count of the config's task."""
+    return ((3, 32, 32), 10) if cfg.cifar10 else (cfg.dim, cfg.classes)
+
+
 def _task(cfg):
     """The config's train and test data, per-agent label sets and model."""
     if cfg.cifar10:
         train, test = load_cifar10(cfg.cifar10)
-        dim, classes = (3, 32, 32), 10
     else:
         train, test = synth_generate(cfg.classes, cfg.dim, cfg.per_class,
                                      cfg.noise, seed=seed_key(cfg.seed, "data"))
-        dim, classes = cfg.dim, cfg.classes
+    dim, classes = _task_shape(cfg)
     label_sets = assign_labels(cfg.n, classes, cfg.c, seed_key(cfg.seed, "labels"))
     arch = desk_arch(dim, classes, cfg.conv_channels, cfg.hidden)
     return train, test, label_sets, arch
@@ -363,10 +334,7 @@ def _trainer(cfg, out):
 
     def train_on(alg, graph, name):
         eta = cfg.eta_mask if alg in _MASK_ALGORITHMS else cfg.eta_weight
-        hyper = HyperConfig(alg, cfg.rounds, cfg.batch_size, eta, cfg.lam,
-                            cfg.seed, cfg.retention, cfg.min_nonzero,
-                            cfg.eval_interval)
-        log = run(arch, hyper, graph, train, test, plan)
+        log = run(arch, _hyper(cfg, alg, eta), graph, train, test, plan)
         _write_metrics(out / f"metrics_{name}.csv", log)
         _write_sparsity(out / f"sparsity_{name}.csv", log)
         return log
@@ -480,12 +448,10 @@ def main(argv=None):
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    overrides = {key: getattr(args, key) for key in ("seed", "out")
+                 if getattr(args, key) is not None}
     try:
-        cfg = parse_config(text)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = replace(cfg, out=args.out)
+        cfg = parse_config(text, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -18,11 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import FieldError
+
 __all__ = [
     "Dataset",
     "PartitionPlan",
     "DataFormatError",
     "synth_generate",
+    "check_synth",
+    "check_labels",
     "assign_labels",
     "partition",
     "load_cifar10",
@@ -72,12 +76,7 @@ def synth_generate(num_classes, dim, per_class, noise=0.1, seed=0):
     """Synthetic classification task: per class a fixed random prototype in
     [0.25, 0.75]^dim, samples = prototype + uniform(-noise, noise), clipped
     to [0, 1]. Returns an 80/20 train/test split, deterministic per seed."""
-    if num_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if per_class < 2:
-        raise ValueError("need at least 2 samples per class")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    check_synth(num_classes, per_class, noise)
     dim = tuple(int(d) for d in dim)
     rng = np.random.default_rng(seed)
     protos = 0.25 + 0.5 * rng.random((num_classes,) + dim)
@@ -95,17 +94,36 @@ def synth_generate(num_classes, dim, per_class, noise=0.1, seed=0):
             Dataset(np.concatenate(test_x), test_y, num_classes))
 
 
+def check_synth(num_classes, per_class, noise):
+    """The argument checks of :func:`synth_generate`, without the data: a
+    FieldError names the argument it rejects."""
+    if num_classes < 2:
+        raise FieldError("num_classes", "need at least 2 classes")
+    if per_class < 2:
+        raise FieldError("per_class", "need at least 2 samples per class")
+    if noise < 0:
+        raise FieldError("noise", "noise must be nonnegative")
+
+
+def check_labels(num_agents, num_classes, labels_per_agent):
+    """The argument checks of :func:`assign_labels`, without the draws: a
+    FieldError naming ``labels_per_agent`` unless each agent can hold that
+    many distinct labels and together they can cover every label."""
+    if not 1 <= labels_per_agent <= num_classes:
+        raise FieldError("labels_per_agent",
+                         f"labels per agent must be in [1, {num_classes}]")
+    if num_agents * labels_per_agent < num_classes:
+        raise FieldError("labels_per_agent",
+                         f"{num_agents} agents with {labels_per_agent} labels "
+                         f"each cannot cover {num_classes} labels")
+
+
 def assign_labels(num_agents, num_classes, labels_per_agent, seed):
     """Draw ``labels_per_agent`` distinct labels per agent, independently
     and uniformly, redrawing (up to 100 times) until every label has at
     least one holder."""
     c = int(labels_per_agent)
-    if not 1 <= c <= num_classes:
-        raise ValueError(f"labels per agent must be in [1, {num_classes}]")
-    if num_agents * c < num_classes:
-        raise ValueError(
-            f"{num_agents} agents with {c} labels each cannot cover "
-            f"{num_classes} labels")
+    check_labels(num_agents, num_classes, c)
     rng = np.random.default_rng(seed)
     for _ in range(100):
         sets = [tuple(int(x) for x in np.sort(rng.choice(num_classes, c, replace=False)))

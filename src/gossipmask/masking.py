@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldError
+
 __all__ = [
     "MaskState",
     "retained_count",
@@ -33,7 +35,7 @@ def retained_count(r, n):
     Half-up rounding, never below one entry.
     """
     if not 0.0 < r <= 1.0:
-        raise ValueError(f"retention ratio must be in (0, 1], got {r}")
+        raise FieldError("r", f"retention ratio must be in (0, 1], got {r}")
     return max(1, int(np.floor(r * n + 0.5)))
 
 
@@ -98,10 +100,9 @@ class MaskState:
     min_nonzero: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.r <= 1.0:
-            raise ValueError(f"retention ratio must be in (0, 1], got {self.r}")
+        retained_count(self.r, 1)  # rejects a ratio outside (0, 1]
         if self.min_nonzero < 0:
-            raise ValueError("min_nonzero must be nonnegative")
+            raise FieldError("min_nonzero", "min_nonzero must be nonnegative")
 
 
 def extract_mask(state):
@@ -109,27 +110,27 @@ def extract_mask(state):
     return extract(state.z, state.r, state.min_nonzero)
 
 
+def _filter_norms(z, lam):
+    """Per layer in index order: the layer index, its score tensor and the
+    l2 norm of each output filter. A negative ``lam`` is rejected first."""
+    if lam < 0:
+        raise FieldError("lam", "lambda must be nonnegative")
+    for idx in sorted(z):
+        t = np.asarray(z[idx], dtype=np.float64)
+        yield idx, t, np.sqrt((t.reshape(t.shape[0], -1) ** 2).sum(axis=1))
+
+
 def group_lasso_value(z, lam):
     """lam times the sum over layers and output filters of each filter
     slice's l2 norm."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    total = 0.0
-    for idx in sorted(z):
-        t = np.asarray(z[idx])
-        total += np.sqrt((t.reshape(t.shape[0], -1) ** 2).sum(axis=1)).sum()
-    return lam * total
+    return lam * sum(norms.sum() for _, _, norms in _filter_norms(z, lam))
 
 
 def group_lasso_grad(z, lam):
     """Gradient of :func:`group_lasso_value`: lam * z_g / ||z_g|| per group,
     and the zero tensor for groups of zero norm (subgradient choice)."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
     grads = {}
-    for idx in sorted(z):
-        t = np.asarray(z[idx], dtype=np.float64)
-        norms = np.sqrt((t.reshape(t.shape[0], -1) ** 2).sum(axis=1))
+    for idx, t, norms in _filter_norms(z, lam):
         scale = np.zeros_like(norms)
         nz = norms > 0
         scale[nz] = lam / norms[nz]

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .errors import blame
+
 __all__ = [
     "LayerSpec",
     "ModelArch",
@@ -63,6 +65,9 @@ def _pair(x):
 
 def conv2d(in_channels, out_channels, kernel, padding=0):
     """Stride-1 biasless 2-d convolution with symmetric zero padding."""
+    if min(in_channels, out_channels) < 1:
+        raise ValueError(f"conv2d needs positive channel counts, got "
+                         f"{in_channels} -> {out_channels}")
     return LayerSpec("conv2d", in_channels=int(in_channels),
                      out_channels=int(out_channels), kernel=_pair(kernel),
                      padding=int(padding))
@@ -70,6 +75,9 @@ def conv2d(in_channels, out_channels, kernel, padding=0):
 
 def linear(in_features, out_features):
     """Biasless fully connected layer, weight shape (out, in)."""
+    if min(in_features, out_features) < 1:
+        raise ValueError(f"linear needs positive sizes, got "
+                         f"{in_features} -> {out_features}")
     return LayerSpec("linear", in_features=int(in_features),
                      out_features=int(out_features))
 
@@ -89,9 +97,12 @@ def flatten():
 def shape_chain(layers, input_shape):
     """Per-sample shapes before and after each layer.
 
-    Raises ValueError as soon as two consecutive layers are incompatible.
+    Raises ValueError on an input extent below 1 and as soon as two
+    consecutive layers are incompatible.
     """
     shapes = [tuple(int(e) for e in input_shape)]
+    if min(shapes[0], default=0) < 1:
+        raise ValueError("feature extents must be positive")
     for pos, layer in enumerate(layers):
         s = shapes[-1]
         if layer.kind == "conv2d":
@@ -162,14 +173,21 @@ class ModelArch:
 def desk_arch(input_shape=(3, 16, 16), num_classes=4, conv_channels=(16, 32),
               hidden=128):
     """Small biasless conv/pool stack: per conv block a 5x5 convolution
-    (zero padding 2), relu and 3x3/2 max pooling, then two linear layers."""
+    (zero padding 2), relu and 3x3/2 max pooling, then two linear layers.
+    A rejected argument raises a FieldError that names it."""
+    with blame("input_shape"):
+        in_ch = shape_chain((), input_shape)[0][0]
     layers = []
-    in_ch = input_shape[0]
-    for ch in conv_channels:
-        layers += [conv2d(in_ch, ch, 5, padding=2), relu(), maxpool2d(3, 2)]
-        in_ch = ch
-    flat = int(np.prod(shape_chain(layers, input_shape)[-1]))
-    layers += [flatten(), linear(flat, hidden), relu(), linear(hidden, num_classes)]
+    with blame("conv_channels"):
+        for ch in conv_channels:
+            layers += [conv2d(in_ch, ch, 5, padding=2), relu(), maxpool2d(3, 2)]
+            in_ch = ch
+    with blame("input_shape"):
+        flat = int(np.prod(shape_chain(layers, input_shape)[-1]))
+    with blame("hidden"):
+        layers += [flatten(), linear(flat, hidden), relu()]
+    with blame("num_classes"):
+        layers.append(linear(hidden, num_classes))
     return ModelArch(tuple(layers), tuple(input_shape), int(num_classes))
 
 

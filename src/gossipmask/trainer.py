@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import FieldError
 from .masking import (MaskState, extract, extract_mask, group_lasso_grad,
                       threshold_layer)
 from .nn import (ModelArch, conv2d, flatten, forward, grad_z, init_params,
@@ -82,15 +83,16 @@ class HyperConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm '{self.algorithm}'")
+            raise FieldError("algorithm", f"unknown algorithm '{self.algorithm}' "
+                                          f"(choose from {ALGORITHMS})")
         if self.eta <= 0:
-            raise ValueError("learning rate must be positive")
+            raise FieldError("eta", "learning rates must be positive")
         if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
+            raise FieldError("batch_size", "batch size must be at least 1")
         if self.rounds < 0:
-            raise ValueError("rounds must be nonnegative")
+            raise FieldError("rounds", "rounds must be nonnegative")
         if self.eval_interval < 1:
-            raise ValueError("eval interval must be at least 1")
+            raise FieldError("eval_interval", "eval interval must be at least 1")
         self.retention = tuple(float(r) for r in self.retention)
 
 

@@ -1,11 +1,16 @@
 import os
+import re
+import string
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gossipmask.cli import (ConfigError, main, parse_config, render_config,
-                            run_experiment)
+from gossipmask import ALGORITHMS, cli
+from gossipmask.cli import (ConfigError, RunConfig, main, parse_config,
+                            render_config, run_experiment)
 
 SMALL_TRAIN = """
 # desk-scale smoke config
@@ -82,26 +87,158 @@ def test_retention_range_checked():
         parse_config("n = 2\nretention = 0.5,1.5\n")
 
 
+# (config text, the full ConfigError message): one case per validation rule
+CONFIG_ERRORS = [
+    ("experiment = fly\n",
+     "line 1: experiment must be one of "
+     "('train', 'mask_vs_weight', 'bound_check', 'sweep')"),
+    ("n = 1\n", "line 1: need at least 2 agents"),
+    ("seed = 0\nn = 70000\n",
+     "line 2: at most 65536 agents: agent ids travel in a u16 wire field"),
+    ("topology = star\n", "line 1: topology must be 'er' or 'ring'"),
+    ("topology = ring\nn = 2\nc = 5\n",
+     "line 2: a ring topology needs at least 3 agents"),
+    ("p = 0\n", "line 1: connectivity probability must be in (0, 1], got 0.0"),
+    ("classes = 1\n", "line 1: need at least 2 classes"),
+    ("c = 11\n", "line 1: labels per agent must be in [1, 10]"),
+    ("c = 0\n", "line 1: labels per agent must be in [1, 10]"),
+    ("per_class = 1\n", "line 1: need at least 2 samples per class"),
+    ("noise = -0.5\n", "line 1: noise must be nonnegative"),
+    ("dim = 3,0,16\n", "line 1: feature extents must be positive"),
+    ("n = 4\nretention = 0.5,0.5\n", "line 2: retention lists 2 ratios for 4 agents"),
+    ("algorithm = gossip_mask,magic\n",
+     f"line 1: unknown algorithm 'magic' (choose from {ALGORITHMS})"),
+    ("eta_mask = 0\n", "line 1: learning rates must be positive"),
+    ("eta_weight = -1\n", "line 1: learning rates must be positive"),
+    ("lambda = -0.1\n", "line 1: lambda must be nonnegative"),
+    ("batch_size = 0\n", "line 1: batch size must be at least 1"),
+    ("rounds = -1\n", "line 1: rounds must be nonnegative"),
+    ("eval_interval = 0\n", "line 1: eval interval must be at least 1"),
+    ("min_nonzero = -1\n", "line 1: min_nonzero must be nonnegative"),
+    ("mask_vs_weight_steps = 0\n", "line 1: mask_vs_weight_steps must be at least 1"),
+    ("mask_vs_weight_eval = 0\n", "line 1: mask_vs_weight_eval must be at least 1"),
+    ("instances = 0\n", "line 1: instances must be at least 1"),
+    ("probes = 0\n", "line 1: probes must be at least 1"),
+    ("sweep = ring,star\n",
+     "line 1: sweep entries are 'ring' or a probability, got 'star'"),
+    ("sweep = 1.5\n", "line 1: sweep probability 1.5 outside (0, 1]"),
+    ("cifar10 = /no/such/dir\n",
+     "line 1: cifar10 directory '/no/such/dir' does not exist"),
+    # the retention ranges come from MaskState's own check
+    ("n = 3\nretention = 0.5,0.5,1.5\n",
+     "line 2: retention ratio must be in (0, 1], got 1.5"),
+    ("retention_set = 0.5,0\n", "line 1: retention ratio must be in (0, 1], got 0.0"),
+    ("mask_vs_weight_r = 0.5,1.5\n",
+     "line 1: retention ratio must be in (0, 1], got 1.5"),
+    # non-finite floats are rejected by the parser
+    ("eta_mask = nan\n", "line 1: key 'eta_mask' cannot parse value 'nan'"),
+    ("eta_mask = inf\n", "line 1: key 'eta_mask' cannot parse value 'inf'"),
+    ("eta_weight = inf\n", "line 1: key 'eta_weight' cannot parse value 'inf'"),
+    ("noise = nan\n", "line 1: key 'noise' cannot parse value 'nan'"),
+    ("lambda = nan\n", "line 1: key 'lambda' cannot parse value 'nan'"),
+    ("retention_set = 0.5,-inf\n",
+     "line 1: key 'retention_set' cannot parse value '0.5,-inf'"),
+    ("sweep = ring,nan\n",
+     "line 1: sweep entries are 'ring' or a probability, got 'nan'"),
+    ("seed = -1\n", "line 1: seed must be nonnegative, got -1"),
+    # the label, shape and layer-size checks of data and nn, at parse time
+    ("n = 2\nc = 1\nclasses = 10\n",
+     "line 2: 2 agents with 1 labels each cannot cover 10 labels"),
+    ("dim = 3,2,2\n", "line 1: layer 2: pool window (3, 3) exceeds (16, 2, 2)"),
+    ("dim = 3,16\n",
+     "line 1: layer 0: conv2d expects 3 input channels, got shape (3, 16)"),
+    ("hidden = 0\n", "line 1: linear needs positive sizes, got 288 -> 0"),
+    ("conv_channels = 16,0\n",
+     "line 1: conv2d needs positive channel counts, got 16 -> 0"),
+    ("mask_vs_weight_r = 0.3,0.5,0.3\n",
+     "line 1: mask_vs_weight_r repeats the ratio 0.3"),
+]
+
+
 def test_validation_errors():
-    for text, pat in [
-        ("experiment = fly\n", "experiment"),
-        ("n = 1\n", "agents"),
-        ("seed = 0\nn = 70000\n", "line 2: at most 65536 agents"),
-        ("p = 0\n", "probability"),
-        ("c = 11\n", "labels per agent"),
-        ("algorithm = magic\n", "unknown algorithm"),
-        ("topology = star\n", "topology"),
-        ("sweep = 1.5\n", "sweep"),
-        ("cifar10 = /no/such/dir\n", "cifar10"),
-    ]:
-        with pytest.raises(ConfigError, match=pat):
+    wrong = []
+    for text, message in CONFIG_ERRORS:
+        try:
             parse_config(text)
+            got = "accepted"
+        except ConfigError as exc:
+            got = str(exc)
+        if got != message:
+            wrong.append((text, message, got))
+    assert wrong == []
 
 
 def test_render_round_trips():
     cfg = parse_config(SMALL_TRAIN)
     again = parse_config(render_config(cfg))
     assert again == cfg
+
+
+_RATIO = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# what a config value can hold: no comment mark, no line break, no
+# surrounding blanks (the parser strips them)
+_TEXT = st.text(string.ascii_letters + string.digits + "/._-=, ").map(str.strip)
+
+
+@st.composite
+def valid_configs(draw):
+    """A RunConfig that parse_config accepts, drawn field by field within
+    each validation rule."""
+    cifar10 = draw(st.sampled_from(["", "."]))
+    classes = draw(st.integers(2, 12))
+    covered = 10 if cifar10 else classes
+    c = draw(st.integers(1, covered))
+    topology = draw(st.sampled_from(["er", "ring"]))
+    n = draw(st.integers(max(-(-covered // c), 3 if topology == "ring" else 2), 40))
+    return RunConfig(
+        experiment=draw(st.sampled_from(cli._KINDS)),
+        seed=draw(st.integers(0, 2 ** 64)),
+        out=draw(_TEXT),
+        classes=classes,
+        per_class=draw(st.integers(2, 1000)),
+        noise=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        dim=(draw(st.integers(1, 4)), draw(st.integers(7, 24)),
+             draw(st.integers(7, 24))),
+        cifar10=cifar10,
+        n=n, topology=topology, p=draw(_RATIO), c=c,
+        retention=draw(st.one_of(st.just(()), st.lists(
+            _RATIO, min_size=n, max_size=n).map(tuple))),
+        retention_set=tuple(draw(st.lists(_RATIO, min_size=1, max_size=5))),
+        conv_channels=tuple(draw(st.lists(st.integers(1, 8), min_size=1,
+                                          max_size=2))),
+        hidden=draw(st.integers(1, 16)),
+        algorithm=tuple(draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1,
+                                      max_size=6))),
+        eta_mask=draw(_POSITIVE), eta_weight=draw(_POSITIVE),
+        lam=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        batch_size=draw(st.integers(1, 512)),
+        rounds=draw(st.integers(0, 10 ** 6)),
+        eval_interval=draw(st.integers(1, 100)),
+        min_nonzero=draw(st.integers(0, 10)),
+        mask_vs_weight_r=tuple(draw(st.lists(_RATIO, min_size=1, max_size=4,
+                                             unique=True))),
+        mask_vs_weight_steps=draw(st.integers(1, 10 ** 4)),
+        mask_vs_weight_eval=draw(st.integers(1, 100)),
+        instances=draw(st.integers(1, 10 ** 4)),
+        probes=draw(st.integers(1, 10 ** 4)),
+        sweep=tuple(draw(st.lists(st.one_of(st.just("ring"), _RATIO),
+                                  min_size=1, max_size=5))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_render_round_trips_any_valid_config(cfg):
+    assert parse_config(render_config(cfg)) == cfg
+
+
+def test_readme_documents_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Config format", 1)[1].split("\n\n| key |", 1)[1]
+    table = table.split("\n\n", 1)[0]
+    documented = {name for row in table.splitlines()
+                  for name in re.findall(r"`([a-z0-9_]+)`", row.split("|")[1])}
+    assert set(cli._SCHEMA) - documented == set()
 
 
 # ------------------------------------------------------------- experiments
@@ -239,6 +376,15 @@ def test_main_seed_and_out_override(tmp_path):
     assert main(["run", str(conf), "--seed", "9", "--out", str(out), "--quiet"]) == 0
     manifest = (out / "manifest.txt").read_text()
     assert "seed = 9" in manifest
+
+
+def test_main_overrides_are_validated(tmp_path, capsys):
+    conf = tmp_path / "c.conf"
+    conf.write_text(SMALL_TRAIN + f"out = {tmp_path/'out'}\n")
+    assert main(["run", str(conf), "--seed", "-1", "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: --seed: seed must be nonnegative, got -1\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_runtime_error_exit_2(tmp_path, monkeypatch):

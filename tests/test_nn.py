@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gossipmask import (ModelArch, conv2d, desk_arch, finite_diff_check,
-                        flatten, forward, grad_z, identity_masks, init_params,
-                        linear, loss_and_grad_v, maxpool2d, relu, shape_chain)
+from gossipmask import (FieldError, ModelArch, conv2d, desk_arch,
+                        finite_diff_check, flatten, forward, grad_z,
+                        identity_masks, init_params, linear, loss_and_grad_v,
+                        maxpool2d, relu, shape_chain)
 from gossipmask import nn
 from gossipmask.nn import _maxpool_backward, _maxpool_forward, loss
 
@@ -32,6 +33,25 @@ def test_arch_rejects_incompatible_layers():
         ModelArch((conv2d(3, 4, 3), flatten(), linear(10, 2)), (2, 6, 6), 2)
     with pytest.raises(ValueError):
         ModelArch((flatten(), linear(8, 3)), (2, 2, 2), 4)  # 3 != 4 classes
+
+
+def test_zero_sized_layers_rejected():
+    with pytest.raises(ValueError, match="conv2d needs positive channel counts"):
+        conv2d(3, 0, 5)
+    with pytest.raises(ValueError, match="linear needs positive sizes"):
+        linear(0, 4)
+
+
+def test_desk_arch_names_the_rejected_argument():
+    for kwargs, field in [({"input_shape": (0, 16, 16)}, "input_shape"),
+                          ({"input_shape": (3, 2, 2)}, "input_shape"),
+                          ({"input_shape": (3, 16)}, "input_shape"),
+                          ({"conv_channels": (16, 0)}, "conv_channels"),
+                          ({"hidden": 0}, "hidden"),
+                          ({"num_classes": 0}, "num_classes")]:
+        with pytest.raises(FieldError) as caught:
+            desk_arch(**kwargs)
+        assert caught.value.field == field
 
 
 def test_param_shapes():
