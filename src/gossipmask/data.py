@@ -121,7 +121,8 @@ def check_labels(num_agents, num_classes, labels_per_agent):
 def assign_labels(num_agents, num_classes, labels_per_agent, seed):
     """Draw ``labels_per_agent`` distinct labels per agent, independently
     and uniformly, redrawing (up to 100 times) until every label has at
-    least one holder."""
+    least one holder. A FieldError naming ``labels_per_agent`` reports
+    counts that passed :func:`check_labels` but never covered the labels."""
     c = int(labels_per_agent)
     check_labels(num_agents, num_classes, c)
     rng = np.random.default_rng(seed)
@@ -130,7 +131,10 @@ def assign_labels(num_agents, num_classes, labels_per_agent, seed):
                 for _ in range(num_agents)]
         if len(set().union(*map(set, sets))) == num_classes:
             return sets
-    raise ValueError("label coverage not reached in 100 draws")
+    raise FieldError("labels_per_agent",
+                     f"label coverage not reached in 100 draws: {num_agents} "
+                     f"agents with labels_per_agent = {c} left some of the "
+                     f"{num_classes} labels without a holder every time")
 
 
 def partition(train, test, label_sets, seed):

@@ -1,4 +1,4 @@
-"""The ValueError a library check raises for one named argument."""
+"""The ValueErrors a library check raises for one named argument or layer."""
 
 from contextlib import contextmanager
 
@@ -20,3 +20,12 @@ def blame(field):
         yield
     except ValueError as exc:
         raise FieldError(field, str(exc)) from None
+
+
+class LayerError(ValueError):
+    """A ValueError about one parameterized layer's tensor; its message
+    starts with ``layer <index>:``."""
+
+    def __init__(self, layer, message):
+        super().__init__(f"layer {layer}: {message}")
+        self.layer = layer

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import FieldError, LayerError
 
 __all__ = [
     "MaskState",
@@ -86,9 +86,16 @@ def filter_zero(mask, min_nonzero):
 
 
 def extract(tensors, r, min_nonzero=0):
-    """Per-layer composition of thresholding and filter zeroing."""
-    return {idx: filter_zero(threshold_layer(t, r), min_nonzero)
-            for idx, t in sorted(tensors.items())}
+    """Per-layer composition of thresholding and filter zeroing. A tensor
+    that thresholding rejects raises a LayerError naming its layer."""
+    masks = {}
+    for idx, t in sorted(tensors.items()):
+        try:
+            mask = threshold_layer(t, r)
+        except ValueError as exc:
+            raise LayerError(idx, str(exc)) from None
+        masks[idx] = filter_zero(mask, min_nonzero)
+    return masks
 
 
 @dataclass

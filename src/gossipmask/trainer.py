@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import FieldError, LayerError
 from .masking import (MaskState, extract, extract_mask, group_lasso_grad,
                       threshold_layer)
 from .nn import (ModelArch, conv2d, flatten, forward, grad_z, init_params,
@@ -261,12 +261,14 @@ def aggregate_step(state, received):
 @contextmanager
 def _checked_step(state, round_index):
     """Wrap one per-agent step. A step diverged when its loss is not finite
-    or when thresholding met a non-finite score or weight (the ValueError
-    of :func:`threshold_layer`); either raises SimulationError naming the
-    agent and round."""
+    or when thresholding met a non-finite score or weight (a LayerError);
+    either raises SimulationError naming the agent and round, and the layer
+    for the latter."""
     where = f"agent {state.agent_id}, round {round_index}"
     try:
         yield
+    except LayerError as exc:
+        raise SimulationError(f"{where}, {exc}") from exc
     except ValueError as exc:
         raise SimulationError(f"{where}: {exc}") from exc
     if not math.isfinite(state.last_loss):
@@ -327,8 +329,12 @@ def _weight_step(state, arch, batch_x, batch_y):
         return state.weights
     state.weights = {layer: t - state.eta * grad[layer] * state.m[layer]
                      for layer, t in state.weights.items()}
-    state.m = {layer: threshold_layer(t, state.mask.r)
-               for layer, t in state.weights.items()}
+    state.m = {}
+    for layer, t in state.weights.items():
+        try:
+            state.m[layer] = threshold_layer(t, state.mask.r)
+        except ValueError as exc:
+            raise LayerError(layer, str(exc)) from None
     return {layer: t * state.m[layer] for layer, t in state.weights.items()}
 
 

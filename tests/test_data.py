@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gossipmask import (DataFormatError, Dataset, assign_labels, load_cifar10,
-                        partition, synth_generate)
+from gossipmask import (DataFormatError, Dataset, FieldError, assign_labels,
+                        load_cifar10, partition, synth_generate)
 
 
 # --------------------------------------------------------------- datasets
@@ -59,6 +59,15 @@ def test_assign_deterministic_sizes():
     assert a == b
     assert all(len(s) == 4 and len(set(s)) == 4 for s in a)
     assert set().union(*map(set, a)) == set(range(10))
+
+
+def test_assign_unlucky_coverage_names_the_counts():
+    # 2 x 5 can cover 10 labels, but independent draws almost never do
+    with pytest.raises(FieldError, match=r"^label coverage not reached in 100 "
+                       r"draws: 2 agents with labels_per_agent = 5 left some "
+                       r"of the 10 labels without a holder every time$") as caught:
+        assign_labels(2, 10, 5, seed=0)
+    assert caught.value.field == "labels_per_agent"
 
 
 def test_assign_impossible_coverage():

@@ -11,6 +11,7 @@ from gossipmask import (MaskState, extract, extract_mask, filter_zero,
                         group_lasso_value, masking, retained_count,
                         threshold_layer, trainer)
 from gossipmask.cli import parse_config, run_experiment
+from gossipmask.errors import LayerError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -113,6 +114,14 @@ def test_threshold_rejects_non_finite_scores(r, bad):
         threshold_layer(np.array([bad, 0.5, -0.2, 0.1]), r)
     with pytest.raises(ValueError, match="2 non-finite"):
         threshold_layer(np.array([[bad, 0.5], [-0.2, np.nan]]), r)
+
+
+def test_extract_names_the_rejected_layer():
+    z = {0: np.ones((2, 3)), 4: np.array([[0.5, np.inf], [np.nan, 0.1]])}
+    with pytest.raises(LayerError, match=r"^layer 4: 2 non-finite score\(s\) "
+                                         r"in a tensor of shape \(2, 2\)$") as caught:
+        extract(z, 0.5)
+    assert caught.value.layer == 4
 
 
 def test_threshold_scale_invariance():

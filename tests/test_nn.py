@@ -1,3 +1,7 @@
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from gossipmask import (FieldError, ModelArch, conv2d, desk_arch,
                         identity_masks, init_params, linear, loss_and_grad_v,
                         maxpool2d, relu, shape_chain)
 from gossipmask import nn
+from gossipmask.cli import RunConfig, run_experiment
 from gossipmask.nn import _maxpool_backward, _maxpool_forward, loss
 
 
@@ -562,3 +567,125 @@ def test_backward_skips_input_gradient_of_lowest_linear():
     grads = nn._backward(caches, np.ones_like(logits))
     assert sorted(grads) == [1, 3]
     assert spies[3].calls == 1 and spies[1].calls == 0
+
+
+# ------------------------------------------------- per-sample worker threads
+
+SERIAL = 1 << 62    # a _THREAD_BYTES no layer reaches
+
+
+def _default_shape_case(batch, seed=0):
+    rng = np.random.default_rng(seed)
+    arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
+    w = init_params(arch, seed)
+    x = rng.standard_normal((batch,) + arch.input_shape)
+    return (arch, w, random_masks(arch, rng), x,
+            rng.integers(0, arch.num_classes, batch))
+
+
+def _outputs(arch, w, m, x, y):
+    value, grads = loss_and_grad_v(arch, w, m, x, y)
+    logits, _ = forward(arch, w, m, x)
+    return (logits.tobytes(), np.float64(value).tobytes(),
+            {idx: g.tobytes() for idx, g in grads.items()})
+
+
+@pytest.mark.parametrize("batch,workers,block_bytes", [
+    (128, None, None),       # the README default shape, one worker per core
+    (131, None, None),       # a last run shorter than the others
+    (131, 7, None),          # more workers than cores
+    (3, 7, 1),               # fewer samples than workers, one sample per run
+    (128, 7, 1),
+])
+def test_split_layers_byte_equal_to_serial(monkeypatch, batch, workers,
+                                           block_bytes):
+    case = _default_shape_case(batch)
+    monkeypatch.setattr(nn, "_THREAD_BYTES", SERIAL)
+    want = _outputs(*case)
+    runs = []
+    spread = nn._spread
+
+    def counted(work, n, step):
+        runs.append(-(-n // step))
+        return spread(work, n, step)
+    monkeypatch.setattr(nn, "_spread", counted)
+    monkeypatch.setattr(nn, "_THREAD_BYTES", 0)
+    if workers is not None:
+        monkeypatch.setattr(nn, "_WORKERS", workers)
+    if block_bytes is not None:
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", block_bytes)
+    assert _outputs(*case) == want
+    # every conv and pool layer was split: four forwards in each call,
+    # and the backward of both pools and of the upper conv
+    assert len(runs) == 4 + 4 + 3
+    assert max(runs) > 1
+
+
+def test_default_threshold_splits_the_default_shape(monkeypatch):
+    case = _default_shape_case(128, seed=1)
+    monkeypatch.setattr(nn, "_THREAD_BYTES", SERIAL)
+    want = _outputs(*case)
+    monkeypatch.undo()
+    split = []
+    spread = nn._spread
+    monkeypatch.setattr(nn, "_spread",
+                        lambda work, n, step: split.append(n) or spread(work, n, step))
+    assert _outputs(*case) == want
+    assert split == [128] * 11
+    # the desk shape stays on the calling thread
+    split.clear()
+    arch = desk_arch((3, 8, 8), 6, (16, 32), 32)
+    loss_and_grad_v(arch, init_params(arch, 0), None,
+                    np.ones((8, 3, 8, 8)), np.arange(8) % 6)
+    assert split == []
+
+
+def test_split_kernels_bitwise_equal_to_reference(monkeypatch):
+    monkeypatch.setattr(nn, "_THREAD_BYTES", 0)
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
+    test_conv_forward_bitwise_equal_to_reference()
+    test_conv_backward_bitwise_equal_to_reference()
+    test_maxpool_forward_bitwise_equal_to_reference()
+    test_maxpool_backward_bitwise_equal_to_reference()
+
+
+def test_spread_runs_each_sample_once(monkeypatch):
+    # more workers than cores, and thread switches as often as possible
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers, n, step in [(1, 5, 2), (2, 128, 6), (7, 3, 1),
+                                 (7, 131, 6)] * 20:
+            monkeypatch.setattr(nn, "_WORKERS", workers)
+            seen = []
+            nn._spread(lambda a, b: seen.append((a, b)), n, step)
+            assert sorted(seen) == [(a, min(a + step, n))
+                                    for a in range(0, n, step)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pool_threads_keep_errstate_and_raise_to_the_caller(monkeypatch):
+    monkeypatch.setattr(nn, "_WORKERS", 3)
+    helped = threading.Event()
+
+    def work(a, b):
+        if threading.current_thread() is threading.main_thread():
+            assert helped.wait(10)   # leave runs for the pool threads
+        else:
+            helped.set()
+            np.sqrt(-np.ones(b - a))   # raises only under the caller's errstate
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        nn._spread(work, 4, 1)
+
+
+def test_default_shape_gossip_run_byte_equal_to_serial(monkeypatch, tmp_path):
+    # tests/test_golden.py runs desk shapes, which no layer splits at
+    config = replace(RunConfig(), n=4, rounds=2, eval_interval=1)
+    digests = []
+    for threshold in (nn._THREAD_BYTES, SERIAL):
+        monkeypatch.setattr(nn, "_THREAD_BYTES", threshold)
+        out = tmp_path / str(threshold)
+        assert run_experiment(replace(config, out=str(out)), quiet=True) == 0
+        digests.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert digests[0] == digests[1] and digests[0]

@@ -337,8 +337,10 @@ def test_diverging_weight_step_names_agent_and_round(algorithm, message):
     arch, hyper, graph, train, test, plan = fixture_run_inputs(
         algorithm=algorithm, rounds=4)
     hyper.eta = 1e200
+    # a pruned weight tensor that is not finite names its layer too
+    where = "agent 0, round 2" + (", layer 0" if algorithm == "par_weipru" else "")
     with np.errstate(all="ignore"), pytest.raises(
-            SimulationError, match=f"^agent 0, round 2: {message}"):
+            SimulationError, match=f"^{where}: {message}"):
         run(arch, hyper, graph, train, test, plan)
 
 
@@ -351,11 +353,26 @@ def test_non_finite_score_names_agent_and_round(algorithm):
         s.neighbor_masks = {int(j): s.m for j in graph.neighbors[s.agent_id]}
     states[2].mask.z[0][0, 0, 0, 0] = np.nan
     w = init_params(arch, 0)
-    with pytest.raises(SimulationError, match=r"^agent 2, round 5: \d+ non-finite score"):
+    with pytest.raises(SimulationError,
+                       match=r"^agent 2, round 5, layer 0: \d+ non-finite score"):
         if algorithm == "gossip_mask":
             gossip_mask_round(states, w, arch, graph, hyper, 5)
         else:
             baseline_round(algorithm, states, w, arch, graph, hyper, 5)
+
+
+def test_non_finite_score_names_its_layer():
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm="ind_mask")
+    states = build_states(arch, hyper, graph, train, test, plan)
+    for s in states:
+        s.m = extract_mask(s.mask)
+    states[1].mask.z[2][0, 0] = np.inf   # the linear layer's scores
+    with np.errstate(invalid="ignore"), pytest.raises(
+            SimulationError,
+            match=r"^agent 1, round 4, layer 2: 1 non-finite score\(s\) "
+                  r"in a tensor of shape \(4, 100\)$"):
+        baseline_round("ind_mask", states, init_params(arch, 0), arch, graph,
+                       hyper, 4)
 
 
 def test_diverging_harness_arm_names_agent_and_step():
