@@ -8,25 +8,23 @@ tensor ``v = w * m`` where ``w`` is the real-valued parameter tensor and
 taken with respect to ``v``. The backward pass stops at the first
 parameterized layer: nothing below it, its input included, gets a gradient.
 
-Convolutions are im2col products: the columns are a copy of a strided
-window view over the zero-padded input, multiplied with one gemm per
+Convolutions are im2col products: the columns are a copy of the
+windows over the zero-padded input, multiplied with one gemm per
 sample and output row. Their input gradient scatters the column gradient
-back (col2im) one cache-sized block of samples at a time.
+back (col2im) one cache-sized block of samples at a time. Max pooling
+takes each window's first maximum, as ``argmax`` does. From
+``_GATHER_BYTES`` of columns or windows on, a layer gathers them with one
+``np.take`` of per-sample offsets instead of copying a strided view, and
+the pool finds its maxima with elementwise reductions over the gathered
+planes instead of a row-wise ``argmax``. The bytes are the same either way.
 
-Per-sample work is split across cores: a conv or max-pool forward, conv
-input gradient or max-pool backward whose columns or windows reach
-``_THREAD_BYTES`` runs in runs of samples on the calling thread and a
-private thread pool. The conv weight gradient, the linear layers and the
-softmax sum over samples and stay whole. Each run writes its own slice
-with the whole-batch arithmetic, so outputs do not depend on the cores.
-
-Tensors are plain numpy float64 arrays in row-major order. All functions
-are pure: the pool keeps no data between calls, and there is no randomness
+Tensors are plain numpy float64 arrays. A conv output is a channel-last
+array viewed as (n, c, h, w), and the max-pool input gradient takes the
+memory order of the pool's input, so the relu between them multiplies
+matching layouts. All functions are pure: no global state, no randomness
 outside :func:`init_params`.
 """
 
-import contextvars
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,72 +220,37 @@ def identity_masks(arch):
 
 # ----------------------------------------------------------- layer kernels
 
-# bytes of conv columns (or their gradient) or pool windows per block of
-# samples: half of a 2 MiB per-core L2 cache. _conv_backward works one block
-# at a time, and a split layer hands out one block per run.
+# bytes of column gradient _conv_backward handles per sample block: half of
+# a 2 MiB per-core L2 cache
 _BLOCK_BYTES = 1 << 20
-# bytes of columns or windows from which a layer's per-sample work is split
-# over the worker threads; below it a handoff costs about what it saves
-_THREAD_BYTES = 2 << 20
-# threads that work on a split layer: the calling thread and the pool's
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_pools = {}    # pool size -> ThreadPoolExecutor, made on first use
-
-
-def _block(nbytes, n):
-    """Samples per block of a layer whose per-sample work spans ``nbytes``
-    over ``n`` samples."""
-    return max(1, _BLOCK_BYTES * n // nbytes)
-
-
-def _spread(work, n, step):
-    """Run ``work(start, stop)`` on the runs [0, step), [step, 2 step), ...
-    of the samples [0, n). The calling thread and _WORKERS - 1 pool threads
-    take runs in turn until none is left, so a pool thread that starts late
-    costs no wait. Each run writes its own slice of buffers the caller
-    allocated, so results depend neither on the run length nor on which
-    thread took a run. Pool threads run in the caller's context (so numpy
-    2's errstate holds there) and are idle between calls."""
-    # imported on first use: they add about 8 ms to ``import gossipmask``,
-    # and a run at small shapes never splits a layer
-    from concurrent.futures import ThreadPoolExecutor
-    from queue import Empty, SimpleQueue
-
-    runs = SimpleQueue()
-    for a in range(0, n, step):
-        runs.put((a, min(a + step, n)))
-
-    def drain():
-        while True:
-            try:
-                a, b = runs.get_nowait()
-            except Empty:
-                return
-            work(a, b)
-    helpers = min(_WORKERS, -(-n // step)) - 1
-    if helpers > 0 and _WORKERS - 1 not in _pools:
-        _pools[_WORKERS - 1] = ThreadPoolExecutor(
-            _WORKERS - 1, thread_name_prefix="gossipmask-nn")
-    helping = [_pools[_WORKERS - 1].submit(contextvars.copy_context().run, drain)
-               for _ in range(helpers)]
-    try:
-        drain()
-    finally:
-        # a pool thread that has not started by now would find no run left
-        helping = [f for f in helping if not f.cancel()]
-        for future in helping:
-            future.exception()   # waits for the thread's last run
-    for future in helping:
-        future.result()
+# bytes of conv columns or pool windows from which a layer gathers them with
+# one np.take of per-sample offsets; below it the strided copy costs less
+_GATHER_BYTES = 1 << 20
 
 
 def _merges(win):
     """Whether a conv window's (c, kh, kw) axes merge without a copy (e.g.
     only one above 1). Its columns are then a strided view, and the gemm
-    would round a contiguous copy differently, so the layer is not split."""
+    would round a contiguous copy differently."""
     dims = [(d, s) for d, s in zip(win.shape[3:], win.strides[3:]) if d > 1]
     return all(s0 == d1 * s1 for (_, s0), (d1, s1) in zip(dims, dims[1:]))
+
+
+def _axis_order(x):
+    """The axes of ``x``, samples first, in the order its elements lie
+    contiguously in memory (a conv output is channel-last); the C order
+    where they do not."""
+    order = (0,) + tuple(sorted(range(1, x.ndim), key=lambda d: -x.strides[d]))
+    return order if x.transpose(order).flags.c_contiguous else tuple(range(x.ndim))
+
+
+def _element_strides(shape, order):
+    """Element strides of each axis of an array of ``shape`` whose elements
+    lie contiguously in the axis order ``order``."""
+    strides, size = [0] * len(shape), 1
+    for d in reversed(order):
+        strides[d], size = size, size * shape[d]
+    return strides
 
 
 def _conv_forward(x, v, padding):
@@ -301,20 +264,19 @@ def _conv_forward(x, v, padding):
     sn, sc, sh, sw = xp.strides
     win = as_strided(xp, (n, oh, ow, c, kh, kw), (sn, sh, sw, sc, sh, sw),
                      writeable=False)
-    vt = v.reshape(o, -1).T
+    if win.nbytes < _GATHER_BYTES or _merges(win):
+        cols = win.reshape(n, oh, ow, -1)
+    else:
+        # the same columns, gathered by their offsets within a sample
+        hp, wp = xp.shape[2:]
+        off = ((np.arange(oh) * wp)[:, None, None, None, None]
+               + np.arange(ow)[:, None, None, None]
+               + (np.arange(c) * (hp * wp))[:, None, None]
+               + (np.arange(kh) * wp)[:, None] + np.arange(kw))
+        cols = np.take(xp.reshape(n, -1), off.ravel(), axis=1).reshape(n, oh, ow, -1)
     # one gemm per (sample, output row); a single 2-d gemm over all rows
     # would round differently
-    if win.nbytes < _THREAD_BYTES or _merges(win):
-        cols = win.reshape(n, oh, ow, -1)
-        out = cols @ vt
-        return out.transpose(0, 3, 1, 2), (cols, x.shape, padding)
-    cols = np.empty((n, oh, ow, c * kh * kw))
-    out = np.empty((n, oh, ow, o))
-
-    def work(a, b):
-        cols[a:b].reshape(win[a:b].shape)[...] = win[a:b]
-        np.matmul(cols[a:b], vt, out=out[a:b])
-    _spread(work, n, _block(win.nbytes, n))
+    out = cols @ v.reshape(o, -1).T
     return out.transpose(0, 3, 1, 2), (cols, x.shape, padding)
 
 
@@ -324,7 +286,7 @@ def _conv_grad_v(grad_out, v, cache):
 
 
 def _conv_backward(grad_out, v, cache):
-    cols, (n, c, h, w), padding = cache
+    _, (n, c, h, w), padding = cache
     o, _, kh, kw = v.shape
     oh, ow = grad_out.shape[2:]
     g = grad_out.transpose(0, 2, 3, 1)
@@ -333,19 +295,13 @@ def _conv_backward(grad_out, v, cache):
     # It runs over blocks of samples whose column gradient fits in cache;
     # blocking changes neither the row gemms nor any entry's add order.
     gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
-    blk = _block(cols.nbytes, n)
-
-    def work(a, b):
-        for s in range(a, b, blk):
-            gc = (g[s:s + blk] @ vm).reshape(-1, oh, ow, c, kh, kw)
-            dst = gxp[s:s + blk]
-            for i in range(kh):
-                for j in range(kw):
-                    dst[:, i:i + oh, j:j + ow] += gc[:, :, :, :, i, j]
-    if cols.nbytes < _THREAD_BYTES:
-        work(0, n)
-    else:
-        _spread(work, n, blk)
+    blk = max(1, _BLOCK_BYTES // (oh * ow * c * kh * kw * 8))
+    for s in range(0, n, blk):
+        gc = (g[s:s + blk] @ vm).reshape(-1, oh, ow, c, kh, kw)
+        dst = gxp[s:s + blk]
+        for a in range(kh):
+            for b in range(kw):
+                dst[:, a:a + oh, b:b + ow] += gc[:, :, :, :, a, b]
     return gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
 
 
@@ -353,49 +309,58 @@ def _maxpool_forward(x, window, stride):
     wh, ww = window
     n, c, h, w = x.shape
     oh, ow = (h - wh) // stride + 1, (w - ww) // stride + 1
+    # the backward's input gradient takes x's memory order
+    order = _axis_order(x)
     sn, sc, sh, sw = x.strides
     win = as_strided(x, (n, c, oh, ow, wh, ww),
                      (sn, sc, stride * sh, stride * sw, sh, sw), writeable=False)
-    # argmax takes the first maximum, i.e. the lowest flat index in the window
-    if win.nbytes < _THREAD_BYTES:
+    # idx is the first maximum, i.e. the lowest flat index in the window,
+    # as argmax takes it (a NaN counts as the maximum)
+    if win.nbytes < _GATHER_BYTES:
         flat = win.reshape(-1, wh * ww)
         idx = flat.argmax(axis=1)
         out = flat[np.arange(len(flat)), idx].reshape(n, c, oh, ow)
-        return out, (idx.reshape(n, c, oh, ow), x.shape, window, stride)
-    flat = np.empty(win.shape)
-    idx = np.empty((n, c, oh, ow), dtype=np.intp)
-    out = np.empty((n, c, oh, ow))
-
-    def work(a, b):
-        flat[a:b] = win[a:b]
-        rows, pick = flat[a:b].reshape(-1, wh * ww), idx[a:b].reshape(-1)
-        np.argmax(rows, axis=1, out=pick)
-        out[a:b].reshape(-1)[...] = rows[np.arange(len(rows)), pick]
-    _spread(work, n, _block(win.nbytes, n))
-    return out, (idx, x.shape, window, stride)
+        return out, (idx.reshape(n, c, oh, ow), x.shape, window, stride, order)
+    # above it: gather each sample's cells as (cell, window) planes, reduce
+    # the planes with elementwise maxima and take each window's first hit
+    rows = np.ascontiguousarray(x.transpose(order)).reshape(n, -1)
+    _, ec, eh, ew = _element_strides(x.shape, order)
+    k, m = wh * ww, c * oh * ow
+    off = (((np.arange(wh) * eh)[:, None] + np.arange(ww) * ew).reshape(-1, 1, 1, 1)
+           + (np.arange(c) * ec)[:, None, None]
+           + (np.arange(oh) * (stride * eh))[:, None] + np.arange(ow) * (stride * ew))
+    cells = np.take(rows, off.ravel(), axis=1).reshape(n, k, m)
+    top = np.maximum.reduce(cells, axis=1)
+    miss = cells != top[:, None]
+    if np.isnan(top).any():
+        miss &= cells == cells     # a NaN is the maximum of its window
+    # the first hit's index is the number of misses before it
+    idx = np.zeros((n, m), dtype=np.uint8 if k < 256 else np.intp)
+    left = miss[:, 0].copy()
+    for j in range(1, k):
+        idx += left
+        left &= miss[:, j]
+    idx = idx.astype(np.intp)
+    # the values are gathered, not taken from top, so a zero keeps its sign
+    out = np.take(cells, (np.arange(n)[:, None] * k + idx) * m + np.arange(m))
+    return out.reshape(n, c, oh, ow), (idx.reshape(n, c, oh, ow), x.shape, window,
+                                       stride, order)
 
 
 def _maxpool_backward(grad_out, cache):
-    idx, x_shape, (wh, ww), stride = cache
+    idx, x_shape, (wh, ww), stride, order = cache
     n, c, oh, ow = grad_out.shape
     h, w = x_shape[2:]
-    # flat source index of each window's maximum; overlapping windows may
-    # share one, and bincount adds their shares in ascending window order
-    rows = stride * (w * np.arange(oh)[:, None] + np.arange(ow))
-    cells = (w * np.arange(wh)[:, None] + np.arange(ww)).ravel()
-    gx = np.empty(x_shape)
-
-    def work(a, b):
-        src = ((np.arange((b - a) * c) * (h * w)).reshape(-1, c, 1, 1) + rows
-               + cells[idx[a:b]])
-        gx[a:b] = np.bincount(src.ravel(), grad_out[a:b].ravel(),
-                              (b - a) * c * h * w).reshape(b - a, c, h, w)
-    nbytes = idx.size * wh * ww * 8     # the forward's window bytes
-    if nbytes < _THREAD_BYTES:
-        work(0, n)
-    else:
-        _spread(work, n, _block(nbytes, n))
-    return gx
+    _, ec, eh, ew = _element_strides(x_shape, order)
+    # index of each window's maximum in x's memory order; overlapping
+    # windows may share one, and bincount adds their shares in ascending
+    # window order
+    src = ((np.arange(n) * (c * h * w)).reshape(n, 1, 1, 1)
+           + (np.arange(c) * ec)[:, None, None]
+           + stride * (eh * np.arange(oh)[:, None] + ew * np.arange(ow))
+           + (eh * np.arange(wh)[:, None] + ew * np.arange(ww)).ravel()[idx])
+    gx = np.bincount(src.ravel(), grad_out.ravel(), n * c * h * w)
+    return gx.reshape([x_shape[d] for d in order]).transpose(np.argsort(order))
 
 
 def _softmax_cross_entropy(logits, labels):

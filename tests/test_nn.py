@@ -1,5 +1,3 @@
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -312,6 +310,20 @@ def test_maxpool_overlapping_windows_accumulate():
     assert gx[0, 0, 1, 1] == 1.0
 
 
+def test_maxpool_input_gradient_takes_the_input_memory_order():
+    x = np.random.default_rng(0).standard_normal((2, 3, 7, 7))
+    channel_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    strided = np.zeros((2, 3, 7, 14))[..., ::2]
+    strided[...] = x
+    for layout, order in [(x, (0, 1, 2, 3)), (channel_last, (0, 2, 3, 1)),
+                          (strided, (0, 1, 2, 3))]:
+        out, cache = _maxpool_forward(layout, (3, 3), 2)
+        gx = _maxpool_backward(np.ones_like(out), cache)
+        assert gx.transpose(order).flags.c_contiguous
+        np.testing.assert_array_equal(gx, _maxpool_backward(
+            np.ones_like(out), cache[:4] + ((0, 1, 2, 3),)))
+
+
 def test_relu_blocks_inactive_gradient():
     arch = ModelArch((flatten(), linear(2, 2), relu(), linear(2, 2)), (2,), 2)
     w = {1: np.array([[1.0, 0.0], [-1.0, 0.0]]), 3: np.eye(2)}
@@ -368,7 +380,7 @@ def _ref_conv_backward(grad_out, v, cache):
 
 def _ref_maxpool_backward(grad_out, cache):
     """The earlier max-pool backward: one ``np.add.at`` scatter."""
-    idx, x_shape, window, stride = cache
+    idx, x_shape, window, stride, _ = cache
     n, c, oh, ow = grad_out.shape
     ww = window[1]
     gx = np.zeros(x_shape)
@@ -461,11 +473,13 @@ def test_maxpool_forward_bitwise_equal_to_reference():
         for layout in _layouts(x):
             before = layout.copy()
             want_out, want_idx = _ref_maxpool_forward(layout, (wh, ww), stride)
-            out, (idx, x_shape, window, s) = _maxpool_forward(layout, (wh, ww), stride)
+            out, (idx, x_shape, window, s, order) = _maxpool_forward(
+                layout, (wh, ww), stride)
             assert out.tobytes() == want_out.tobytes(), (trial, (wh, ww), stride)
             assert out.strides == want_out.strides
             assert idx.tobytes() == want_idx.tobytes() and idx.shape == want_idx.shape
             assert (x_shape, window, s) == (x.shape, (wh, ww), stride)
+            assert order[0] == 0 and sorted(order) == [0, 1, 2, 3]
             assert layout.tobytes() == before.tobytes()
 
 
@@ -569,123 +583,52 @@ def test_backward_skips_input_gradient_of_lowest_linear():
     assert spies[3].calls == 1 and spies[1].calls == 0
 
 
-# ------------------------------------------------- per-sample worker threads
+# -------------------------------------------------------- gathered layers
 
-SERIAL = 1 << 62    # a _THREAD_BYTES no layer reaches
-
-
-def _default_shape_case(batch, seed=0):
-    rng = np.random.default_rng(seed)
-    arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
-    w = init_params(arch, seed)
-    x = rng.standard_normal((batch,) + arch.input_shape)
-    return (arch, w, random_masks(arch, rng), x,
-            rng.integers(0, arch.num_classes, batch))
-
-
-def _outputs(arch, w, m, x, y):
-    value, grads = loss_and_grad_v(arch, w, m, x, y)
-    logits, _ = forward(arch, w, m, x)
-    return (logits.tobytes(), np.float64(value).tobytes(),
-            {idx: g.tobytes() for idx, g in grads.items()})
-
-
-@pytest.mark.parametrize("batch,workers,block_bytes", [
-    (128, None, None),       # the README default shape, one worker per core
-    (131, None, None),       # a last run shorter than the others
-    (131, 7, None),          # more workers than cores
-    (3, 7, 1),               # fewer samples than workers, one sample per run
-    (128, 7, 1),
-])
-def test_split_layers_byte_equal_to_serial(monkeypatch, batch, workers,
-                                           block_bytes):
-    case = _default_shape_case(batch)
-    monkeypatch.setattr(nn, "_THREAD_BYTES", SERIAL)
-    want = _outputs(*case)
-    runs = []
-    spread = nn._spread
-
-    def counted(work, n, step):
-        runs.append(-(-n // step))
-        return spread(work, n, step)
-    monkeypatch.setattr(nn, "_spread", counted)
-    monkeypatch.setattr(nn, "_THREAD_BYTES", 0)
-    if workers is not None:
-        monkeypatch.setattr(nn, "_WORKERS", workers)
-    if block_bytes is not None:
-        monkeypatch.setattr(nn, "_BLOCK_BYTES", block_bytes)
-    assert _outputs(*case) == want
-    # every conv and pool layer was split: four forwards in each call,
-    # and the backward of both pools and of the upper conv
-    assert len(runs) == 4 + 4 + 3
-    assert max(runs) > 1
-
-
-def test_default_threshold_splits_the_default_shape(monkeypatch):
-    case = _default_shape_case(128, seed=1)
-    monkeypatch.setattr(nn, "_THREAD_BYTES", SERIAL)
-    want = _outputs(*case)
-    monkeypatch.undo()
-    split = []
-    spread = nn._spread
-    monkeypatch.setattr(nn, "_spread",
-                        lambda work, n, step: split.append(n) or spread(work, n, step))
-    assert _outputs(*case) == want
-    assert split == [128] * 11
-    # the desk shape stays on the calling thread
-    split.clear()
-    arch = desk_arch((3, 8, 8), 6, (16, 32), 32)
-    loss_and_grad_v(arch, init_params(arch, 0), None,
-                    np.ones((8, 3, 8, 8)), np.arange(8) % 6)
-    assert split == []
-
-
-def test_split_kernels_bitwise_equal_to_reference(monkeypatch):
-    monkeypatch.setattr(nn, "_THREAD_BYTES", 0)
-    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
+def test_gathered_kernels_bitwise_equal_to_reference(monkeypatch):
+    # every conv and pool layer above _GATHER_BYTES gathers its columns or
+    # windows with np.take; the reference tests run small shapes below it
+    monkeypatch.setattr(nn, "_GATHER_BYTES", 0)
     test_conv_forward_bitwise_equal_to_reference()
     test_conv_backward_bitwise_equal_to_reference()
     test_maxpool_forward_bitwise_equal_to_reference()
     test_maxpool_backward_bitwise_equal_to_reference()
+    test_maxpool_input_gradient_takes_the_input_memory_order()
 
 
-def test_spread_runs_each_sample_once(monkeypatch):
-    # more workers than cores, and thread switches as often as possible
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers, n, step in [(1, 5, 2), (2, 128, 6), (7, 3, 1),
-                                 (7, 131, 6)] * 20:
-            monkeypatch.setattr(nn, "_WORKERS", workers)
-            seen = []
-            nn._spread(lambda a, b: seen.append((a, b)), n, step)
-            assert sorted(seen) == [(a, min(a + step, n))
-                                    for a in range(0, n, step)]
-    finally:
-        sys.setswitchinterval(interval)
+@pytest.mark.parametrize("batch", [128, 131, 3])
+def test_default_shape_gathers_and_matches_the_strided_copy(monkeypatch, batch):
+    # forward logits, the loss and every gradient at the README default
+    # shape, gathered (the default threshold) against the strided copy
+    rng = np.random.default_rng(batch)
+    arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
+    w, m = init_params(arch, batch), random_masks(arch, rng)
+    x, y = rng.standard_normal((batch, 3, 16, 16)), rng.integers(0, 10, batch)
+    x[0] = 0.0   # windows of tied zeros
+
+    def outputs():
+        value, grads = loss_and_grad_v(arch, w, m, x, y)
+        return (forward(arch, w, m, x)[0].tobytes(), np.float64(value).tobytes(),
+                {idx: g.tobytes() for idx, g in grads.items()})
+    takes = []
+    take = np.take
+    monkeypatch.setattr(nn.np, "take", lambda *a, **k: takes.append(1) or take(*a, **k))
+    gathered = outputs()
+    monkeypatch.setattr(nn, "_GATHER_BYTES", 1 << 62)
+    assert bool(takes) == (batch > 3)
+    takes.clear()
+    assert outputs() == gathered
+    assert not takes
 
 
-def test_pool_threads_keep_errstate_and_raise_to_the_caller(monkeypatch):
-    monkeypatch.setattr(nn, "_WORKERS", 3)
-    helped = threading.Event()
-
-    def work(a, b):
-        if threading.current_thread() is threading.main_thread():
-            assert helped.wait(10)   # leave runs for the pool threads
-        else:
-            helped.set()
-            np.sqrt(-np.ones(b - a))   # raises only under the caller's errstate
-    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-        nn._spread(work, 4, 1)
-
-
-def test_default_shape_gossip_run_byte_equal_to_serial(monkeypatch, tmp_path):
-    # tests/test_golden.py runs desk shapes, which no layer splits at
+def test_default_shape_gossip_run_matches_the_strided_copy(monkeypatch, tmp_path):
+    # tests/test_golden.py runs desk shapes, whose training steps stay
+    # below _GATHER_BYTES
     config = replace(RunConfig(), n=4, rounds=2, eval_interval=1)
-    digests = []
-    for threshold in (nn._THREAD_BYTES, SERIAL):
-        monkeypatch.setattr(nn, "_THREAD_BYTES", threshold)
+    outputs = []
+    for threshold in (nn._GATHER_BYTES, 1 << 62):
+        monkeypatch.setattr(nn, "_GATHER_BYTES", threshold)
         out = tmp_path / str(threshold)
         assert run_experiment(replace(config, out=str(out)), quiet=True) == 0
-        digests.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
-    assert digests[0] == digests[1] and digests[0]
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert outputs[0] == outputs[1] and outputs[0]
