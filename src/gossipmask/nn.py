@@ -8,24 +8,28 @@ tensor ``v = w * m`` where ``w`` is the real-valued parameter tensor and
 taken with respect to ``v``. The backward pass stops at the first
 parameterized layer: nothing below it, its input included, gets a gradient.
 
-Convolutions are im2col products: the columns are a copy of the
-windows over the zero-padded input, multiplied with one gemm per
-sample and output row. Their input gradient scatters the column gradient
-back (col2im) one cache-sized block of samples at a time. Max pooling
-takes each window's first maximum, as ``argmax`` does. From
-``_GATHER_BYTES`` of columns or windows on, a layer gathers them with one
-``np.take`` of per-sample offsets instead of copying a strided view, and
-the pool finds its maxima with elementwise reductions over the gathered
-planes instead of a row-wise ``argmax``. The bytes are the same either way.
+Convolutions are im2col products: the columns are gathered from the
+zero-padded input with one ``np.take`` of per-sample offsets and
+multiplied with one gemm per sample and output row. Their input gradient
+scatters the column gradient back (col2im) one cache-sized block of
+samples at a time, into the unpadded input only: the adds that would land
+in the padding are skipped. Max pooling takes each window's first
+maximum, as ``argmax`` does. From ``_GATHER_BYTES`` of windows on, the
+pool gathers them like the conv columns and finds its maxima with
+elementwise reductions over the gathered planes instead of a row-wise
+``argmax`` over a strided copy. The bytes are the same either way. The
+offset tables depend only on a layer's geometry, so each is built once and
+cached read-only.
 
 Tensors are plain numpy float64 arrays. A conv output is a channel-last
 array viewed as (n, c, h, w), and the max-pool input gradient takes the
 memory order of the pool's input, so the relu between them multiplies
-matching layouts. All functions are pure: no global state, no randomness
-outside :func:`init_params`.
+matching layouts. All functions are pure: no global state but the table
+caches, no randomness outside :func:`init_params`.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -223,17 +227,70 @@ def identity_masks(arch):
 # bytes of column gradient _conv_backward handles per sample block: half of
 # a 2 MiB per-core L2 cache
 _BLOCK_BYTES = 1 << 20
-# bytes of conv columns or pool windows from which a layer gathers them with
-# one np.take of per-sample offsets; below it the strided copy costs less
-_GATHER_BYTES = 1 << 20
+# bytes of pool windows from which _maxpool_forward gathers them with one
+# np.take and reduces elementwise; below it the strided copy and row-wise
+# argmax cost less
+_GATHER_BYTES = 1 << 17
 
 
-def _merges(win):
-    """Whether a conv window's (c, kh, kw) axes merge without a copy (e.g.
-    only one above 1). Its columns are then a strided view, and the gemm
-    would round a contiguous copy differently."""
-    dims = [(d, s) for d, s in zip(win.shape[3:], win.strides[3:]) if d > 1]
-    return all(s0 == d1 * s1 for (_, s0), (d1, s1) in zip(dims, dims[1:]))
+def _table(a):
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=32)
+def _conv_offsets(c, hp, wp, kh, kw):
+    """Offsets of a padded (c, hp, wp) sample's im2col columns within it,
+    in (out row, out col, channel, kernel row, kernel col) order, as one
+    read-only table. None where the window's (c, kh, kw) axes merge without
+    a copy (e.g. only one above 1): the columns are then a strided view,
+    since the gemm would round a contiguous copy differently."""
+    dims = [(d, s) for d, s in ((c, hp * wp), (kh, wp), (kw, 1)) if d > 1]
+    if all(s0 == d1 * s1 for (_, s0), (d1, s1) in zip(dims, dims[1:])):
+        return None
+    oh, ow = hp - kh + 1, wp - kw + 1
+    return _table(((np.arange(oh) * wp)[:, None, None, None, None]
+                   + np.arange(ow)[:, None, None, None]
+                   + (np.arange(c) * (hp * wp))[:, None, None]
+                   + (np.arange(kh) * wp)[:, None] + np.arange(kw)).ravel())
+
+
+@lru_cache(maxsize=32)
+def _col2im_spans(h, w, kh, kw, padding):
+    """Per kernel offset (a, b), in ascending order, whose window positions
+    reach the unpadded (h, w) input: the index of the channel-last input
+    gradient entries it adds to and of the column gradient entries it adds.
+    Offsets and window positions that land only in the padding are left
+    out."""
+    oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
+    spans = []
+    for a in range(kh):
+        i0, i1 = max(0, padding - a), min(oh, h + padding - a)
+        for b in range(kw):
+            j0, j1 = max(0, padding - b), min(ow, w + padding - b)
+            if i0 < i1 and j0 < j1:
+                to = (slice(None), slice(i0 + a - padding, i1 + a - padding),
+                      slice(j0 + b - padding, j1 + b - padding))
+                at = (slice(None), slice(i0, i1), slice(j0, j1), slice(None), a, b)
+                spans.append((to, at))
+    return tuple(spans)
+
+
+@lru_cache(maxsize=32)
+def _pool_offsets(shape, order, window, stride):
+    """Read-only offset tables of a max pool over (c, h, w) samples whose
+    elements lie in the axis order ``order``: of each window's first cell
+    per (channel, out row, out col), of each window cell from the first,
+    and of every window cell as (cell, channel, out row, out col)."""
+    c, h, w = shape
+    wh, ww = window
+    oh, ow = (h - wh) // stride + 1, (w - ww) // stride + 1
+    _, ec, eh, ew = _element_strides((1,) + shape, order)
+    corner = ((np.arange(c) * ec)[:, None, None]
+              + stride * (eh * np.arange(oh)[:, None] + ew * np.arange(ow)))
+    cell = (eh * np.arange(wh)[:, None] + ew * np.arange(ww)).ravel()
+    return (_table(corner), _table(cell),
+            _table((cell[:, None] + corner.ravel()).ravel()))
 
 
 def _axis_order(x):
@@ -258,22 +315,17 @@ def _conv_forward(x, v, padding):
     o, _, kh, kw = v.shape
     # a contiguous padded copy, also at padding 0: columns viewed straight
     # from a strided input could reach the gemm with other strides
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    hp, wp = h + 2 * padding, w + 2 * padding
+    xp = np.zeros((n, c, hp, wp))
     xp[:, :, padding:padding + h, padding:padding + w] = x
-    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
-    sn, sc, sh, sw = xp.strides
-    win = as_strided(xp, (n, oh, ow, c, kh, kw), (sn, sh, sw, sc, sh, sw),
-                     writeable=False)
-    if win.nbytes < _GATHER_BYTES or _merges(win):
-        cols = win.reshape(n, oh, ow, -1)
+    oh, ow = hp - kh + 1, wp - kw + 1
+    off = _conv_offsets(c, hp, wp, kh, kw)
+    if off is None:
+        sn, sc, sh, sw = xp.strides
+        cols = as_strided(xp, (n, oh, ow, c, kh, kw), (sn, sh, sw, sc, sh, sw),
+                          writeable=False).reshape(n, oh, ow, -1)
     else:
-        # the same columns, gathered by their offsets within a sample
-        hp, wp = xp.shape[2:]
-        off = ((np.arange(oh) * wp)[:, None, None, None, None]
-               + np.arange(ow)[:, None, None, None]
-               + (np.arange(c) * (hp * wp))[:, None, None]
-               + (np.arange(kh) * wp)[:, None] + np.arange(kw))
-        cols = np.take(xp.reshape(n, -1), off.ravel(), axis=1).reshape(n, oh, ow, -1)
+        cols = np.take(xp.reshape(n, -1), off, axis=1).reshape(n, oh, ow, -1)
     # one gemm per (sample, output row); a single 2-d gemm over all rows
     # would round differently
     out = cols @ v.reshape(o, -1).T
@@ -291,18 +343,20 @@ def _conv_backward(grad_out, v, cache):
     oh, ow = grad_out.shape[2:]
     g = grad_out.transpose(0, 2, 3, 1)
     vm = v.reshape(o, -1)
-    # channel-last col2im: each entry gets the (n, c, h, w) layout's adds.
-    # It runs over blocks of samples whose column gradient fits in cache;
-    # blocking changes neither the row gemms nor any entry's add order.
-    gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+    # channel-last col2im into the unpadded input: each entry gets the
+    # (n, c, h, w) layout's adds in the same order, and the adds that would
+    # land in the padding are skipped. It runs over blocks of samples whose
+    # column gradient fits in cache; blocking changes neither the row gemms
+    # nor any entry's add order.
+    gx = np.zeros((n, h, w, c))
+    spans = _col2im_spans(h, w, kh, kw, padding)
     blk = max(1, _BLOCK_BYTES // (oh * ow * c * kh * kw * 8))
     for s in range(0, n, blk):
         gc = (g[s:s + blk] @ vm).reshape(-1, oh, ow, c, kh, kw)
-        dst = gxp[s:s + blk]
-        for a in range(kh):
-            for b in range(kw):
-                dst[:, a:a + oh, b:b + ow] += gc[:, :, :, :, a, b]
-    return gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+        dst = gx[s:s + blk]
+        for to, at in spans:
+            dst[to] += gc[at]
+    return gx.transpose(0, 3, 1, 2)
 
 
 def _maxpool_forward(x, window, stride):
@@ -324,12 +378,9 @@ def _maxpool_forward(x, window, stride):
     # above it: gather each sample's cells as (cell, window) planes, reduce
     # the planes with elementwise maxima and take each window's first hit
     rows = np.ascontiguousarray(x.transpose(order)).reshape(n, -1)
-    _, ec, eh, ew = _element_strides(x.shape, order)
     k, m = wh * ww, c * oh * ow
-    off = (((np.arange(wh) * eh)[:, None] + np.arange(ww) * ew).reshape(-1, 1, 1, 1)
-           + (np.arange(c) * ec)[:, None, None]
-           + (np.arange(oh) * (stride * eh))[:, None] + np.arange(ow) * (stride * ew))
-    cells = np.take(rows, off.ravel(), axis=1).reshape(n, k, m)
+    off = _pool_offsets(x.shape[1:], order, window, stride)[2]
+    cells = np.take(rows, off, axis=1).reshape(n, k, m)
     top = np.maximum.reduce(cells, axis=1)
     miss = cells != top[:, None]
     if np.isnan(top).any():
@@ -348,17 +399,15 @@ def _maxpool_forward(x, window, stride):
 
 
 def _maxpool_backward(grad_out, cache):
-    idx, x_shape, (wh, ww), stride, order = cache
-    n, c, oh, ow = grad_out.shape
-    h, w = x_shape[2:]
-    _, ec, eh, ew = _element_strides(x_shape, order)
+    idx, x_shape, window, stride, order = cache
+    n, c, h, w = x_shape
+    corner, cell, _ = _pool_offsets(x_shape[1:], order, window, stride)
     # index of each window's maximum in x's memory order; overlapping
     # windows may share one, and bincount adds their shares in ascending
     # window order
-    src = ((np.arange(n) * (c * h * w)).reshape(n, 1, 1, 1)
-           + (np.arange(c) * ec)[:, None, None]
-           + stride * (eh * np.arange(oh)[:, None] + ew * np.arange(ow))
-           + (eh * np.arange(wh)[:, None] + ew * np.arange(ww)).ravel()[idx])
+    src = cell[idx]
+    src += corner
+    src += (np.arange(n) * (c * h * w))[:, None, None, None]
     gx = np.bincount(src.ravel(), grad_out.ravel(), n * c * h * w)
     return gx.reshape([x_shape[d] for d in order]).transpose(np.argsort(order))
 

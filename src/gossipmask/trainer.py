@@ -213,9 +213,11 @@ def backprop_half_step(state, w, arch, batch_x, batch_y):
         reg = group_lasso_grad(z_prev, state.lam)
         g = {layer: g[layer] + reg[layer] for layer in z_prev}
     z_half = {layer: z_prev[layer] - state.eta * g[layer] for layer in z_prev}
-    y_half = _aggregation_tensor(
-        z_half, _neighbor_average(state, state.neighbor_masks))
+    avg = _neighbor_average(state, state.neighbor_masks)
     state._average = (None, None)     # not needed again; free it
+    # without neighbors the aggregation tensor is a copy of z_half, and
+    # extract only reads it
+    y_half = z_half if avg is None else _aggregation_tensor(z_half, avg)
     m_half = extract(y_half, state.mask.r, state.mask.min_nonzero)
     state.mask.z = z_half
     state.grad_cache = g
@@ -260,10 +262,11 @@ def aggregate_step(state, received):
 
 @contextmanager
 def _checked_step(state, round_index):
-    """Wrap one per-agent step. A step diverged when its loss is not finite
-    or when thresholding met a non-finite score or weight (a LayerError);
-    either raises SimulationError naming the agent and round, and the layer
-    for the latter."""
+    """Wrap one per-agent step. A step diverged when its loss is not finite,
+    when thresholding met a non-finite score or weight (a LayerError), or
+    when it left the agent with a non-finite weight; each raises
+    SimulationError naming the agent and round, and the layer for the
+    latter two."""
     where = f"agent {state.agent_id}, round {round_index}"
     try:
         yield
@@ -273,6 +276,9 @@ def _checked_step(state, round_index):
         raise SimulationError(f"{where}: {exc}") from exc
     if not math.isfinite(state.last_loss):
         raise SimulationError(f"{where}: non-finite loss {state.last_loss}")
+    for layer, t in (state.weights or {}).items():
+        if not np.isfinite(t).all():
+            raise SimulationError(f"{where}, layer {layer}: non-finite weight")
 
 
 def _local_batch(state, hyper, round_index):
@@ -368,7 +374,8 @@ def baseline_round(kind, states, w, arch, graph, hyper, round_index, ledger=None
         if kind == "par_weipru":     # mix only the entries the mask keeps
             avg = {layer: np.where(state.m[layer] == 1.0, avg[layer], t)
                    for layer, t in state.weights.items()}
-        state.weights = avg
+        with _checked_step(state, round_index):
+            state.weights = avg
     return states
 
 

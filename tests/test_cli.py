@@ -406,3 +406,20 @@ def test_main_diverging_run_names_agent_and_round(tmp_path, capsys):
         assert main(["run", str(conf), "--quiet"]) == 2
     assert "agent 0, round 2: non-finite loss nan" in capsys.readouterr().err
     assert not (tmp_path / "out" / "metrics_dsgd.csv").exists()
+
+
+def test_main_non_finite_weight_names_agent_round_and_layer(tmp_path, capsys):
+    # round 1's loss is finite, but its dsgd step overflows the weights; a
+    # last-round blow-up would otherwise show only as a nan evaluation
+    values = {"algorithm": "dsgd", "eta_weight": "1e307", "rounds": "1",
+              "out": str(tmp_path / "out")}
+    text = (Path(__file__).resolve().parent.parent / "configs" / "train.conf").read_text()
+
+    def override(mo):
+        return f"{mo[1]} = {values[mo[1]]}" if mo[1] in values else mo[0]
+    conf = tmp_path / "c.conf"
+    conf.write_text(re.sub(r"(?m)^(\w+) = .*$", override, text))
+    with np.errstate(all="ignore"):
+        assert main(["run", str(conf), "--quiet"]) == 2
+    assert "error: agent 0, round 1, layer 0: non-finite weight\n" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics_dsgd.csv").exists()

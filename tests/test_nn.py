@@ -417,6 +417,13 @@ def _conv_cases():
     # one sample per block at a 32x32 output
     yield rng, (13, 16, 7, 7), (32, 16, 5, 5), 2
     yield rng, (2, 8, 32, 32), (4, 8, 5, 5), 2
+    # kernel offsets whose every window position lies in the padding: 2x2,
+    # 1x6 and 1x1 inputs under a 5x5 kernel at padding 2
+    yield rng, (3, 4, 2, 2), (8, 4, 5, 5), 2
+    yield rng, (2, 3, 1, 6), (5, 3, 5, 5), 2
+    yield rng, (4, 2, 1, 1), (3, 2, 5, 5), 2
+    # a 1x1 kernel: the columns are a view of the padded input
+    yield rng, (2, 5, 4, 4), (3, 5, 1, 1), 1
     for _ in range(40):
         kh, kw = (int(k) for k in rng.integers(1, 6, 2))
         pad = int(rng.integers(0, 3))
@@ -454,7 +461,7 @@ def test_conv_forward_bitwise_equal_to_reference():
             assert (shape, padding) == (x_shape, pad)
             assert layout.tobytes() == before.tobytes()
             cases += 1
-    assert cases == 3 * 44
+    assert cases == 3 * 48
 
 
 def test_maxpool_forward_bitwise_equal_to_reference():
@@ -496,7 +503,7 @@ def test_conv_backward_bitwise_equal_to_reference():
             assert gx.tobytes() == want_gx.tobytes(), (x_shape, v_shape, pad)
             assert nn._conv_grad_v(g, v, cache).tobytes() == want_gv.tobytes()
             cases += 1
-    assert cases == 3 * 44
+    assert cases == 3 * 48
 
 
 def test_maxpool_backward_bitwise_equal_to_reference():
@@ -586,49 +593,108 @@ def test_backward_skips_input_gradient_of_lowest_linear():
 # -------------------------------------------------------- gathered layers
 
 def test_gathered_kernels_bitwise_equal_to_reference(monkeypatch):
-    # every conv and pool layer above _GATHER_BYTES gathers its columns or
-    # windows with np.take; the reference tests run small shapes below it
+    # every pool from _GATHER_BYTES of windows on gathers them with np.take;
+    # the reference tests run small shapes below it (the conv always gathers)
     monkeypatch.setattr(nn, "_GATHER_BYTES", 0)
-    test_conv_forward_bitwise_equal_to_reference()
-    test_conv_backward_bitwise_equal_to_reference()
     test_maxpool_forward_bitwise_equal_to_reference()
     test_maxpool_backward_bitwise_equal_to_reference()
     test_maxpool_input_gradient_takes_the_input_memory_order()
 
 
-@pytest.mark.parametrize("batch", [128, 131, 3])
-def test_default_shape_gathers_and_matches_the_strided_copy(monkeypatch, batch):
-    # forward logits, the loss and every gradient at the README default
-    # shape, gathered (the default threshold) against the strided copy
+def _use_reference_kernels(monkeypatch):
+    """Run every conv through the in-test reference kernels, which copy
+    strided windows, and every pool through the strided copy."""
+    def conv_forward(x, v, padding):
+        out, cols = _ref_conv_forward(x, v, padding)
+        return out, (cols, x.shape, padding)
+    monkeypatch.setattr(nn, "_conv_forward", conv_forward)
+    monkeypatch.setattr(nn, "_conv_backward",
+                        lambda g, v, cache: _ref_conv_backward(g, v, cache)[0])
+    monkeypatch.setattr(nn, "_GATHER_BYTES", 1 << 62)
+
+
+@pytest.mark.parametrize("shape,batch", [
+    pytest.param((3, 16, 16), 128, id="128"),
+    pytest.param((3, 16, 16), 131, id="131"),
+    pytest.param((3, 16, 16), 3, id="3"),
+    pytest.param((3, 8, 8), 32, id="8x8-32"),
+    pytest.param((3, 8, 8), 40, id="8x8-40"),
+])
+def test_default_shape_gathers_and_matches_the_strided_copy(monkeypatch, shape, batch):
+    # conv columns, forward logits, the loss and every gradient at the
+    # README default shape and the mask-vs-weight harness shape: the
+    # gathered kernels against the reference kernels' strided copies
     rng = np.random.default_rng(batch)
-    arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
+    arch = desk_arch(shape, 10, (16, 32), 128)
     w, m = init_params(arch, batch), random_masks(arch, rng)
-    x, y = rng.standard_normal((batch, 3, 16, 16)), rng.integers(0, 10, batch)
+    x, y = rng.standard_normal((batch,) + shape), rng.integers(0, 10, batch)
     x[0] = 0.0   # windows of tied zeros
 
     def outputs():
+        logits, caches = forward(arch, w, m, x)
         value, grads = loss_and_grad_v(arch, w, m, x, y)
-        return (forward(arch, w, m, x)[0].tobytes(), np.float64(value).tobytes(),
+        return (logits.tobytes(),
+                [entry[3][0].tobytes() for entry in caches if entry[0] == "conv2d"],
+                np.float64(value).tobytes(),
                 {idx: g.tobytes() for idx, g in grads.items()})
     takes = []
     take = np.take
     monkeypatch.setattr(nn.np, "take", lambda *a, **k: takes.append(1) or take(*a, **k))
     gathered = outputs()
-    monkeypatch.setattr(nn, "_GATHER_BYTES", 1 << 62)
-    assert bool(takes) == (batch > 3)
+    # per forward: one take for each conv's columns, two for the first pool
+    assert len(takes) >= 2 * 4
+    _use_reference_kernels(monkeypatch)
     takes.clear()
     assert outputs() == gathered
     assert not takes
 
 
 def test_default_shape_gossip_run_matches_the_strided_copy(monkeypatch, tmp_path):
-    # tests/test_golden.py runs desk shapes, whose training steps stay
-    # below _GATHER_BYTES
+    # tests/test_golden.py runs the desk shape only
     config = replace(RunConfig(), n=4, rounds=2, eval_interval=1)
     outputs = []
-    for threshold in (nn._GATHER_BYTES, 1 << 62):
-        monkeypatch.setattr(nn, "_GATHER_BYTES", threshold)
-        out = tmp_path / str(threshold)
+    for reference in (False, True):
+        if reference:
+            _use_reference_kernels(monkeypatch)
+        out = tmp_path / str(reference)
         assert run_experiment(replace(config, out=str(out)), quiet=True) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
     assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_index_tables_are_cached_read_only_and_bounded():
+    tables = (nn._conv_offsets, nn._col2im_spans, nn._pool_offsets)
+    for fn in tables:
+        fn.cache_clear()
+    arch = desk_arch((3, 16, 16), 10, (16, 32), 128)   # the README default
+    rng = np.random.default_rng(0)
+    w = init_params(arch, 0)
+    x, y = rng.standard_normal((131, 3, 16, 16)), rng.integers(0, 10, 131)
+    for batch in (128, 131, 40):
+        loss_and_grad_v(arch, w, None, x[:batch], y[:batch])
+    # one table per layer geometry, whatever the batch: both convs' columns,
+    # the upper conv's col2im and both pools
+    assert [fn.cache_info().misses for fn in tables] == [2, 1, 2]
+    assert [fn.cache_info().currsize for fn in tables] == [2, 1, 2]
+
+    # all of them take under 1 MB at this shape
+    caches = forward(arch, w, None, x[:2])[1]
+    arrays = []
+    for entry in caches:
+        if entry[0] == "conv2d":
+            (_, c, h, wd), pad = entry[3][1:]
+            arrays.append(nn._conv_offsets(c, h + 2 * pad, wd + 2 * pad, 5, 5))
+        elif entry[0] == "maxpool2d":
+            _, shape, window, stride, order = entry[2]
+            arrays.extend(nn._pool_offsets(shape[1:], order, window, stride))
+    assert len(arrays) == 8
+    assert sum(a.nbytes for a in arrays) < 1 << 20
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+    # bounded: past maxsize geometries, the oldest tables are dropped
+    limit = nn._conv_offsets.cache_info().maxsize
+    for hp in range(2, limit + 8):
+        assert nn._conv_offsets(2, hp, 3, 2, 2).size == (hp - 1) * 2 * 8
+    assert nn._conv_offsets.cache_info().currsize == limit

@@ -387,6 +387,25 @@ def test_diverging_harness_arm_names_agent_and_step():
                               seed=3)
 
 
+@pytest.mark.parametrize("algorithm", ["dsgd", "avr_weipru"])
+def test_non_finite_mixed_weight_names_agent_round_and_layer(algorithm):
+    # zero data leaves each step's weights as they were, finite, but their
+    # neighborhood sum overflows
+    arch = tiny_arch()
+    graph = Graph(np.ones((3, 3), dtype=int) - np.eye(3, dtype=int))
+    w = {k: np.full(t.shape, 1e308) for k, t in init_params(arch, 0).items()}
+    states = zero_data_states(graph, arch, [w, w, w], r=1.0)
+    if algorithm == "dsgd":
+        for s in states:
+            s.m = None
+    hyper = HyperConfig(algorithm, 1, 4, 0.5, 0.0, 0, (1.0,) * 3,
+                        min_nonzero=0, eval_interval=1)
+    with np.errstate(over="ignore"), pytest.raises(
+            SimulationError, match=r"^agent 0, round 1, layer 0: non-finite weight$"):
+        baseline_round(algorithm, states, None, arch, graph, hyper, 1)
+    assert all(np.isfinite(s.weights[0]).all() for s in states[1:])
+
+
 # -------------------------------------------------------- weight baselines
 
 def zero_data_states(graph, arch, weights_per_agent, r=0.5):
