@@ -10,8 +10,7 @@ algorithms with their baselines, and verification harnesses.
 """
 
 from .data import (Dataset, DataFormatError, PartitionPlan, assign_labels,
-                   check_labels, check_synth, load_cifar10, partition,
-                   synth_generate)
+                   check_synth, load_cifar10, partition, synth_generate)
 from .errors import FieldError
 from .masking import (MaskState, extract, extract_mask, filter_zero,
                       group_lasso_grad, group_lasso_value, retained_count,

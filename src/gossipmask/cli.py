@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (assign_labels, check_labels, check_synth, load_cifar10,
-                   partition, synth_generate)
+from .data import (assign_labels, check_synth, load_cifar10, partition,
+                   synth_generate)
 from .errors import FieldError
 from .masking import MaskState, group_lasso_value
 from .nn import desk_arch
@@ -223,7 +223,9 @@ def _validate(cfg, where):
     if cfg.cifar10 and not Path(cfg.cifar10).is_dir():
         fail("cifar10", f"cifar10 directory '{cfg.cifar10}' does not exist")
     dim, classes = _task_shape(cfg)
-    check({"labels_per_agent": "c"}, check_labels, cfg.n, classes, cfg.c)
+    # the run's own seeded draws: cheap, and the only sure test of coverage
+    check({"labels_per_agent": "c"}, assign_labels, cfg.n, classes, cfg.c,
+          seed_key(cfg.seed, "labels"))
     check({"input_shape": "dim", "num_classes": "classes"},
           desk_arch, dim, classes, cfg.conv_channels, cfg.hidden)
 

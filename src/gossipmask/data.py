@@ -26,7 +26,6 @@ __all__ = [
     "DataFormatError",
     "synth_generate",
     "check_synth",
-    "check_labels",
     "assign_labels",
     "partition",
     "load_cifar10",
@@ -105,26 +104,20 @@ def check_synth(num_classes, per_class, noise):
         raise FieldError("noise", "noise must be nonnegative")
 
 
-def check_labels(num_agents, num_classes, labels_per_agent):
-    """The argument checks of :func:`assign_labels`, without the draws: a
-    FieldError naming ``labels_per_agent`` unless each agent can hold that
-    many distinct labels and together they can cover every label."""
-    if not 1 <= labels_per_agent <= num_classes:
-        raise FieldError("labels_per_agent",
-                         f"labels per agent must be in [1, {num_classes}]")
-    if num_agents * labels_per_agent < num_classes:
-        raise FieldError("labels_per_agent",
-                         f"{num_agents} agents with {labels_per_agent} labels "
-                         f"each cannot cover {num_classes} labels")
-
-
 def assign_labels(num_agents, num_classes, labels_per_agent, seed):
     """Draw ``labels_per_agent`` distinct labels per agent, independently
     and uniformly, redrawing (up to 100 times) until every label has at
     least one holder. A FieldError naming ``labels_per_agent`` reports
-    counts that passed :func:`check_labels` but never covered the labels."""
+    counts that no agent can hold, that cannot cover the labels, or that
+    never covered them in the draws."""
     c = int(labels_per_agent)
-    check_labels(num_agents, num_classes, c)
+    if not 1 <= c <= num_classes:
+        raise FieldError("labels_per_agent",
+                         f"labels per agent must be in [1, {num_classes}]")
+    if num_agents * c < num_classes:
+        raise FieldError("labels_per_agent",
+                         f"{num_agents} agents with {c} labels "
+                         f"each cannot cover {num_classes} labels")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         sets = [tuple(int(x) for x in np.sort(rng.choice(num_classes, c, replace=False)))

@@ -21,6 +21,12 @@ elementwise reductions over the gathered planes instead of a row-wise
 offset tables depend only on a layer's geometry, so each is built once and
 cached read-only.
 
+:func:`forward` keeps what the backward reads: conv columns, relu masks
+and pool indices. Evaluation (:func:`loss`, the trainer's accuracy and
+bound networks) keeps none, and runs the conv, relu and pool layers, which
+work per sample, on chunks of samples. The linear layers see the whole
+batch, since a 2-d gemm rounds differently when its row count changes.
+
 Tensors are plain numpy float64 arrays. A conv output is a channel-last
 array viewed as (n, c, h, w), and the max-pool input gradient takes the
 memory order of the pool's input, so the relu between them multiplies
@@ -227,6 +233,9 @@ def identity_masks(arch):
 # bytes of column gradient _conv_backward handles per sample block: half of
 # a 2 MiB per-core L2 cache
 _BLOCK_BYTES = 1 << 20
+# samples per evaluation chunk: a default training step's batch, so its
+# columns stay below the training peak
+_EVAL_ROWS = 128
 # bytes of pool windows from which _maxpool_forward gathers them with one
 # np.take and reduces elementwise; below it the strided copy and row-wise
 # argmax cost less
@@ -425,14 +434,47 @@ def _softmax_cross_entropy(logits, labels):
 
 # ------------------------------------------------------------- public ops
 
-def _effective(w, m, idx, shape):
-    if w[idx].shape != shape:
-        raise ValueError(f"layer {idx}: parameter shape {w[idx].shape} != {shape}")
-    if m is None:
-        return w[idx]
-    if idx not in m or m[idx].shape != shape:
-        raise ValueError(f"layer {idx}: mask missing or shape mismatch")
-    return w[idx] * m[idx]
+def _operands(arch, w, m, batch):
+    """The checked float64 batch, and the effective tensor ``w * m`` of
+    each parameterized layer (``w`` itself where ``m`` is None)."""
+    x = np.asarray(batch, dtype=np.float64)
+    if x.ndim != len(arch.input_shape) + 1 or x.shape[1:] != arch.input_shape:
+        raise ValueError(
+            f"batch shape {x.shape} does not match input {arch.input_shape}")
+    v = {}
+    for idx, shape in arch.param_shapes().items():
+        if w[idx].shape != shape:
+            raise ValueError(f"layer {idx}: parameter shape {w[idx].shape} != {shape}")
+        if m is not None and (idx not in m or m[idx].shape != shape):
+            raise ValueError(f"layer {idx}: mask missing or shape mismatch")
+        v[idx] = w[idx] if m is None else w[idx] * m[idx]
+    return x, v
+
+
+def _layers(arch, v, x, span, caches=None):
+    """Run the layers at the indices ``span`` on ``x``. Each layer's
+    backward cache goes to ``caches`` where it is given; else the next
+    layer drops it."""
+    for idx in span:
+        layer = arch.layers[idx]
+        if layer.kind == "conv2d":
+            x, kept = _conv_forward(x, v[idx], layer.padding)
+            kept = (v[idx], kept)
+        elif layer.kind == "linear":
+            kept = (v[idx], x)
+            x = x @ v[idx].T
+        elif layer.kind == "relu":
+            kept = (x > 0,) if caches is not None else ()
+            x = np.maximum(x, 0.0)
+        elif layer.kind == "maxpool2d":
+            x, kept = _maxpool_forward(x, layer.window, layer.stride)
+            kept = (kept,)
+        elif layer.kind == "flatten":
+            kept = (x.shape,)
+            x = x.reshape(x.shape[0], -1)
+        if caches is not None:
+            caches.append((layer.kind, idx) + kept)
+    return x
 
 
 def forward(arch, w, m, batch):
@@ -441,31 +483,24 @@ def forward(arch, w, m, batch):
     ``m`` may be None for an unmasked evaluation. Returns the (N, classes)
     logits and the cache consumed by the internal backward pass.
     """
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != len(arch.input_shape) + 1 or x.shape[1:] != arch.input_shape:
-        raise ValueError(
-            f"batch shape {x.shape} does not match input {arch.input_shape}")
-    shapes = arch.param_shapes()
+    x, v = _operands(arch, w, m, batch)
     caches = []
-    for idx, layer in enumerate(arch.layers):
-        if layer.kind == "conv2d":
-            v = _effective(w, m, idx, shapes[idx])
-            x, cache = _conv_forward(x, v, layer.padding)
-            caches.append(("conv2d", idx, v, cache))
-        elif layer.kind == "linear":
-            v = _effective(w, m, idx, shapes[idx])
-            caches.append(("linear", idx, v, x))
-            x = x @ v.T
-        elif layer.kind == "relu":
-            caches.append(("relu", idx, x > 0))
-            x = np.maximum(x, 0.0)
-        elif layer.kind == "maxpool2d":
-            x, cache = _maxpool_forward(x, layer.window, layer.stride)
-            caches.append(("maxpool2d", idx, cache))
-        elif layer.kind == "flatten":
-            caches.append(("flatten", idx, x.shape))
-            x = x.reshape(x.shape[0], -1)
-    return x, caches
+    return _layers(arch, v, x, range(len(arch.layers)), caches), caches
+
+
+def _logits(arch, w, m, batch):
+    """:func:`forward`'s logits, bitwise, keeping no cache. The layers
+    below the first flatten or linear one run on ``_EVAL_ROWS`` samples at
+    a time, the rest on the whole batch."""
+    x, v = _operands(arch, w, m, batch)
+    cut = next((idx for idx, layer in enumerate(arch.layers)
+                if layer.kind in ("flatten", "linear")), len(arch.layers))
+    if cut and len(x) > _EVAL_ROWS:
+        x = np.concatenate([_layers(arch, v, x[s:s + _EVAL_ROWS], range(cut))
+                            for s in range(0, len(x), _EVAL_ROWS)])
+    else:
+        cut = 0
+    return _layers(arch, v, x, range(cut, len(arch.layers)))
 
 
 def _backward(caches, grad_logits):
@@ -504,10 +539,14 @@ def _labelled_batch(arch, batch, labels):
 
 def loss(arch, w, m, batch, labels):
     """Mean softmax cross-entropy over the batch, forward pass only; the
-    same float :func:`loss_and_grad_v` returns."""
+    same float :func:`loss_and_grad_v` returns.
+
+    It keeps no backward cache and runs the conv, relu and pool layers on
+    ``_EVAL_ROWS`` samples at a time, so one chunk's im2col columns bound
+    its memory. The linear layers see the whole batch: their gemms round
+    differently when the row count changes."""
     x, y = _labelled_batch(arch, batch, labels)
-    logits, _ = forward(arch, w, m, x)
-    return _softmax_cross_entropy(logits, y)[0]
+    return _softmax_cross_entropy(_logits(arch, w, m, x), y)[0]
 
 
 def loss_and_grad_v(arch, w, m, batch, labels):

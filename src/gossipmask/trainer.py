@@ -38,7 +38,7 @@ import numpy as np
 from .errors import FieldError, LayerError
 from .masking import (MaskState, extract, extract_mask, group_lasso_grad,
                       threshold_layer)
-from .nn import (ModelArch, conv2d, flatten, forward, grad_z, init_params,
+from .nn import (ModelArch, _logits, conv2d, flatten, grad_z, init_params,
                  linear, loss as batch_loss, loss_and_grad_v, relu)
 from .protocol import (CommLedger, SimulationError, account_real_bits,
                        decode_mask, encode_mask, exchange)
@@ -382,18 +382,17 @@ def baseline_round(kind, states, w, arch, graph, hyper, round_index, ledger=None
 # ------------------------------------------------------------- evaluation
 
 def _accuracy(arch, params, masks, x, y, chunk=512):
+    """Share of the samples whose top logit is their label. The logits are
+    taken in chunks of ``chunk`` samples: the linear layers' gemms round
+    differently when their row count changes, so another chunk size could
+    flip a near-tie and move a logged accuracy."""
     if len(y) == 0:
         return math.nan
     correct = 0
     for start in range(0, len(y), chunk):
-        logits, _ = forward(arch, params, masks, x[start:start + chunk])
+        logits = _logits(arch, params, masks, x[start:start + chunk])
         correct += int((logits.argmax(axis=1) == y[start:start + chunk]).sum())
     return correct / len(y)
-
-
-def _train_loss(arch, params, masks, state, limit=256):
-    n = min(limit, len(state.train_y))
-    return batch_loss(arch, params, masks, state.train_x[:n], state.train_y[:n])
 
 
 def _evaluate_round(log, round_index, states, w, arch, ledger):
@@ -403,7 +402,8 @@ def _evaluate_round(log, round_index, states, w, arch, ledger):
     for state in states:
         params = state.weights if state.weights is not None else w
         acc = _accuracy(arch, params, state.m, state.test_x, state.test_y)
-        loss = _train_loss(arch, params, state.m, state)
+        loss = batch_loss(arch, params, state.m, state.train_x[:256],
+                          state.train_y[:256])
         accs.append(acc)
         losses.append(loss)
         rows.append(MetricsRow(round_index, state.agent_id, acc, loss,
@@ -589,7 +589,7 @@ class BoundReport:
 
 def make_masked_net(arch, params, masks=None):
     """Callable batch -> logits for a (possibly masked) parameter set."""
-    return lambda x: forward(arch, params, masks, x)[0]
+    return lambda x: _logits(arch, params, masks, x)
 
 
 def bound_check(f1, f2, g1, g2, probe):

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from gossipmask import ALGORITHMS, cli
+from gossipmask import ALGORITHMS, FieldError, assign_labels, cli, seed_key
 from gossipmask.cli import (ConfigError, RunConfig, main, parse_config,
                             render_config, run_experiment)
 
@@ -144,6 +144,10 @@ CONFIG_ERRORS = [
     # the label, shape and layer-size checks of data and nn, at parse time
     ("n = 2\nc = 1\nclasses = 10\n",
      "line 2: 2 agents with 1 labels each cannot cover 10 labels"),
+    # 2 x 5 could cover 10 labels, but the run's seeded draws never do
+    ("n = 2\nc = 5\nclasses = 10\n",
+     "line 2: label coverage not reached in 100 draws: 2 agents with "
+     "labels_per_agent = 5 left some of the 10 labels without a holder every time"),
     ("dim = 3,2,2\n", "line 1: layer 2: pool window (3, 3) exceeds (16, 2, 2)"),
     ("dim = 3,16\n",
      "line 1: layer 0: conv2d expects 3 input channels, got shape (3, 16)"),
@@ -191,9 +195,14 @@ def valid_configs(draw):
     c = draw(st.integers(1, covered))
     topology = draw(st.sampled_from(["er", "ring"]))
     n = draw(st.integers(max(-(-covered // c), 3 if topology == "ring" else 2), 40))
+    seed = draw(st.integers(0, 2 ** 64))
+    try:   # the run's own label draws must cover every label
+        assign_labels(n, covered, c, seed_key(seed, "labels"))
+    except FieldError:
+        assume(False)
     return RunConfig(
         experiment=draw(st.sampled_from(cli._KINDS)),
-        seed=draw(st.integers(0, 2 ** 64)),
+        seed=seed,
         out=draw(_TEXT),
         classes=classes,
         per_class=draw(st.integers(2, 1000)),
@@ -367,6 +376,15 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", str(bad)]) == 1
 
     assert main(["run", str(tmp_path / "missing.conf")]) == 1
+
+
+def test_main_label_coverage_fails_at_parse_time(tmp_path, capsys):
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"n = 2\nc = 5\nclasses = 10\nout = {tmp_path / 'out'}\n")
+    assert main(["run", str(conf), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: line 2: label coverage not reached in 100 draws")
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_seed_and_out_override(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +183,37 @@ def test_forward_only_loss_bitwise_equal(masked):
         y = rng.integers(0, arch.num_classes, len(x))
         value, _ = loss_and_grad_v(arch, w, m, x, y)
         assert loss(arch, w, m, x, y) == value
+    # the README default shape, across the evaluation's 128-sample chunks
+    rng = np.random.default_rng(7)
+    arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
+    w = init_params(arch, 7)
+    m = random_masks(arch, rng) if masked else None
+    for n in (129, 256, 300):
+        x, y = rng.standard_normal((n,) + arch.input_shape), rng.integers(0, 10, n)
+        assert loss(arch, w, m, x, y) == loss_and_grad_v(arch, w, m, x, y)[0]
+        assert nn._logits(arch, w, m, x).tobytes() == forward(arch, w, m, x)[0].tobytes()
+
+
+def test_forward_only_loss_peaks_below_a_training_step():
+    # the logged loss over 256 README-default samples keeps no cache and
+    # holds one 128-sample chunk's columns at a time, so the peak does not
+    # grow with the batch (512 samples: an accuracy chunk)
+    arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
+    rng = np.random.default_rng(0)
+    w = init_params(arch, 0)
+    x, y = rng.standard_normal((512, 3, 16, 16)), rng.integers(0, 10, 512)
+    loss_and_grad_v(arch, w, None, x[:128], y[:128])   # builds the tables
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(arch, w, None, *args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    step = peak(loss_and_grad_v, x[:128], y[:128])
+    for n in (256, 512):
+        assert peak(loss, x[:n], y[:n]) < step
 
 
 def test_duplicated_batch_same_loss_and_grad():

@@ -6,11 +6,11 @@ import pytest
 from gossipmask import (AgentState, Graph, HyperConfig, MaskState, ModelArch,
                         SimulationError, aggregate_step, assign_labels,
                         backprop_half_step, baseline_round, bound_check,
-                        build_states, conv2d, decode_mask, erdos_renyi,
-                        extract_mask, fine_tune_step, flatten,
-                        gossip_mask_round, init_params, linear,
-                        mask_vs_weight_verify, partition, relu,
-                        random_bound_instance, retained_count, run,
+                        build_states, conv2d, decode_mask, desk_arch,
+                        erdos_renyi, extract_mask, fine_tune_step, flatten,
+                        forward, gossip_mask_round, init_params, linear,
+                        make_masked_net, mask_vs_weight_verify, partition,
+                        relu, random_bound_instance, retained_count, run,
                         sample_batch, synth_generate)
 from gossipmask import trainer
 from gossipmask.trainer import _average_masks
@@ -542,6 +542,20 @@ def test_bound_check_upper_holds_on_random_instances():
     for seed in range(20):
         nets, probe = random_bound_instance(seed, probes=60)
         assert bound_check(*nets, probe).upper_holds
+
+
+def test_masked_net_logits_bitwise_equal_to_forward():
+    # 200 probes, as the bound-check experiment draws by default: the
+    # conv stack runs in two chunks, the linear layers on all 200 rows
+    rng = np.random.default_rng(3)
+    for arch in (trainer._bound_arch(), desk_arch((3, 16, 16), 10, (16, 32), 128)):
+        w = init_params(arch, 3)
+        m = {idx: (rng.random(s) < 0.5).astype(np.float64)
+             for idx, s in arch.param_shapes().items()}
+        x = rng.random((200,) + arch.input_shape)
+        for masks in (None, m):
+            net = make_masked_net(arch, w, masks)
+            assert net(x).tobytes() == forward(arch, w, masks, x)[0].tobytes()
 
 
 def test_bound_check_rejects_bad_inputs():
