@@ -39,6 +39,7 @@ from .data import (assign_labels, check_synth, load_cifar10, partition,
 from .errors import FieldError
 from .masking import MaskState, group_lasso_value
 from .nn import desk_arch
+from .protocol import SENDER_BITS
 from .seeds import seed_key, substream
 from .topology import erdos_renyi, ring, to_edge_list
 from .trainer import (_MASK_ALGORITHMS, HyperConfig, bound_check,
@@ -186,9 +187,9 @@ def _validate(cfg, where):
         fail("seed", f"seed must be nonnegative, got {cfg.seed}")
     if cfg.n < 2:
         fail("n", "need at least 2 agents")
-    if cfg.n > 1 << 16:
-        fail("n", f"at most {1 << 16} agents: agent ids travel in a u16 "
-                  f"wire field")
+    if cfg.n > 1 << SENDER_BITS:
+        fail("n", f"at most {1 << SENDER_BITS} agents: agent ids travel in a "
+                  f"u{SENDER_BITS} wire field")
     if cfg.topology not in ("er", "ring"):
         fail("topology", "topology must be 'er' or 'ring'")
     if cfg.topology == "ring" and cfg.n < 3:

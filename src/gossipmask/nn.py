@@ -28,10 +28,12 @@ work per sample, on chunks of samples. The linear layers see the whole
 batch, since a 2-d gemm rounds differently when its row count changes.
 
 Tensors are plain numpy float64 arrays. A conv output is a channel-last
-array viewed as (n, c, h, w), and the max-pool input gradient takes the
-memory order of the pool's input, so the relu between them multiplies
-matching layouts. All functions are pure: no global state but the table
-caches, no randomness outside :func:`init_params`.
+array viewed as (n, c, h, w). The max pool's gathered path reads its input
+channel-last, and its input gradient is channel-last: each pool of
+:func:`desk_arch` follows a conv and a relu, so it reads a view, and the
+relu mask meets a gradient of its own layout. Other inputs are copied,
+with the same bytes out. All functions are pure: no global state but the
+table caches, no randomness outside :func:`init_params`.
 """
 
 from dataclasses import dataclass
@@ -247,6 +249,17 @@ def _table(a):
     return a
 
 
+def _window_offsets(c, h, w, window, stride, ec, eh, ew):
+    """Offsets in a (c, h, w) sample of element strides (ec, eh, ew): of
+    each window's first cell as (channel, out row, out col), and of each
+    window cell from the first, row-major."""
+    wh, ww = window
+    oh, ow = (h - wh) // stride + 1, (w - ww) // stride + 1
+    corner = ((np.arange(c) * ec)[:, None, None]
+              + stride * (eh * np.arange(oh)[:, None] + ew * np.arange(ow)))
+    return corner, (eh * np.arange(wh)[:, None] + ew * np.arange(ww)).ravel()
+
+
 @lru_cache(maxsize=32)
 def _conv_offsets(c, hp, wp, kh, kw):
     """Offsets of a padded (c, hp, wp) sample's im2col columns within it,
@@ -257,11 +270,8 @@ def _conv_offsets(c, hp, wp, kh, kw):
     dims = [(d, s) for d, s in ((c, hp * wp), (kh, wp), (kw, 1)) if d > 1]
     if all(s0 == d1 * s1 for (_, s0), (d1, s1) in zip(dims, dims[1:])):
         return None
-    oh, ow = hp - kh + 1, wp - kw + 1
-    return _table(((np.arange(oh) * wp)[:, None, None, None, None]
-                   + np.arange(ow)[:, None, None, None]
-                   + (np.arange(c) * (hp * wp))[:, None, None]
-                   + (np.arange(kh) * wp)[:, None] + np.arange(kw)).ravel())
+    corner, cell = _window_offsets(c, hp, wp, (kh, kw), 1, hp * wp, wp, 1)
+    return _table((corner.transpose(1, 2, 0)[..., None] + cell).ravel())
 
 
 @lru_cache(maxsize=32)
@@ -286,37 +296,15 @@ def _col2im_spans(h, w, kh, kw, padding):
 
 
 @lru_cache(maxsize=32)
-def _pool_offsets(shape, order, window, stride):
-    """Read-only offset tables of a max pool over (c, h, w) samples whose
-    elements lie in the axis order ``order``: of each window's first cell
-    per (channel, out row, out col), of each window cell from the first,
-    and of every window cell as (cell, channel, out row, out col)."""
+def _pool_offsets(shape, window, stride):
+    """Read-only offset tables of a max pool over channel-last (h, w, c)
+    samples of logical shape ``shape`` = (c, h, w): of each window's first
+    cell per (channel, out row, out col), of each window cell from the
+    first, and of every window cell as (cell, channel, out row, out col)."""
     c, h, w = shape
-    wh, ww = window
-    oh, ow = (h - wh) // stride + 1, (w - ww) // stride + 1
-    _, ec, eh, ew = _element_strides((1,) + shape, order)
-    corner = ((np.arange(c) * ec)[:, None, None]
-              + stride * (eh * np.arange(oh)[:, None] + ew * np.arange(ow)))
-    cell = (eh * np.arange(wh)[:, None] + ew * np.arange(ww)).ravel()
+    corner, cell = _window_offsets(c, h, w, window, stride, 1, w * c, c)
     return (_table(corner), _table(cell),
             _table((cell[:, None] + corner.ravel()).ravel()))
-
-
-def _axis_order(x):
-    """The axes of ``x``, samples first, in the order its elements lie
-    contiguously in memory (a conv output is channel-last); the C order
-    where they do not."""
-    order = (0,) + tuple(sorted(range(1, x.ndim), key=lambda d: -x.strides[d]))
-    return order if x.transpose(order).flags.c_contiguous else tuple(range(x.ndim))
-
-
-def _element_strides(shape, order):
-    """Element strides of each axis of an array of ``shape`` whose elements
-    lie contiguously in the axis order ``order``."""
-    strides, size = [0] * len(shape), 1
-    for d in reversed(order):
-        strides[d], size = size, size * shape[d]
-    return strides
 
 
 def _conv_forward(x, v, padding):
@@ -372,23 +360,22 @@ def _maxpool_forward(x, window, stride):
     wh, ww = window
     n, c, h, w = x.shape
     oh, ow = (h - wh) // stride + 1, (w - ww) // stride + 1
-    # the backward's input gradient takes x's memory order
-    order = _axis_order(x)
-    sn, sc, sh, sw = x.strides
-    win = as_strided(x, (n, c, oh, ow, wh, ww),
-                     (sn, sc, stride * sh, stride * sw, sh, sw), writeable=False)
+    k, m = wh * ww, c * oh * ow
     # idx is the first maximum, i.e. the lowest flat index in the window,
     # as argmax takes it (a NaN counts as the maximum)
-    if win.nbytes < _GATHER_BYTES:
-        flat = win.reshape(-1, wh * ww)
+    if n * m * k * x.itemsize < _GATHER_BYTES:
+        sn, sc, sh, sw = x.strides
+        flat = as_strided(x, (n, c, oh, ow, wh, ww),
+                          (sn, sc, stride * sh, stride * sw, sh, sw),
+                          writeable=False).reshape(-1, k)
         idx = flat.argmax(axis=1)
         out = flat[np.arange(len(flat)), idx].reshape(n, c, oh, ow)
-        return out, (idx.reshape(n, c, oh, ow), x.shape, window, stride, order)
+        return out, (idx.reshape(n, c, oh, ow), x.shape, window, stride)
     # above it: gather each sample's cells as (cell, window) planes, reduce
-    # the planes with elementwise maxima and take each window's first hit
-    rows = np.ascontiguousarray(x.transpose(order)).reshape(n, -1)
-    k, m = wh * ww, c * oh * ow
-    off = _pool_offsets(x.shape[1:], order, window, stride)[2]
+    # the planes with elementwise maxima and take each window's first hit.
+    # The rows are a view of a channel-last x, such as a conv output.
+    rows = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n, -1)
+    off = _pool_offsets(x.shape[1:], window, stride)[2]
     cells = np.take(rows, off, axis=1).reshape(n, k, m)
     top = np.maximum.reduce(cells, axis=1)
     miss = cells != top[:, None]
@@ -404,21 +391,20 @@ def _maxpool_forward(x, window, stride):
     # the values are gathered, not taken from top, so a zero keeps its sign
     out = np.take(cells, (np.arange(n)[:, None] * k + idx) * m + np.arange(m))
     return out.reshape(n, c, oh, ow), (idx.reshape(n, c, oh, ow), x.shape, window,
-                                       stride, order)
+                                       stride)
 
 
 def _maxpool_backward(grad_out, cache):
-    idx, x_shape, window, stride, order = cache
+    idx, x_shape, window, stride = cache
     n, c, h, w = x_shape
-    corner, cell, _ = _pool_offsets(x_shape[1:], order, window, stride)
-    # index of each window's maximum in x's memory order; overlapping
-    # windows may share one, and bincount adds their shares in ascending
-    # window order
+    corner, cell, _ = _pool_offsets(x_shape[1:], window, stride)
+    # channel-last index of each window's maximum; overlapping windows may
+    # share one, and bincount adds their shares in ascending window order
     src = cell[idx]
     src += corner
     src += (np.arange(n) * (c * h * w))[:, None, None, None]
     gx = np.bincount(src.ravel(), grad_out.ravel(), n * c * h * w)
-    return gx.reshape([x_shape[d] for d in order]).transpose(np.argsort(order))
+    return gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
 def _softmax_cross_entropy(logits, labels):

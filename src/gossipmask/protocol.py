@@ -37,6 +37,7 @@ __all__ = [
 
 MAGIC = b"GMK1"
 VERSION = 1
+SENDER_BITS = 16   # width of the header's sender field: agent ids must fit
 _HEADER = struct.Struct("<4sBHIH3x")
 _SEGMENT = struct.Struct("<HI")
 
@@ -119,7 +120,7 @@ def encode_mask(mask_set, sender, round_index):
     """Bit-pack a mask set into a :class:`MaskFrame` (LSB-first, zero
     padding, segments in ascending layer order). A header field out of its
     wire range raises ValueError naming the field."""
-    _check_field("sender", sender, 16)
+    _check_field("sender", sender, SENDER_BITS)
     _check_field("round index", round_index, 32)
     _check_field("layer count", len(mask_set), 16)
     segments = []

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import FieldError, LayerError
 from .masking import (MaskState, extract, extract_mask, group_lasso_grad,
-                      threshold_layer)
+                      threshold_layer)  # noqa: F401 (bench/spans.py traces it)
 from .nn import (ModelArch, _logits, conv2d, flatten, grad_z, init_params,
                  linear, loss as batch_loss, loss_and_grad_v, relu)
 from .protocol import (CommLedger, SimulationError, account_real_bits,
@@ -335,12 +335,7 @@ def _weight_step(state, arch, batch_x, batch_y):
         return state.weights
     state.weights = {layer: t - state.eta * grad[layer] * state.m[layer]
                      for layer, t in state.weights.items()}
-    state.m = {}
-    for layer, t in state.weights.items():
-        try:
-            state.m[layer] = threshold_layer(t, state.mask.r)
-        except ValueError as exc:
-            raise LayerError(layer, str(exc)) from None
+    state.m = extract(state.weights, state.mask.r)
     return {layer: t * state.m[layer] for layer, t in state.weights.items()}
 
 
@@ -480,9 +475,7 @@ def run(arch, hyper, graph, train, test, plan):
         for state in states:
             state.weights = {layer: w[layer].copy() for layer in w}
             if hyper.algorithm != "dsgd":   # dsgd stays unmasked
-                state.m = {layer: threshold_layer(state.weights[layer],
-                                                  state.mask.r)
-                           for layer in state.weights}
+                state.m = extract(state.weights, state.mask.r)
 
     log = MetricsLog()
     _evaluate_round(log, 0, states, w, arch, ledger)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gossipmask import (MaskState, extract, extract_mask, filter_zero,
                         finite_diff_check, group_lasso_grad,
                         group_lasso_value, masking, retained_count,
-                        threshold_layer, trainer)
+                        threshold_layer)
 from gossipmask.cli import parse_config, run_experiment
 from gossipmask.errors import LayerError
 
@@ -85,15 +85,14 @@ def test_threshold_matches_argsort_reference(shape, values, seed, data):
 
 
 def test_run_matches_argsort_reference(tmp_path, monkeypatch):
-    # configs/train.conf shape; masking.extract and the weight baselines'
-    # pruning both threshold, so the reference replaces both bindings
+    # configs/train.conf shape; the mask algorithms and the weight
+    # baselines' pruning both threshold through masking.extract
     cfg = replace(parse_config((CONFIGS / "train.conf").read_text()),
                   rounds=10, algorithm=("gossip_mask", "par_weipru"))
     outputs = []
     for name in ("partition", "argsort"):
         if name == "argsort":
             monkeypatch.setattr(masking, "threshold_layer", argsort_threshold)
-            monkeypatch.setattr(trainer, "threshold_layer", argsort_threshold)
         out = tmp_path / name
         run_experiment(replace(cfg, out=str(out)), quiet=True)
         outputs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})

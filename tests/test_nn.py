@@ -342,18 +342,19 @@ def test_maxpool_overlapping_windows_accumulate():
     assert gx[0, 0, 1, 1] == 1.0
 
 
-def test_maxpool_input_gradient_takes_the_input_memory_order():
+def test_maxpool_input_gradient_is_channel_last():
+    # channel-last whatever the input's layout: in desk_arch the pool input
+    # is a conv output through a relu, so the relu mask has that layout too
     x = np.random.default_rng(0).standard_normal((2, 3, 7, 7))
     channel_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     strided = np.zeros((2, 3, 7, 14))[..., ::2]
     strided[...] = x
-    for layout, order in [(x, (0, 1, 2, 3)), (channel_last, (0, 2, 3, 1)),
-                          (strided, (0, 1, 2, 3))]:
+    for layout in (x, channel_last, strided):
         out, cache = _maxpool_forward(layout, (3, 3), 2)
         gx = _maxpool_backward(np.ones_like(out), cache)
-        assert gx.transpose(order).flags.c_contiguous
-        np.testing.assert_array_equal(gx, _maxpool_backward(
-            np.ones_like(out), cache[:4] + ((0, 1, 2, 3),)))
+        assert gx.transpose(0, 2, 3, 1).flags.c_contiguous
+        np.testing.assert_array_equal(
+            gx, _ref_maxpool_backward(np.ones_like(out), cache))
 
 
 def test_relu_blocks_inactive_gradient():
@@ -412,7 +413,7 @@ def _ref_conv_backward(grad_out, v, cache):
 
 def _ref_maxpool_backward(grad_out, cache):
     """The earlier max-pool backward: one ``np.add.at`` scatter."""
-    idx, x_shape, window, stride, _ = cache
+    idx, x_shape, window, stride = cache
     n, c, oh, ow = grad_out.shape
     ww = window[1]
     gx = np.zeros(x_shape)
@@ -512,13 +513,12 @@ def test_maxpool_forward_bitwise_equal_to_reference():
         for layout in _layouts(x):
             before = layout.copy()
             want_out, want_idx = _ref_maxpool_forward(layout, (wh, ww), stride)
-            out, (idx, x_shape, window, s, order) = _maxpool_forward(
+            out, (idx, x_shape, window, s) = _maxpool_forward(
                 layout, (wh, ww), stride)
             assert out.tobytes() == want_out.tobytes(), (trial, (wh, ww), stride)
             assert out.strides == want_out.strides
             assert idx.tobytes() == want_idx.tobytes() and idx.shape == want_idx.shape
             assert (x_shape, window, s) == (x.shape, (wh, ww), stride)
-            assert order[0] == 0 and sorted(order) == [0, 1, 2, 3]
             assert layout.tobytes() == before.tobytes()
 
 
@@ -630,7 +630,7 @@ def test_gathered_kernels_bitwise_equal_to_reference(monkeypatch):
     monkeypatch.setattr(nn, "_GATHER_BYTES", 0)
     test_maxpool_forward_bitwise_equal_to_reference()
     test_maxpool_backward_bitwise_equal_to_reference()
-    test_maxpool_input_gradient_takes_the_input_memory_order()
+    test_maxpool_input_gradient_is_channel_last()
 
 
 def _use_reference_kernels(monkeypatch):
@@ -717,8 +717,8 @@ def test_index_tables_are_cached_read_only_and_bounded():
             (_, c, h, wd), pad = entry[3][1:]
             arrays.append(nn._conv_offsets(c, h + 2 * pad, wd + 2 * pad, 5, 5))
         elif entry[0] == "maxpool2d":
-            _, shape, window, stride, order = entry[2]
-            arrays.extend(nn._pool_offsets(shape[1:], order, window, stride))
+            _, shape, window, stride = entry[2]
+            arrays.extend(nn._pool_offsets(shape[1:], window, stride))
     assert len(arrays) == 8
     assert sum(a.nbytes for a in arrays) < 1 << 20
     for a in arrays:
