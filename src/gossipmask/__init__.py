@@ -27,7 +27,7 @@ from .topology import (Graph, GraphGenerationError, erdos_renyi,
 from .trainer import (ALGORITHMS, AgentState, BoundReport, HyperConfig,
                       MaskVsWeightTraces, MetricsLog, MetricsRow,
                       aggregate_step, backprop_half_step, baseline_round,
-                      bound_check, build_states, fine_tune_step,
+                      bound_check, build_states, check_harness, fine_tune_step,
                       gossip_mask_round, make_masked_net,
                       mask_vs_weight_verify, random_bound_instance, run,
                       sample_batch)

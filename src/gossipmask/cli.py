@@ -29,7 +29,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,8 @@ from .protocol import SENDER_BITS
 from .seeds import seed_key, substream
 from .topology import erdos_renyi, ring, to_edge_list
 from .trainer import (_MASK_ALGORITHMS, HyperConfig, bound_check,
-                      mask_vs_weight_verify, random_bound_instance, run)
+                      check_harness, mask_vs_weight_verify,
+                      random_bound_instance, run)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "render_config",
            "run_experiment", "main"]
@@ -175,11 +176,15 @@ def _validate(cfg, where):
 
     def check(fields_of, library_check, *args):
         """Run a library check and fail at the field its FieldError names,
-        looked up in ``fields_of`` where the library names it otherwise."""
+        looked up in ``fields_of`` where the library names it otherwise; a
+        message that starts with the library's name for it gets the key."""
         try:
             library_check(*args)
         except FieldError as exc:
-            fail(fields_of.get(exc.field, exc.field), str(exc))
+            field, message = fields_of.get(exc.field, exc.field), str(exc)
+            if message.startswith(f"{exc.field} "):
+                message = _KEY_OF.get(field, field) + message[len(exc.field):]
+            fail(field, message)
 
     if cfg.experiment not in _KINDS:
         fail("experiment", f"experiment must be one of {_KINDS}")
@@ -208,11 +213,10 @@ def _validate(cfg, where):
         for eta in ("eta_mask", "eta_weight"):
             check({"eta": eta}, _hyper, cfg, alg, getattr(cfg, eta))
     check({}, group_lasso_value, {}, cfg.lam)
-    for i, r in enumerate(cfg.mask_vs_weight_r):
-        if r in cfg.mask_vs_weight_r[:i]:
-            fail("mask_vs_weight_r", f"mask_vs_weight_r repeats the ratio {r:g}")
-    for field in ("mask_vs_weight_steps", "mask_vs_weight_eval", "instances",
-                  "probes"):
+    check({"r_values": "mask_vs_weight_r", "steps": "mask_vs_weight_steps",
+           "eval_interval": "mask_vs_weight_eval"}, check_harness,
+          cfg.mask_vs_weight_r, cfg.mask_vs_weight_steps, cfg.mask_vs_weight_eval)
+    for field in ("instances", "probes"):
         if getattr(cfg, field) < 1:
             fail(field, f"{field} must be at least 1")
     for entry in cfg.sweep:
@@ -281,16 +285,12 @@ def _task(cfg):
     return train, test, label_sets, arch
 
 
-def _build_graph(cfg, topology=None, p=None):
-    topology = topology if topology is not None else cfg.topology
-    if topology == "ring":
+def _build_graph(cfg, entry):
+    """The ring for ``entry = "ring"``, else the Erdos-Renyi graph with
+    edge probability ``entry``."""
+    if entry == "ring":
         return ring(cfg.n)
-    return erdos_renyi(cfg.n, p if p is not None else cfg.p,
-                       seed_key(cfg.seed, "topology"))
-
-
-def _fmt_float(x):
-    return repr(float(x))
+    return erdos_renyi(cfg.n, entry, seed_key(cfg.seed, "topology"))
 
 
 def _write(path, text):
@@ -306,21 +306,13 @@ def _write(path, text):
         raise
 
 
-def _write_metrics(path, log):
-    lines = ["round,agent,accuracy,loss,payload_bits,header_bits"]
-    for row in log.rows:
-        lines.append(f"{row.round},{row.agent},{_fmt_float(row.accuracy)},"
-                     f"{_fmt_float(row.loss)},{row.payload_bits},{row.header_bits}")
-    _write(path, "\n".join(lines) + "\n")
-
-
-def _write_sparsity(path, log):
-    lines = ["agent,layer,ones,total,density"]
-    for agent in sorted(log.final_sparsity):
-        for layer in sorted(log.final_sparsity[agent]):
-            ones, total = log.final_sparsity[agent][layer]
-            lines.append(f"{agent},{layer},{ones},{total},{_fmt_float(ones / total)}")
-    _write(path, "\n".join(lines) + "\n")
+def _write_csv(path, header, rows):
+    """Write a CSV table whole through :func:`_write`: floats as
+    ``repr(float(x))``, every other cell through ``str``."""
+    def cell(x):
+        return repr(float(x)) if isinstance(x, float) else str(x)
+    _write(path, "".join(",".join(map(cell, row)) + "\n"
+                         for row in [header.split(","), *rows]))
 
 
 def _say(quiet, message):
@@ -338,15 +330,20 @@ def _trainer(cfg, out):
     def train_on(alg, graph, name):
         eta = cfg.eta_mask if alg in _MASK_ALGORITHMS else cfg.eta_weight
         log = run(arch, _hyper(cfg, alg, eta), graph, train, test, plan)
-        _write_metrics(out / f"metrics_{name}.csv", log)
-        _write_sparsity(out / f"sparsity_{name}.csv", log)
+        _write_csv(out / f"metrics_{name}.csv",
+                   "round,agent,accuracy,loss,payload_bits,header_bits",
+                   map(astuple, log.rows))
+        _write_csv(out / f"sparsity_{name}.csv", "agent,layer,ones,total,density",
+                   [(agent, layer, ones, total, ones / total)
+                    for agent, per_layer in sorted(log.final_sparsity.items())
+                    for layer, (ones, total) in sorted(per_layer.items())])
         return log
     return train_on
 
 
 def _run_train(cfg, out, quiet):
     train_on = _trainer(cfg, out)
-    graph = _build_graph(cfg)
+    graph = _build_graph(cfg, "ring" if cfg.topology == "ring" else cfg.p)
     _write(out / "graph.edges", to_edge_list(graph))
     for alg in cfg.algorithm:
         log = train_on(alg, graph, alg)
@@ -358,10 +355,8 @@ def _run_sweep(cfg, out, quiet):
     train_on = _trainer(cfg, out)
     alg = cfg.algorithm[0]
     for entry in cfg.sweep:
-        if entry == "ring":
-            label, graph = "ring", _build_graph(cfg, topology="ring")
-        else:
-            label, graph = f"p{entry:g}", _build_graph(cfg, topology="er", p=entry)
+        label = "ring" if entry == "ring" else f"p{entry:g}"
+        graph = _build_graph(cfg, entry)
         _write(out / f"graph_{label}.edges", to_edge_list(graph))
         log = train_on(alg, graph, label)
         _say(quiet, f"{alg} on {label}: final mean accuracy "
@@ -380,14 +375,13 @@ def _run_mask_vs_weight(cfg, out, quiet):
                                    cfg.mask_vs_weight_steps, cfg.eta_weight,
                                    cfg.eta_mask, cfg.batch_size, cfg.seed,
                                    cfg.mask_vs_weight_eval)
-    lines = ["step,agent,arm,r,accuracy"]
+    rows = []
     for agent in sorted(traces.weight):
-        for step, acc in traces.weight[agent]:
-            lines.append(f"{step},{agent},weight,,{_fmt_float(acc)}")
-        for r in cfg.mask_vs_weight_r:
-            for step, acc in traces.mask[(agent, r)]:
-                lines.append(f"{step},{agent},mask,{_fmt_float(r)},{_fmt_float(acc)}")
-    _write(out / "mask_vs_weight.csv", "\n".join(lines) + "\n")
+        rows += [(step, agent, "weight", "", acc)
+                 for step, acc in traces.weight[agent]]
+        rows += [(step, agent, "mask", r, acc) for r in cfg.mask_vs_weight_r
+                 for step, acc in traces.mask[(agent, r)]]
+    _write_csv(out / "mask_vs_weight.csv", "step,agent,arm,r,accuracy", rows)
     for agent in sorted(traces.weight):
         final_w = traces.weight[agent][-1][1]
         per_r = ", ".join(f"r={r:g}: {traces.mask[(agent, r)][-1][1]:.4f}"
@@ -396,20 +390,17 @@ def _run_mask_vs_weight(cfg, out, quiet):
 
 
 def _run_bound_check(cfg, out, quiet):
-    lines = ["instance,eps1,eps2,alpha_u,alpha_l,sup_gap,inf_gap,"
-             "upper_holds,lower_holds"]
-    upper_ok = 0
+    reps = []
     for i in range(cfg.instances):
         nets, probe = random_bound_instance(seed_key(cfg.seed, "probe", i),
                                             cfg.probes)
-        rep = bound_check(*nets, probe)
-        upper_ok += int(rep.upper_holds)
-        lines.append(
-            f"{i},{_fmt_float(rep.eps1)},{_fmt_float(rep.eps2)},"
-            f"{_fmt_float(rep.alpha_u)},{_fmt_float(rep.alpha_l)},"
-            f"{_fmt_float(rep.sup_gap)},{_fmt_float(rep.inf_gap)},"
-            f"{int(rep.upper_holds)},{int(rep.lower_holds)}")
-    _write(out / "bounds.csv", "\n".join(lines) + "\n")
+        reps.append(bound_check(*nets, probe))
+    _write_csv(out / "bounds.csv", "instance,eps1,eps2,alpha_u,alpha_l,sup_gap,"
+               "inf_gap,upper_holds,lower_holds",
+               [(i, rep.eps1, rep.eps2, rep.alpha_u, rep.alpha_l, rep.sup_gap,
+                 rep.inf_gap, int(rep.upper_holds), int(rep.lower_holds))
+                for i, rep in enumerate(reps)])
+    upper_ok = sum(rep.upper_holds for rep in reps)
     _say(quiet, f"upper inequality held on {upper_ok}/{cfg.instances} instances")
 
 
@@ -420,14 +411,8 @@ def run_experiment(config, quiet=False):
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "manifest.txt", render_config(cfg))
-    if cfg.experiment == "train":
-        _run_train(cfg, out, quiet)
-    elif cfg.experiment == "sweep":
-        _run_sweep(cfg, out, quiet)
-    elif cfg.experiment == "mask_vs_weight":
-        _run_mask_vs_weight(cfg, out, quiet)
-    else:
-        _run_bound_check(cfg, out, quiet)
+    {"train": _run_train, "sweep": _run_sweep, "mask_vs_weight": _run_mask_vs_weight,
+     "bound_check": _run_bound_check}[cfg.experiment](cfg, out, quiet)
     return 0
 
 

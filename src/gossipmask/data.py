@@ -98,8 +98,8 @@ def check_synth(num_classes, per_class, noise):
     FieldError names the argument it rejects."""
     if num_classes < 2:
         raise FieldError("num_classes", "need at least 2 classes")
-    if per_class < 2:
-        raise FieldError("per_class", "need at least 2 samples per class")
+    if per_class < 5:   # a fifth of them, rounded down, is the test split
+        raise FieldError("per_class", "need at least 5 samples per class")
     if noise < 0:
         raise FieldError("noise", "noise must be nonnegative")
 

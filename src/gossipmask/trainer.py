@@ -1,27 +1,31 @@
 """Synchronous multi-agent training loops and verification harnesses.
 
+Every round starts with one local step per agent, the same step the
+mask-vs-weight harness takes: the half-step (a) below for an agent that
+trains scores, the weight step for one that trains weights.
+
 Algorithms
 ----------
 ``gossip_mask``
     Collaborative mask learning. All agents share one fixed random
     parameter set and each trains a personalized score tensor. Every round
-    an agent (a) back-propagates through its masked network and steps the
-    scores, (b) broadcasts the binary mask extracted from an aggregation
-    tensor that blends the scores with the previous round's neighbor
-    masks, (c) fine-tunes the scores with its cached gradient restricted
-    to entries the fresh neighbor masks touch, and (d) re-extracts its
-    mask from the aggregation tensor built on the fine-tuned scores. Only
-    1-bit masks ever cross the wire.
+    an agent (a) back-propagates through its masked network, steps the
+    scores and extracts its intermediate mask from an aggregation tensor
+    that blends the scores with the previous round's neighbor masks,
+    (b) broadcasts that mask, (c) fine-tunes the scores with its cached
+    gradient restricted to entries the fresh neighbor masks touch, and
+    (d) re-extracts its mask from the aggregation tensor built on the
+    fine-tuned scores. Only 1-bit masks ever cross the wire.
 ``ind_mask``
     The collaborative round with an empty neighborhood: (c) and (d) change
     nothing, so the mask extracted in (a) is the new mask; nothing is sent.
 ``ind_weipru``, ``avr_weipru``, ``par_weipru``, ``dsgd``
-    One step-prune-mix skeleton on per-agent copies of the parameters: a
-    local SGD step, magnitude pruning back to the agent's retention ratio
-    (not for dsgd), then a mixing rule over the transmitted weights: none
-    (ind_weipru, no communication), the neighborhood average, self
-    included (avr_weipru, and D-PSGD for dsgd), or that average only where
-    the local mask keeps the entry (par_weipru).
+    One step-prune-mix skeleton on per-agent copies of the parameters: the
+    weight step (a local SGD step, then magnitude pruning back to the
+    agent's retention ratio, not for dsgd), then a mixing rule over the
+    transmitted weights: none (ind_weipru, no communication), the
+    neighborhood average, self included (avr_weipru, and D-PSGD for dsgd),
+    or that average only where the local mask keeps the entry (par_weipru).
 
 Within a round agents are processed in ascending id and all reductions
 over neighbors iterate in ascending sender id, so results do not depend
@@ -59,6 +63,7 @@ __all__ = [
     "baseline_round",
     "run",
     "mask_vs_weight_verify",
+    "check_harness",
     "bound_check",
     "make_masked_net",
     "random_bound_instance",
@@ -187,9 +192,11 @@ def _neighbor_average(state, mask_sets):
 
 def _aggregation_tensor(z, neighbor_avg):
     """Blend neighbor mask information into the scores: per layer
-    y = z + mean(|z|) * sign(z) * neighbor_average."""
+    y = z + mean(|z|) * sign(z) * neighbor_average. Without a neighbor
+    average that is the scores themselves, not a copy: ``extract`` only
+    reads them."""
     if neighbor_avg is None:
-        return {layer: t.copy() for layer, t in z.items()}
+        return z
     return {layer: t + np.abs(t).mean() * np.sign(t) * neighbor_avg[layer]
             for layer, t in z.items()}
 
@@ -215,10 +222,8 @@ def backprop_half_step(state, w, arch, batch_x, batch_y):
     z_half = {layer: z_prev[layer] - state.eta * g[layer] for layer in z_prev}
     avg = _neighbor_average(state, state.neighbor_masks)
     state._average = (None, None)     # not needed again; free it
-    # without neighbors the aggregation tensor is a copy of z_half, and
-    # extract only reads it
-    y_half = z_half if avg is None else _aggregation_tensor(z_half, avg)
-    m_half = extract(y_half, state.mask.r, state.mask.min_nonzero)
+    m_half = extract(_aggregation_tensor(z_half, avg), state.mask.r,
+                     state.mask.min_nonzero)
     state.mask.z = z_half
     state.grad_cache = g
     state.last_loss = loss
@@ -287,13 +292,23 @@ def _local_batch(state, hyper, round_index):
     return state.train_x[idx], state.train_y[idx]
 
 
+def _local_step(state, w, arch, batch_x, batch_y, step):
+    """One checked local update at round or harness step ``step``: the
+    half-step for a state without weights (``state.m`` holds the mask it
+    sends until aggregation), else the weight step. Returns what it sends."""
+    with _checked_step(state, step):
+        if state.weights is None:
+            state.m = backprop_half_step(state, w, arch, batch_x, batch_y)[2]
+            return state.m
+        return _weight_step(state, arch, batch_x, batch_y)
+
+
 def _exchange_masks(graph, masks, round_index, shapes, ledger):
-    """Send every agent's mask set to its neighbors: one frame per agent
-    through :func:`exchange`, each frame decoded once. ``masks`` yields
-    (agent, mask set) pairs, each encoded as it comes, so only the packed
-    frames are held. All receivers of a frame share its decoded arrays, so
+    """Send every agent's mask set (``masks`` maps agent -> mask set) to its
+    neighbors: one frame per agent through :func:`exchange`, each frame
+    decoded once. All receivers of a frame share its decoded arrays, so
     they are made read-only. Returns agent -> {sender: mask set}."""
-    outbox = {a: encode_mask(m, a, round_index) for a, m in masks}
+    outbox = {a: encode_mask(m, a, round_index) for a, m in masks.items()}
     inbox = exchange(graph, outbox, ledger)
     decoded = {}
     for sender, frame in outbox.items():
@@ -306,15 +321,10 @@ def _exchange_masks(graph, masks, round_index, shapes, ledger):
 def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
     """One synchronous collaborative round: per-agent half-step, one frame
     exchange, then fine-tuning and aggregation per agent."""
-    def half_steps():
-        for state in states:
-            bx, by = _local_batch(state, hyper, round_index)
-            with _checked_step(state, round_index):
-                m_half = backprop_half_step(state, w, arch, bx, by)[2]
-            yield state.agent_id, m_half
-
-    inbox = _exchange_masks(graph, half_steps(), round_index,
-                            arch.param_shapes(), ledger)
+    outbox = {s.agent_id: _local_step(s, w, arch, *_local_batch(s, hyper, round_index),
+                                      round_index) for s in states}
+    inbox = _exchange_masks(graph, outbox, round_index, arch.param_shapes(),
+                            ledger)
     for state in states:
         with _checked_step(state, round_index):
             fine_tune_step(state, inbox[state.agent_id])
@@ -341,22 +351,13 @@ def _weight_step(state, arch, batch_x, batch_y):
 
 def baseline_round(kind, states, w, arch, graph, hyper, round_index, ledger=None):
     """One synchronous round of a baseline algorithm (see the module
-    docstring): the half-step alone for ``ind_mask``, a weight step and the
-    algorithm's mixing rule for the weight baselines."""
-    if kind == "ind_mask":
-        for state in states:
-            bx, by = _local_batch(state, hyper, round_index)
-            with _checked_step(state, round_index):
-                state.m = backprop_half_step(state, w, arch, bx, by)[2]
-        return states
-    if kind not in ("ind_weipru", "avr_weipru", "par_weipru", "dsgd"):
+    docstring): the local step, then the mixing rule of the weight
+    baselines that communicate."""
+    if kind == "gossip_mask" or kind not in ALGORITHMS:
         raise ValueError(f"unknown baseline '{kind}'")
-    sent = {}
-    for state in states:
-        bx, by = _local_batch(state, hyper, round_index)
-        with _checked_step(state, round_index):
-            sent[state.agent_id] = _weight_step(state, arch, bx, by)
-    if kind == "ind_weipru":
+    sent = {s.agent_id: _local_step(s, w, arch, *_local_batch(s, hyper, round_index),
+                                    round_index) for s in states}
+    if kind in ("ind_mask", "ind_weipru"):
         return states
     for state in states:
         neighbors = graph.neighbors[state.agent_id]
@@ -376,49 +377,48 @@ def baseline_round(kind, states, w, arch, graph, hyper, round_index, ledger=None
 
 # ------------------------------------------------------------- evaluation
 
-def _accuracy(arch, params, masks, x, y, chunk=512):
-    """Share of the samples whose top logit is their label. The logits are
-    taken in chunks of ``chunk`` samples: the linear layers' gemms round
-    differently when their row count changes, so another chunk size could
-    flip a near-tie and move a logged accuracy."""
+# Test samples per accuracy chunk and train samples of the logged loss: the
+# linear layers' gemms round differently when their row count changes, so
+# other counts could flip a near-tie in an accuracy or move a logged loss.
+_ACCURACY_CHUNK = 512
+_LOSS_ROWS = 256
+
+
+def _accuracy(arch, params, masks, x, y):
+    """Share of the samples whose top logit is their label, with the logits
+    taken in chunks of ``_ACCURACY_CHUNK`` samples."""
     if len(y) == 0:
         return math.nan
     correct = 0
-    for start in range(0, len(y), chunk):
-        logits = _logits(arch, params, masks, x[start:start + chunk])
-        correct += int((logits.argmax(axis=1) == y[start:start + chunk]).sum())
+    for start in range(0, len(y), _ACCURACY_CHUNK):
+        logits = _logits(arch, params, masks, x[start:start + _ACCURACY_CHUNK])
+        correct += int((logits.argmax(axis=1) == y[start:start + _ACCURACY_CHUNK]).sum())
     return correct / len(y)
 
 
 def _evaluate_round(log, round_index, states, w, arch, ledger):
     sent_payload, sent_header, _, _ = ledger.totals()
-    accs, losses = [], []
     rows = []
     for state in states:
         params = state.weights if state.weights is not None else w
         acc = _accuracy(arch, params, state.m, state.test_x, state.test_y)
-        loss = batch_loss(arch, params, state.m, state.train_x[:256],
-                          state.train_y[:256])
-        accs.append(acc)
-        losses.append(loss)
+        loss = batch_loss(arch, params, state.m, state.train_x[:_LOSS_ROWS],
+                          state.train_y[:_LOSS_ROWS])
         rows.append(MetricsRow(round_index, state.agent_id, acc, loss,
                                sent_payload, sent_header))
-    log.rows.append(MetricsRow(round_index, -1, float(np.mean(accs)),
-                               float(np.mean(losses)), sent_payload, sent_header))
+    log.rows.append(MetricsRow(round_index, -1,
+                               float(np.mean([row.accuracy for row in rows])),
+                               float(np.mean([row.loss for row in rows])),
+                               sent_payload, sent_header))
     log.rows.extend(rows)
 
 
 def _final_sparsity(states, arch):
-    shapes = arch.param_shapes()
-    out = {}
-    for state in states:
-        per_layer = {}
-        for layer, shape in shapes.items():
-            total = int(np.prod(shape))
-            ones = total if state.m is None else int(state.m[layer].sum())
-            per_layer[layer] = (ones, total)
-        out[state.agent_id] = per_layer
-    return out
+    """agent -> layer -> (mask ones, entries); an unmasked agent keeps all."""
+    totals = {layer: int(np.prod(shape))
+              for layer, shape in arch.param_shapes().items()}
+    return {s.agent_id: {layer: (total if s.m is None else int(s.m[layer].sum()), total)
+                         for layer, total in totals.items()} for s in states}
 
 
 def build_states(arch, hyper, graph, train, test, plan):
@@ -467,7 +467,7 @@ def run(arch, hyper, graph, train, test, plan):
             state.m = extract_mask(state.mask)
         if hyper.algorithm == "gossip_mask":
             # bootstrap neighbor masks with one (accounted) exchange
-            inbox = _exchange_masks(graph, ((s.agent_id, s.m) for s in states),
+            inbox = _exchange_masks(graph, {s.agent_id: s.m for s in states},
                                     0, arch.param_shapes(), ledger)
             for state in states:
                 state.neighbor_masks = inbox[state.agent_id]
@@ -507,6 +507,17 @@ class MaskVsWeightTraces:
     mask: dict
 
 
+def check_harness(r_values, steps, eval_interval):
+    """The argument checks of :func:`mask_vs_weight_verify` beyond each
+    ratio's own range: a FieldError names the argument it rejects."""
+    for i, r in enumerate(r_values):
+        if r in r_values[:i]:      # its trace would overwrite the first one's
+            raise FieldError("r_values", f"r_values repeats the ratio {r:g}")
+    for name, value in (("steps", steps), ("eval_interval", eval_interval)):
+        if value < 1:
+            raise FieldError(name, f"{name} must be at least 1")
+
+
 def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
                           batch_size, seed, eval_interval=3):
     """Train each agent independently twice: full SGD on the weights (the
@@ -514,7 +525,9 @@ def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
     retention ratio (the half-step of an agent without neighbors, with no
     regularizer and no filter zeroing), from the same fixed random
     initialization. Accuracy is recorded at step 0 and every
-    ``eval_interval`` steps."""
+    ``eval_interval`` steps. Arguments are checked by
+    :func:`check_harness` first."""
+    check_harness(r_values, steps, eval_interval)
     w0 = init_params(arch, seed_key(seed, "params"))
     shapes = arch.param_shapes()
     weight_traces, mask_traces = {}, {}
@@ -536,19 +549,15 @@ def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
 
 
 def _train_arm(arch, w, state, batches, eval_interval):
-    """One harness arm: a dense weight step per batch if the state has
-    weights (its mask state is then unused), else a half-step without
-    neighbors. Returns the test accuracy at step 0 and every
-    ``eval_interval`` steps."""
+    """One harness arm: a local step per batch, which is a dense weight step
+    if the state has weights (its mask state is then unused), else a
+    half-step without neighbors. Returns the test accuracy at step 0 and
+    every ``eval_interval`` steps."""
     trace = []
     for k in range(len(batches) + 1):
         if k > 0:
-            bx, by = state.train_x[batches[k - 1]], state.train_y[batches[k - 1]]
-            with _checked_step(state, k):
-                if state.weights is None:
-                    state.m = backprop_half_step(state, w, arch, bx, by)[2]
-                else:
-                    _weight_step(state, arch, bx, by)
+            idx = batches[k - 1]
+            _local_step(state, w, arch, state.train_x[idx], state.train_y[idx], k)
         if k % eval_interval == 0:
             params = state.weights if state.weights is not None else w
             trace.append((k, _accuracy(arch, params, state.m, state.test_x,

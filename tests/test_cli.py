@@ -102,7 +102,10 @@ CONFIG_ERRORS = [
     ("classes = 1\n", "line 1: need at least 2 classes"),
     ("c = 11\n", "line 1: labels per agent must be in [1, 10]"),
     ("c = 0\n", "line 1: labels per agent must be in [1, 10]"),
-    ("per_class = 1\n", "line 1: need at least 2 samples per class"),
+    ("per_class = 1\n", "line 1: need at least 5 samples per class"),
+    # 4 // 5 = 0 test samples per class would log nan accuracies
+    ("classes = 4\nper_class = 4\ndim = 3,8,8\nn = 4\nc = 2\n",
+     "line 2: need at least 5 samples per class"),
     ("noise = -0.5\n", "line 1: noise must be nonnegative"),
     ("dim = 3,0,16\n", "line 1: feature extents must be positive"),
     ("n = 4\nretention = 0.5,0.5\n", "line 2: retention lists 2 ratios for 4 agents"),
@@ -205,7 +208,7 @@ def valid_configs(draw):
         seed=seed,
         out=draw(_TEXT),
         classes=classes,
-        per_class=draw(st.integers(2, 1000)),
+        per_class=draw(st.integers(5, 1000)),
         noise=draw(st.floats(min_value=0.0, allow_infinity=False)),
         dim=(draw(st.integers(1, 4)), draw(st.integers(7, 24)),
              draw(st.integers(7, 24))),

@@ -46,6 +46,16 @@ def test_synth_rejects_bad_arguments():
         synth_generate(3, (2,), 10, noise=-0.1)
 
 
+def test_synth_keeps_a_test_sample_per_class():
+    # a fifth of each class, rounded down, is its test split
+    with pytest.raises(FieldError) as exc:
+        synth_generate(3, (2,), 4)
+    assert exc.value.field == "per_class"
+    train, test = synth_generate(3, (2,), 5, seed=0)
+    assert len(train) == 12
+    assert np.array_equal(test.labels, [0, 1, 2])
+
+
 # ---------------------------------------------------------- assign_labels
 
 def test_assign_full_overlap():

@@ -1,16 +1,18 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gossipmask import (AgentState, Graph, HyperConfig, MaskState, ModelArch,
-                        SimulationError, aggregate_step, assign_labels,
-                        backprop_half_step, baseline_round, bound_check,
-                        build_states, conv2d, decode_mask, desk_arch,
-                        erdos_renyi, extract_mask, fine_tune_step, flatten,
-                        forward, gossip_mask_round, init_params, linear,
-                        make_masked_net, mask_vs_weight_verify, partition,
-                        relu, random_bound_instance, retained_count, run,
+from gossipmask import (AgentState, FieldError, Graph, HyperConfig, MaskState,
+                        ModelArch, SimulationError, aggregate_step,
+                        assign_labels, backprop_half_step, baseline_round,
+                        bound_check, build_states, check_harness, conv2d,
+                        decode_mask, desk_arch, erdos_renyi, extract_mask,
+                        fine_tune_step, flatten, forward, gossip_mask_round,
+                        init_params, linear, make_masked_net,
+                        mask_vs_weight_verify, partition, relu,
+                        random_bound_instance, retained_count, run,
                         sample_batch, synth_generate)
 from gossipmask import trainer
 from gossipmask.trainer import _average_masks
@@ -212,6 +214,56 @@ def test_shared_params_frozen_under_mask_rounds():
     baseline_round("ind_mask", states, w, arch, graph, hyper, 3)
     for idx in w:
         assert np.array_equal(w[idx], w_copy[idx])
+
+
+# bench/spans.py and bench/workloads.py trace and time these by rebinding
+# them on the trainer module, so the trainer must look each one up there at
+# call time, once per use; a call that bypassed the binding would read as
+# zero calls in the benchmark
+
+def _counting(monkeypatch, name, record):
+    original = getattr(trainer, name)
+
+    def wrapper(*args, **kwargs):
+        record(*args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(trainer, name, wrapper)
+
+
+def test_run_and_harness_draw_shared_params_once(monkeypatch):
+    # the bench keeps the shared parameters from this call; scores drawn
+    # through it would be kept instead
+    calls = []
+    _counting(monkeypatch, "init_params", lambda arch, seed: calls.append(seed))
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(rounds=2)
+    for algorithm in ("gossip_mask", "ind_mask", "avr_weipru"):
+        run(arch, replace(hyper, algorithm=algorithm), graph, train, test, plan)
+    shards = [(train.features, train.labels, test.features, test.labels)] * 2
+    mask_vs_weight_verify(arch, shards, r_values=(0.3, 0.5), steps=2,
+                          eta_weight=0.01, eta_mask=1.0, batch_size=4, seed=3)
+    assert len(calls) == 4
+
+
+def test_gossip_round_steps_through_module_bindings(monkeypatch):
+    arch, hyper, graph, train, test, plan = fixture_run_inputs()
+    states = build_states(arch, hyper, graph, train, test, plan)
+    for s in states:
+        s.m = extract_mask(s.mask)
+        s.neighbor_masks = {int(j): s.m for j in graph.neighbors[s.agent_id]}
+    owner = {id(s.m): s.agent_id for s in states}
+    calls = []
+    _counting(monkeypatch, "backprop_half_step",
+              lambda state, *_: calls.append(("half", state.agent_id)))
+    _counting(monkeypatch, "loss_and_grad_v",
+              lambda arch, w, m, *_: calls.append(("grad", owner[id(m)])))
+    for name in ("fine_tune_step", "aggregate_step"):
+        _counting(monkeypatch, name,
+                  lambda state, _, name=name: calls.append((name, state.agent_id)))
+    gossip_mask_round(states, init_params(arch, 0), arch, graph, hyper, 1)
+    agents = range(graph.n)
+    assert calls == ([c for a in agents for c in (("half", a), ("grad", a))]
+                     + [c for a in agents for c in (("fine_tune_step", a),
+                                                    ("aggregate_step", a))])
 
 
 def test_each_frame_decoded_once_and_shared_read_only(monkeypatch):
@@ -506,6 +558,25 @@ def test_mask_arm_full_retention_trace_is_constant():
                           eta_weight=0.01, eta_mask=1.0, batch_size=4, seed=3)
     accs = [acc for _, acc in traces.mask[(0, 1.0)]]
     assert len(set(accs)) == 1
+
+
+@pytest.mark.parametrize("r_values, steps, eval_interval, field, message", [
+    ((0.3, 0.3), 6, 3, "r_values", "r_values repeats the ratio 0.3"),
+    ((0.5,), 0, 3, "steps", "steps must be at least 1"),
+    ((0.5,), 6, 0, "eval_interval", "eval_interval must be at least 1"),
+])
+def test_harness_rejects_bad_arguments_before_training(
+        monkeypatch, r_values, steps, eval_interval, field, message):
+    monkeypatch.setattr(trainer, "init_params", None)   # nothing may run
+    shards = [(np.zeros((4, 1, 3, 3)), np.zeros(4, dtype=int),
+               np.zeros((2, 1, 3, 3)), np.zeros(2, dtype=int))]
+    for call in (lambda: check_harness(r_values, steps, eval_interval),
+                 lambda: mask_vs_weight_verify(
+                     None, shards, r_values, steps, 0.01, 1.0, 4, 3,
+                     eval_interval)):
+        with pytest.raises(FieldError, match=f"^{message}$") as exc:
+            call()
+        assert exc.value.field == field
 
 
 def test_mask_vs_weight_trace_lengths():
