@@ -209,7 +209,9 @@ def _validate(cfg, where):
     for field in ("retention", "retention_set", "mask_vs_weight_r"):
         for r in getattr(cfg, field):
             check({"r": field}, MaskState, {}, r, cfg.min_nonzero)
-    for alg in cfg.algorithm:
+    for i, alg in enumerate(cfg.algorithm):
+        if alg in cfg.algorithm[:i]:   # its outputs would overwrite the first's
+            fail("algorithm", f"algorithm repeats '{alg}'")
         for eta in ("eta_mask", "eta_weight"):
             check({"eta": eta}, _hyper, cfg, alg, getattr(cfg, eta))
     check({}, group_lasso_value, {}, cfg.lam)
@@ -219,12 +221,16 @@ def _validate(cfg, where):
     for field in ("instances", "probes"):
         if getattr(cfg, field) < 1:
             fail(field, f"{field} must be at least 1")
-    for entry in cfg.sweep:
+    for i, entry in enumerate(cfg.sweep):
         if isinstance(entry, str):
             if entry != "ring":
                 fail("sweep", f"sweep entries are 'ring' or a probability, got '{entry}'")
         elif not 0.0 < entry <= 1.0:
             fail("sweep", f"sweep probability {entry} outside (0, 1]")
+        if _sweep_label(entry) in map(_sweep_label, cfg.sweep[:i]):
+            fail("sweep", f"sweep repeats the topology {_sweep_label(entry)}")
+    if cfg.experiment == "sweep" and "ring" in cfg.sweep and cfg.n < 3:
+        fail("sweep", "a ring sweep entry needs at least 3 agents")
     if cfg.cifar10 and not Path(cfg.cifar10).is_dir():
         fail("cifar10", f"cifar10 directory '{cfg.cifar10}' does not exist")
     dim, classes = _task_shape(cfg)
@@ -283,6 +289,11 @@ def _task(cfg):
     label_sets = assign_labels(cfg.n, classes, cfg.c, seed_key(cfg.seed, "labels"))
     arch = desk_arch(dim, classes, cfg.conv_channels, cfg.hidden)
     return train, test, label_sets, arch
+
+
+def _sweep_label(entry):
+    """The name of a sweep entry's output files: ring or p<probability>."""
+    return entry if isinstance(entry, str) else f"p{entry:g}"
 
 
 def _build_graph(cfg, entry):
@@ -355,7 +366,7 @@ def _run_sweep(cfg, out, quiet):
     train_on = _trainer(cfg, out)
     alg = cfg.algorithm[0]
     for entry in cfg.sweep:
-        label = "ring" if entry == "ring" else f"p{entry:g}"
+        label = _sweep_label(entry)
         graph = _build_graph(cfg, entry)
         _write(out / f"graph_{label}.edges", to_edge_list(graph))
         log = train_on(alg, graph, label)

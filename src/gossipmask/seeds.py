@@ -8,6 +8,7 @@ re-run independently without disturbing each other.
 
 import numpy as np
 
+# An index is part of every seed drawn from its stream: never renumber one.
 STREAMS = {
     "params": 0,
     "z": 1,
@@ -17,7 +18,6 @@ STREAMS = {
     "retention": 5,
     "labels": 6,
     "data": 7,
-    "weights": 8,
     "probe": 9,
 }
 

@@ -11,11 +11,14 @@ Algorithms
     parameter set and each trains a personalized score tensor. Every round
     an agent (a) back-propagates through its masked network, steps the
     scores and extracts its intermediate mask from an aggregation tensor
-    that blends the scores with the previous round's neighbor masks,
-    (b) broadcasts that mask, (c) fine-tunes the scores with its cached
-    gradient restricted to entries the fresh neighbor masks touch, and
-    (d) re-extracts its mask from the aggregation tensor built on the
-    fine-tuned scores. Only 1-bit masks ever cross the wire.
+    that blends the scores with the average of the previous round's
+    neighbor masks, (b) broadcasts that mask, (c) fine-tunes the scores
+    with its cached gradient scaled by the average of the fresh neighbor
+    masks, and (d) re-extracts its mask from the aggregation tensor built
+    on the fine-tuned scores. Only 1-bit masks ever cross the wire, and
+    fusion sees the neighborhood only through that entry-wise average:
+    the receive step hands each agent its average, taken once per round
+    in ascending sender order, and the decoded masks are dropped.
 ``ind_mask``
     The collaborative round with an empty neighborhood: (c) and (d) change
     nothing, so the mask extracted in (a) is the new mask; nothing is sent.
@@ -101,7 +104,7 @@ class HyperConfig:
         self.retention = tuple(float(r) for r in self.retention)
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentState:
     """Everything one agent owns between rounds."""
 
@@ -115,12 +118,9 @@ class AgentState:
     lam: float
     m: dict = None                    # current binary masks (None = unmasked)
     grad_cache: dict = None           # score gradient of the last half-step
-    neighbor_masks: dict = field(default_factory=dict)  # sender -> mask set
+    neighbor_avg: dict = None         # mean of the last received masks
     weights: dict = None              # per-agent weights (weight baselines)
     last_loss: float = math.nan
-    # (mask set, its average) of the last neighbor average taken
-    _average: tuple = field(default=(None, None), init=False, repr=False,
-                            compare=False)
 
 
 @dataclass
@@ -179,17 +179,6 @@ def _average_masks(mask_sets):
     return avg
 
 
-def _neighbor_average(state, mask_sets):
-    """:func:`_average_masks`, cached on the state by the identity of the
-    set (never modified) until the next half-step: fine-tuning, aggregation
-    and that half-step share the average of one received set."""
-    source, avg = state._average
-    if source is not mask_sets:
-        avg = _average_masks(mask_sets)
-        state._average = (mask_sets, avg)
-    return avg
-
-
 def _aggregation_tensor(z, neighbor_avg):
     """Blend neighbor mask information into the scores: per layer
     y = z + mean(|z|) * sign(z) * neighbor_average. Without a neighbor
@@ -205,8 +194,9 @@ def backprop_half_step(state, w, arch, batch_x, batch_y):
     """Gradient half-step of the collaborative round.
 
     Computes the score gradient (data chain plus group-lasso term), steps
-    the scores, builds the aggregation tensor against the masks received in
-    the previous round and extracts the intermediate mask to transmit.
+    the scores, builds the aggregation tensor against the average of the
+    masks received in the previous round and extracts the intermediate mask
+    to transmit.
     Returns (half-stepped scores, cached gradient, intermediate mask set).
     """
     z_prev = state.mask.z
@@ -220,47 +210,37 @@ def backprop_half_step(state, w, arch, batch_x, batch_y):
         reg = group_lasso_grad(z_prev, state.lam)
         g = {layer: g[layer] + reg[layer] for layer in z_prev}
     z_half = {layer: z_prev[layer] - state.eta * g[layer] for layer in z_prev}
-    avg = _neighbor_average(state, state.neighbor_masks)
-    state._average = (None, None)     # not needed again; free it
-    m_half = extract(_aggregation_tensor(z_half, avg), state.mask.r,
-                     state.mask.min_nonzero)
+    m_half = extract(_aggregation_tensor(z_half, state.neighbor_avg),
+                     state.mask.r, state.mask.min_nonzero)
     state.mask.z = z_half
     state.grad_cache = g
     state.last_loss = loss
     return z_half, g, m_half
 
 
-def _check_received(state, received):
-    if set(received) != set(state.neighbor_masks):
-        raise SimulationError(
-            f"agent {state.agent_id}: frames from {sorted(received)} do not "
-            f"match neighbors {sorted(state.neighbor_masks)}")
-
-
-def fine_tune_step(state, received):
+def fine_tune_step(state, neighbor_avg):
     """Personalized fine-tuning: re-apply the cached score gradient, scaled
-    entry-wise by the average of the just-received neighbor masks. No new
-    gradient is computed."""
+    entry-wise by the average of the just-received neighbor masks (None, for
+    no neighbors, changes nothing). No new gradient is computed."""
     if state.grad_cache is None:
         raise SimulationError(
             f"agent {state.agent_id}: fine-tune before the gradient half-step")
-    _check_received(state, received)
-    avg = _neighbor_average(state, received)
-    if avg is not None:
-        state.mask.z = {layer: t - state.eta * state.grad_cache[layer] * avg[layer]
+    if neighbor_avg is not None:
+        g = state.grad_cache
+        state.mask.z = {layer: t - state.eta * g[layer] * neighbor_avg[layer]
                         for layer, t in state.mask.z.items()}
     return state.mask.z
 
 
-def aggregate_step(state, received):
-    """Fuse the received masks through the aggregation tensor built on the
-    fine-tuned scores, re-extract the agent's mask and retain the received
-    masks for the next round. Returns (aggregation tensors, new mask set)."""
-    _check_received(state, received)
-    y = _aggregation_tensor(state.mask.z, _neighbor_average(state, received))
+def aggregate_step(state, neighbor_avg):
+    """Fuse the average of the received masks through the aggregation tensor
+    built on the fine-tuned scores, re-extract the agent's mask and keep the
+    average for the next half-step. Returns (aggregation tensors, new mask
+    set)."""
+    y = _aggregation_tensor(state.mask.z, neighbor_avg)
     m = extract(y, state.mask.r, state.mask.min_nonzero)
     state.m = m
-    state.neighbor_masks = received
+    state.neighbor_avg = neighbor_avg
     state.grad_cache = None
     return y, m
 
@@ -306,29 +286,27 @@ def _local_step(state, w, arch, batch_x, batch_y, step):
 def _exchange_masks(graph, masks, round_index, shapes, ledger):
     """Send every agent's mask set (``masks`` maps agent -> mask set) to its
     neighbors: one frame per agent through :func:`exchange`, each frame
-    decoded once. All receivers of a frame share its decoded arrays, so
-    they are made read-only. Returns agent -> {sender: mask set}."""
+    decoded once. Returns agent -> the average of the mask sets it received
+    (None without neighbors); the decoded sets are dropped on return."""
     outbox = {a: encode_mask(m, a, round_index) for a, m in masks.items()}
     inbox = exchange(graph, outbox, ledger)
-    decoded = {}
-    for sender, frame in outbox.items():
-        decoded[sender] = decode_mask(frame, shapes)
-        for m in decoded[sender].values():
-            m.setflags(write=False)
-    return {a: {f.sender: decoded[f.sender] for f in inbox[a]} for a in outbox}
+    decoded = {sender: decode_mask(frame, shapes) for sender, frame in outbox.items()}
+    return {a: _average_masks({f.sender: decoded[f.sender] for f in inbox[a]})
+            for a in outbox}
 
 
 def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
     """One synchronous collaborative round: per-agent half-step, one frame
-    exchange, then fine-tuning and aggregation per agent."""
+    exchange, then fine-tuning and aggregation per agent on the average of
+    its received masks."""
     outbox = {s.agent_id: _local_step(s, w, arch, *_local_batch(s, hyper, round_index),
                                       round_index) for s in states}
-    inbox = _exchange_masks(graph, outbox, round_index, arch.param_shapes(),
-                            ledger)
+    averages = _exchange_masks(graph, outbox, round_index, arch.param_shapes(),
+                               ledger)
     for state in states:
         with _checked_step(state, round_index):
-            fine_tune_step(state, inbox[state.agent_id])
-            aggregate_step(state, inbox[state.agent_id])
+            fine_tune_step(state, averages[state.agent_id])
+            aggregate_step(state, averages[state.agent_id])
     return states
 
 
@@ -466,11 +444,11 @@ def run(arch, hyper, graph, train, test, plan):
         for state in states:
             state.m = extract_mask(state.mask)
         if hyper.algorithm == "gossip_mask":
-            # bootstrap neighbor masks with one (accounted) exchange
-            inbox = _exchange_masks(graph, {s.agent_id: s.m for s in states},
-                                    0, arch.param_shapes(), ledger)
+            # bootstrap the neighbor averages with one (accounted) exchange
+            averages = _exchange_masks(graph, {s.agent_id: s.m for s in states},
+                                       0, arch.param_shapes(), ledger)
             for state in states:
-                state.neighbor_masks = inbox[state.agent_id]
+                state.neighbor_avg = averages[state.agent_id]
     else:
         for state in states:
             state.weights = {layer: w[layer].copy() for layer in w}

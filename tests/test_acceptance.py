@@ -23,8 +23,9 @@ from gossipmask import (HyperConfig, MaskFrame, ModelArch, ProtocolError,
                         threshold_layer)
 from gossipmask.cli import parse_config, run_experiment
 from gossipmask.protocol import CommLedger
-from gossipmask.trainer import (aggregate_step, backprop_half_step,
-                                baseline_round, fine_tune_step)
+from gossipmask.trainer import (_average_masks, aggregate_step,
+                                backprop_half_step, baseline_round,
+                                fine_tune_step)
 
 
 def _pass(n, name):
@@ -174,7 +175,7 @@ def test_criterion_2_equation_oracle_equivalence():
         st.m = extract_mask(st.mask)
         states.append(st)
     for a in range(2):
-        states[a].neighbor_masks = {1 - a: {0: states[1 - a].m[0].copy()}}
+        states[a].neighbor_avg = {0: states[1 - a].m[0].copy()}
     hyper = HyperConfig("gossip_mask", 1, 8, eta, lam, seed, (r, r),
                         min_nonzero, 1)
     gossip_mask_round(states, w, arch, graph, hyper, 1)
@@ -208,8 +209,8 @@ def test_criterion_3_sparsity_exactness():
     inbox = exchange(graph, {s.agent_id: encode_mask(s.m, s.agent_id, 0)
                              for s in states})
     for s in states:
-        s.neighbor_masks = {f.sender: decode_mask(f, shapes)
-                            for f in inbox[s.agent_id]}
+        s.neighbor_avg = _average_masks({f.sender: decode_mask(f, shapes)
+                                         for f in inbox[s.agent_id]})
     checked = equalities = 0
     for k in range(1, rounds + 1):
         outbox = {}
@@ -221,10 +222,10 @@ def test_criterion_3_sparsity_exactness():
             outbox[s.agent_id] = encode_mask(m_half, s.agent_id, k)
         inbox = exchange(graph, outbox)
         for s in states:
-            received = {f.sender: decode_mask(f, shapes)
-                        for f in inbox[s.agent_id]}
-            fine_tune_step(s, received)
-            y, m = aggregate_step(s, received)
+            avg = _average_masks({f.sender: decode_mask(f, shapes)
+                                  for f in inbox[s.agent_id]})
+            fine_tune_step(s, avg)
+            y, m = aggregate_step(s, avg)
             for layer, shape in shapes.items():
                 total = int(np.prod(shape))
                 cap = retained_count(s.mask.r, total)
@@ -264,8 +265,8 @@ def test_criterion_4_communication_ratio():
     inbox = exchange(graph, {s.agent_id: encode_mask(s.m, s.agent_id, 0)
                              for s in states})
     for s in states:
-        s.neighbor_masks = {f.sender: decode_mask(f, shapes)
-                            for f in inbox[s.agent_id]}
+        s.neighbor_avg = _average_masks({f.sender: decode_mask(f, shapes)
+                                         for f in inbox[s.agent_id]})
     gossip_ledger = CommLedger()
     gossip_mask_round(states, init_params(arch, seed_key(1, "params")), arch,
                       graph, gossip_hyper, 1, gossip_ledger)

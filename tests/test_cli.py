@@ -159,6 +159,12 @@ CONFIG_ERRORS = [
      "line 1: conv2d needs positive channel counts, got 16 -> 0"),
     ("mask_vs_weight_r = 0.3,0.5,0.3\n",
      "line 1: mask_vs_weight_r repeats the ratio 0.3"),
+    # a repeated run would overwrite the first one's output files
+    ("algorithm = ind_mask,ind_mask\n", "line 1: algorithm repeats 'ind_mask'"),
+    ("sweep = 0.5,ring,0.50\n", "line 1: sweep repeats the topology p0.5"),
+    ("sweep = ring,ring\n", "line 1: sweep repeats the topology ring"),
+    ("experiment = sweep\nsweep = ring\nn = 2\n",
+     "line 2: a ring sweep entry needs at least 3 agents"),
 ]
 
 
@@ -221,7 +227,7 @@ def valid_configs(draw):
                                           max_size=2))),
         hidden=draw(st.integers(1, 16)),
         algorithm=tuple(draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1,
-                                      max_size=6))),
+                                      max_size=6, unique=True))),
         eta_mask=draw(_POSITIVE), eta_weight=draw(_POSITIVE),
         lam=draw(st.floats(min_value=0.0, allow_infinity=False)),
         batch_size=draw(st.integers(1, 512)),
@@ -234,8 +240,9 @@ def valid_configs(draw):
         mask_vs_weight_eval=draw(st.integers(1, 100)),
         instances=draw(st.integers(1, 10 ** 4)),
         probes=draw(st.integers(1, 10 ** 4)),
-        sweep=tuple(draw(st.lists(st.one_of(st.just("ring"), _RATIO),
-                                  min_size=1, max_size=5))))
+        sweep=tuple(draw(st.lists(
+            st.one_of(st.just("ring"), _RATIO) if n >= 3 else _RATIO,
+            min_size=1, max_size=5, unique_by=cli._sweep_label))))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import copy
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -28,15 +29,13 @@ def tiny_arch():
 
 
 def make_state(z, r=0.5, min_nonzero=0, eta=1.0, lam=0.0, agent_id=0,
-               neighbor_masks=None, grad_cache=None, m=None):
+               grad_cache=None, m=None):
     z = {k: np.asarray(v, dtype=np.float64) for k, v in z.items()}
     state = AgentState(agent_id=agent_id, mask=MaskState(z, r, min_nonzero),
                        train_x=np.zeros((4, 1, 2, 2)),
                        train_y=np.zeros(4, dtype=int),
                        test_x=np.zeros((2, 1, 2, 2)),
                        test_y=np.zeros(2, dtype=int), eta=eta, lam=lam)
-    if neighbor_masks is not None:
-        state.neighbor_masks = neighbor_masks
     if grad_cache is not None:
         state.grad_cache = {k: np.asarray(v, float) for k, v in grad_cache.items()}
     if m is not None:
@@ -50,10 +49,10 @@ def test_aggregation_tensor_hand_example():
     # z = [0.2, -0.4], neighbor average [1, 0.5], mean |z| = 0.3
     # y = [0.2 + 0.3 * 1 * 1, -0.4 + 0.3 * (-1) * 0.5] = [0.5, -0.55]
     state = make_state({0: [[0.2, -0.4]]}, r=0.5, eta=1.0,
-                       neighbor_masks={1: {0: np.array([[1.0, 1.0]])},
-                                       2: {0: np.array([[1.0, 0.0]])}},
                        grad_cache={0: [[0.0, 0.0]]})
-    y, m = aggregate_step(state, state.neighbor_masks)
+    avg = _average_masks({1: {0: np.array([[1.0, 1.0]])},
+                          2: {0: np.array([[1.0, 0.0]])}})
+    y, m = aggregate_step(state, avg)
     np.testing.assert_allclose(y[0], [[0.5, -0.55]], atol=1e-15)
     # r = 0.5 over 2 entries keeps the single largest magnitude: -0.55
     np.testing.assert_array_equal(m[0], [[0.0, 1.0]])
@@ -64,8 +63,8 @@ def test_aggregation_preserves_sign():
     z = rng.standard_normal((4, 6))
     nb = {1: {0: (rng.random((4, 6)) < 0.5).astype(float)},
           2: {0: (rng.random((4, 6)) < 0.5).astype(float)}}
-    state = make_state({0: z}, r=0.5, neighbor_masks=nb, grad_cache={0: np.zeros((4, 6))})
-    y, _ = aggregate_step(state, nb)
+    state = make_state({0: z}, r=0.5, grad_cache={0: np.zeros((4, 6))})
+    y, _ = aggregate_step(state, _average_masks(nb))
     nz = z != 0
     assert np.array_equal(np.sign(y[0])[nz], np.sign(z)[nz])
 
@@ -74,49 +73,42 @@ def test_isolated_agent_aggregation_is_plain_extraction():
     from gossipmask import extract
     z = {0: np.array([[0.9, -0.1, 0.4, -0.6]])}
     state = make_state(z, r=0.5, grad_cache={0: np.zeros((1, 4))})
-    y, m = aggregate_step(state, {})
+    y, m = aggregate_step(state, None)
     np.testing.assert_array_equal(y[0], z[0])
     np.testing.assert_array_equal(m[0], extract(z, 0.5, 0)[0])
 
 
 def test_fine_tune_hand_example():
     # z = [1.0], G = [0.5], eta = 1, neighbor mask average [0.5] -> z = 0.75
-    state = make_state({0: [[1.0]]}, r=1.0, eta=1.0,
-                       neighbor_masks={1: {0: np.array([[1.0]])},
-                                       2: {0: np.array([[0.0]])}},
-                       grad_cache={0: [[0.5]]})
-    z = fine_tune_step(state, state.neighbor_masks)
+    state = make_state({0: [[1.0]]}, r=1.0, eta=1.0, grad_cache={0: [[0.5]]})
+    z = fine_tune_step(state, _average_masks({1: {0: np.array([[1.0]])},
+                                              2: {0: np.array([[0.0]])}}))
     np.testing.assert_allclose(z[0], [[0.75]], atol=1e-15)
 
 
 def test_fine_tune_zero_neighbor_mask_is_noop():
-    state = make_state({0: [[1.0, -2.0]]}, eta=1.0,
-                       neighbor_masks={1: {0: np.array([[0.0, 0.0]])}},
-                       grad_cache={0: [[0.5, 0.5]]})
-    z = fine_tune_step(state, state.neighbor_masks)
+    state = make_state({0: [[1.0, -2.0]]}, eta=1.0, grad_cache={0: [[0.5, 0.5]]})
+    z = fine_tune_step(state, {0: np.array([[0.0, 0.0]])})
     np.testing.assert_array_equal(z[0], [[1.0, -2.0]])
 
 
 def test_fine_tune_zero_rate_is_noop():
-    state = make_state({0: [[1.0, -2.0]]}, eta=0.0,
-                       neighbor_masks={1: {0: np.array([[1.0, 1.0]])}},
-                       grad_cache={0: [[0.5, 0.5]]})
-    z = fine_tune_step(state, state.neighbor_masks)
+    state = make_state({0: [[1.0, -2.0]]}, eta=0.0, grad_cache={0: [[0.5, 0.5]]})
+    z = fine_tune_step(state, {0: np.array([[1.0, 1.0]])})
     np.testing.assert_array_equal(z[0], [[1.0, -2.0]])
 
 
 def test_fine_tune_requires_cached_gradient():
-    state = make_state({0: [[1.0]]}, neighbor_masks={1: {0: np.array([[1.0]])}})
+    state = make_state({0: [[1.0]]})
     with pytest.raises(SimulationError, match="half-step"):
-        fine_tune_step(state, state.neighbor_masks)
+        fine_tune_step(state, {0: np.array([[1.0]])})
 
 
-def test_fine_tune_missing_frame_rejected():
-    state = make_state({0: [[1.0]]}, grad_cache={0: [[0.5]]},
-                       neighbor_masks={1: {0: np.array([[1.0]])},
-                                       2: {0: np.array([[1.0]])}})
-    with pytest.raises(SimulationError, match="do not match"):
-        fine_tune_step(state, {1: {0: np.array([[1.0]])}})
+def test_agent_state_rejects_unknown_fields():
+    # a slotted state: a write to a field it lacks raises, not sticks
+    state = make_state({0: [[1.0]]})
+    with pytest.raises(AttributeError):
+        state.neighbor_masks = {1: {0: np.array([[1.0]])}}
 
 
 def test_backprop_half_step_zero_weight_freezes_scores():
@@ -207,8 +199,8 @@ def test_shared_params_frozen_under_mask_rounds():
     inbox = exchange(graph, outbox)
     shapes = arch.param_shapes()
     for s in states:
-        s.neighbor_masks = {f.sender: decode_mask(f, shapes)
-                            for f in inbox[s.agent_id]}
+        s.neighbor_avg = _average_masks({f.sender: decode_mask(f, shapes)
+                                         for f in inbox[s.agent_id]})
     for k in range(1, 3):
         gossip_mask_round(states, w, arch, graph, hyper, k)
     baseline_round("ind_mask", states, w, arch, graph, hyper, 3)
@@ -249,7 +241,7 @@ def test_gossip_round_steps_through_module_bindings(monkeypatch):
     states = build_states(arch, hyper, graph, train, test, plan)
     for s in states:
         s.m = extract_mask(s.mask)
-        s.neighbor_masks = {int(j): s.m for j in graph.neighbors[s.agent_id]}
+        s.neighbor_avg = _average_masks({int(j): s.m for j in graph.neighbors[s.agent_id]})
     owner = {id(s.m): s.agent_id for s in states}
     calls = []
     _counting(monkeypatch, "backprop_half_step",
@@ -266,7 +258,7 @@ def test_gossip_round_steps_through_module_bindings(monkeypatch):
                                                     ("aggregate_step", a))])
 
 
-def test_each_frame_decoded_once_and_shared_read_only(monkeypatch):
+def test_each_frame_decoded_once(monkeypatch):
     calls = []
 
     def counting_decode(frame, shapes):
@@ -279,21 +271,26 @@ def test_each_frame_decoded_once_and_shared_read_only(monkeypatch):
     # the bootstrap exchange and each of the 2 rounds: one decode per frame
     assert sorted(calls) == sorted(list(range(graph.n)) * 3)
 
+
+def test_decoded_masks_do_not_outlive_the_round(monkeypatch):
+    decoded = []
+
+    def recording_decode(frame, shapes):
+        masks = decode_mask(frame, shapes)
+        decoded.extend(weakref.ref(m) for m in masks.values())
+        return masks
+
+    monkeypatch.setattr(trainer, "decode_mask", recording_decode)
+    arch, hyper, graph, train, test, plan = fixture_run_inputs()
     states = build_states(arch, hyper, graph, train, test, plan)
     for s in states:
         s.m = extract_mask(s.mask)
-        # any previous-round masks do; the round replaces them
-        s.neighbor_masks = {int(j): s.m for j in graph.neighbors[s.agent_id]}
     gossip_mask_round(states, init_params(arch, 0), arch, graph, hyper, 1)
-    for sender in range(graph.n):
-        receivers = [s for s in states if sender in s.neighbor_masks]
-        assert len(receivers) == len(graph.neighbors[sender]) > 0
-        for layer in arch.param_shapes():
-            arrays = [s.neighbor_masks[sender][layer] for s in receivers]
-            assert all(a is arrays[0] for a in arrays)
-            assert not arrays[0].flags.writeable
-            with pytest.raises(ValueError):
-                arrays[0][...] = 0.0
+    assert len(decoded) == graph.n * len(arch.param_shapes())
+    # each agent keeps only the average: no decoded array is still alive
+    assert all(ref() is None for ref in decoded)
+    for s in states:
+        assert set(s.neighbor_avg) == set(arch.param_shapes())
 
 
 def test_received_masks_averaged_once_per_round(monkeypatch):
@@ -402,7 +399,7 @@ def test_non_finite_score_names_agent_and_round(algorithm):
     states = build_states(arch, hyper, graph, train, test, plan)
     for s in states:
         s.m = extract_mask(s.mask)
-        s.neighbor_masks = {int(j): s.m for j in graph.neighbors[s.agent_id]}
+        s.neighbor_avg = _average_masks({int(j): s.m for j in graph.neighbors[s.agent_id]})
     states[2].mask.z[0][0, 0, 0, 0] = np.nan
     w = init_params(arch, 0)
     with pytest.raises(SimulationError,
