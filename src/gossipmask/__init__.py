@@ -12,7 +12,7 @@ algorithms with their baselines, and verification harnesses.
 from .data import (Dataset, DataFormatError, PartitionPlan, assign_labels,
                    check_synth, load_cifar10, partition, synth_generate)
 from .errors import FieldError
-from .masking import (MaskState, extract, extract_mask, filter_zero,
+from .masking import (check_min_nonzero, extract, filter_zero,
                       group_lasso_grad, group_lasso_value, retained_count,
                       threshold_layer)
 from .nn import (LayerSpec, ModelArch, conv2d, desk_arch, finite_diff_check,

@@ -37,7 +37,7 @@ import numpy as np
 from .data import (assign_labels, check_synth, load_cifar10, partition,
                    synth_generate)
 from .errors import FieldError
-from .masking import MaskState, group_lasso_value
+from .masking import check_min_nonzero, group_lasso_value, retained_count
 from .nn import desk_arch
 from .protocol import SENDER_BITS
 from .seeds import seed_key, substream
@@ -175,11 +175,11 @@ def _validate(cfg, where):
         raise ConfigError(f"{where[key]}: {message}" if key in where else message)
 
     def check(fields_of, library_check, *args):
-        """Run a library check and fail at the field its FieldError names,
-        looked up in ``fields_of`` where the library names it otherwise; a
-        message that starts with the library's name for it gets the key."""
+        """Return a library check's result, or fail at the field its
+        FieldError names, looked up in ``fields_of`` where the library names
+        it otherwise; a message starting with the library's name gets the key."""
         try:
-            library_check(*args)
+            return library_check(*args)
         except FieldError as exc:
             field, message = fields_of.get(exc.field, exc.field), str(exc)
             if message.startswith(f"{exc.field} "):
@@ -208,7 +208,7 @@ def _validate(cfg, where):
                           f"for {cfg.n} agents")
     for field in ("retention", "retention_set", "mask_vs_weight_r"):
         for r in getattr(cfg, field):
-            check({"r": field}, MaskState, {}, r, cfg.min_nonzero)
+            check({"r": field}, retained_count, r, 1)
     for i, alg in enumerate(cfg.algorithm):
         if alg in cfg.algorithm[:i]:   # its outputs would overwrite the first's
             fail("algorithm", f"algorithm repeats '{alg}'")
@@ -231,14 +231,22 @@ def _validate(cfg, where):
             fail("sweep", f"sweep repeats the topology {_sweep_label(entry)}")
     if cfg.experiment == "sweep" and "ring" in cfg.sweep and cfg.n < 3:
         fail("sweep", "a ring sweep entry needs at least 3 agents")
+    for field in ("out", "cifar10"):   # the manifest holds them raw
+        text = getattr(cfg, field)
+        if text.split("#")[0].strip() != text or len(text.splitlines()) > 1:
+            fail(field, f"{field} must not contain '#', a line break or edge blanks")
     if cfg.cifar10 and not Path(cfg.cifar10).is_dir():
         fail("cifar10", f"cifar10 directory '{cfg.cifar10}' does not exist")
     dim, classes = _task_shape(cfg)
     # the run's own seeded draws: cheap, and the only sure test of coverage
     check({"labels_per_agent": "c"}, assign_labels, cfg.n, classes, cfg.c,
           seed_key(cfg.seed, "labels"))
-    check({"input_shape": "dim", "num_classes": "classes"},
-          desk_arch, dim, classes, cfg.conv_channels, cfg.hidden)
+    arch = check({"input_shape": "dim", "num_classes": "classes"},
+                 desk_arch, dim, classes, cfg.conv_channels, cfg.hidden)
+    trained = {"train": cfg.algorithm, "sweep": cfg.algorithm[:1]}
+    if set(trained.get(cfg.experiment, ())) & set(_MASK_ALGORITHMS):
+        check({}, check_min_nonzero, cfg.min_nonzero, arch.param_shapes(),
+              cfg.retention or cfg.retention_set)
 
 
 def _fmt_value(v):

@@ -11,19 +11,16 @@ parameter tensors; the leading axis of every masked tensor indexes output
 filters (conv: ``(O, I, H, W)``, linear: ``(O, I)``).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import FieldError, LayerError
 
 __all__ = [
-    "MaskState",
     "retained_count",
     "threshold_layer",
     "filter_zero",
+    "check_min_nonzero",
     "extract",
-    "extract_mask",
     "group_lasso_value",
     "group_lasso_grad",
 ]
@@ -85,6 +82,18 @@ def filter_zero(mask, min_nonzero):
     return out
 
 
+def check_min_nonzero(min_nonzero, shapes, ratios):
+    """Reject a ``min_nonzero`` above what an output filter of some layer can
+    hold: its entries per filter, or the entries the layer keeps at one of
+    ``ratios``. Filter zeroing would clear that whole layer."""
+    for layer, shape in sorted(shapes.items()):
+        n = int(np.prod(shape))
+        most = min([n // shape[0]] + [retained_count(r, n) for r in ratios])
+        if min_nonzero > most:
+            raise FieldError("min_nonzero", f"min_nonzero {min_nonzero}: an output "
+                             f"filter of layer {layer} keeps at most {most} ones")
+
+
 def extract(tensors, r, min_nonzero=0):
     """Per-layer composition of thresholding and filter zeroing. A tensor
     that thresholding rejects raises a LayerError naming its layer."""
@@ -96,25 +105,6 @@ def extract(tensors, r, min_nonzero=0):
             raise LayerError(idx, str(exc)) from None
         masks[idx] = filter_zero(mask, min_nonzero)
     return masks
-
-
-@dataclass
-class MaskState:
-    """Score tensors plus the extraction parameters of one agent."""
-
-    z: dict
-    r: float
-    min_nonzero: int = 0
-
-    def __post_init__(self):
-        retained_count(self.r, 1)  # rejects a ratio outside (0, 1]
-        if self.min_nonzero < 0:
-            raise FieldError("min_nonzero", "min_nonzero must be nonnegative")
-
-
-def extract_mask(state):
-    """Binary mask set of a :class:`MaskState`."""
-    return extract(state.z, state.r, state.min_nonzero)
 
 
 def _filter_norms(z, lam):

@@ -220,16 +220,19 @@ class CommLedger:
 def exchange(graph, outbox, ledger=None):
     """Synchronous frame exchange over a graph.
 
-    ``outbox`` maps every agent id to its frame; agent i's inbox holds the
-    frames of exactly its neighbors, in ascending sender order regardless
-    of delivery schedule. A missing outbox entry violates the synchronous
-    barrier. When a ledger is given, each sender is charged once per
-    neighbor under the frame's round index.
+    ``outbox`` maps every agent id of the graph, and no other, to its frame;
+    agent i's inbox holds the frames of exactly its neighbors, in ascending
+    sender order regardless of delivery schedule. A missing outbox entry
+    violates the synchronous barrier. When a ledger is given, each sender is
+    charged once per neighbor under the frame's round index.
     """
     missing = [i for i in range(graph.n) if i not in outbox]
     if missing:
         raise SimulationError(
             f"synchronous barrier violated: no frame from agents {missing}")
+    strangers = sorted(set(outbox) - set(range(graph.n)))
+    if strangers:
+        raise SimulationError(f"frames from agents {strangers} outside the graph")
     for i, frame in outbox.items():
         if frame.sender != i:
             raise SimulationError(

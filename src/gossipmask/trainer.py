@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldError, LayerError
-from .masking import (MaskState, extract, extract_mask, group_lasso_grad,
+from .masking import (extract, group_lasso_grad, retained_count,
                       threshold_layer)  # noqa: F401 (bench/spans.py traces it)
 from .nn import (ModelArch, _logits, conv2d, flatten, grad_z, init_params,
                  linear, loss as batch_loss, loss_and_grad_v, relu)
@@ -90,6 +90,11 @@ class HyperConfig:
     eval_interval: int = 10
 
     def __post_init__(self):
+        self.retention = tuple(float(r) for r in self.retention)
+        for r in self.retention:
+            retained_count(r, 1)  # rejects a ratio outside (0, 1]
+        if self.min_nonzero < 0:
+            raise FieldError("min_nonzero", "min_nonzero must be nonnegative")
         if self.algorithm not in ALGORITHMS:
             raise FieldError("algorithm", f"unknown algorithm '{self.algorithm}' "
                                           f"(choose from {ALGORITHMS})")
@@ -101,21 +106,23 @@ class HyperConfig:
             raise FieldError("rounds", "rounds must be nonnegative")
         if self.eval_interval < 1:
             raise FieldError("eval_interval", "eval interval must be at least 1")
-        self.retention = tuple(float(r) for r in self.retention)
 
 
 @dataclass(slots=True)
 class AgentState:
-    """Everything one agent owns between rounds."""
+    """Everything one agent owns between rounds: its mask ``m`` comes from
+    its scores ``z`` or, in a weight baseline, its ``weights``, at ratio ``r``."""
 
     agent_id: int
-    mask: MaskState
+    r: float
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
     eta: float
     lam: float
+    z: dict = None                    # score tensors (mask algorithms)
+    min_nonzero: int = 0              # filter zeroing of the scores' mask
     m: dict = None                    # current binary masks (None = unmasked)
     grad_cache: dict = None           # score gradient of the last half-step
     neighbor_avg: dict = None         # mean of the last received masks
@@ -199,7 +206,7 @@ def backprop_half_step(state, w, arch, batch_x, batch_y):
     to transmit.
     Returns (half-stepped scores, cached gradient, intermediate mask set).
     """
-    z_prev = state.mask.z
+    z_prev = state.z
     loss, grad_v = loss_and_grad_v(arch, w, state.m, batch_x, batch_y)
     g = {layer: grad_z(grad_v[layer], w[layer], z_prev[layer]) for layer in z_prev}
     # at lam = 0 the group-lasso term is +-0 everywhere. Since gz + (+-0) == gz
@@ -211,8 +218,8 @@ def backprop_half_step(state, w, arch, batch_x, batch_y):
         g = {layer: g[layer] + reg[layer] for layer in z_prev}
     z_half = {layer: z_prev[layer] - state.eta * g[layer] for layer in z_prev}
     m_half = extract(_aggregation_tensor(z_half, state.neighbor_avg),
-                     state.mask.r, state.mask.min_nonzero)
-    state.mask.z = z_half
+                     state.r, state.min_nonzero)
+    state.z = z_half
     state.grad_cache = g
     state.last_loss = loss
     return z_half, g, m_half
@@ -227,9 +234,9 @@ def fine_tune_step(state, neighbor_avg):
             f"agent {state.agent_id}: fine-tune before the gradient half-step")
     if neighbor_avg is not None:
         g = state.grad_cache
-        state.mask.z = {layer: t - state.eta * g[layer] * neighbor_avg[layer]
-                        for layer, t in state.mask.z.items()}
-    return state.mask.z
+        state.z = {layer: t - state.eta * g[layer] * neighbor_avg[layer]
+                   for layer, t in state.z.items()}
+    return state.z
 
 
 def aggregate_step(state, neighbor_avg):
@@ -237,8 +244,8 @@ def aggregate_step(state, neighbor_avg):
     built on the fine-tuned scores, re-extract the agent's mask and keep the
     average for the next half-step. Returns (aggregation tensors, new mask
     set)."""
-    y = _aggregation_tensor(state.mask.z, neighbor_avg)
-    m = extract(y, state.mask.r, state.mask.min_nonzero)
+    y = _aggregation_tensor(state.z, neighbor_avg)
+    m = extract(y, state.r, state.min_nonzero)
     state.m = m
     state.neighbor_avg = neighbor_avg
     state.grad_cache = None
@@ -323,7 +330,7 @@ def _weight_step(state, arch, batch_x, batch_y):
         return state.weights
     state.weights = {layer: t - state.eta * grad[layer] * state.m[layer]
                      for layer, t in state.weights.items()}
-    state.m = extract(state.weights, state.mask.r)
+    state.m = extract(state.weights, state.r)
     return {layer: t * state.m[layer] for layer, t in state.weights.items()}
 
 
@@ -399,61 +406,59 @@ def _final_sparsity(states, arch):
                          for layer, total in totals.items()} for s in states}
 
 
-def build_states(arch, hyper, graph, train, test, plan):
-    """Initial per-agent states for :func:`run`: score tensors from the
-    per-agent z substream, shards from the partition plan."""
+def _scores(arch, seed, *key):
+    """Uniform [-1, 1] scores per layer from the z substream at ``(*key, layer)``."""
+    return {layer: substream(seed, "z", *key, layer).uniform(-1.0, 1.0, shape)
+            for layer, shape in arch.param_shapes().items()}
+
+
+def build_states(arch, hyper, graph, train, test, plan, w):
+    """Per-agent states for :func:`run`, ready for round 1: a data shard each,
+    and scores from the z substream with their mask (mask algorithms) or a
+    copy of ``w`` with its pruning mask (weight baselines; dsgd is unmasked)."""
     if len(hyper.retention) != graph.n:
         raise ValueError(
             f"retention list has {len(hyper.retention)} entries for {graph.n} agents")
     if len(plan.train_indices) != graph.n:
         raise ValueError("partition plan does not match the agent count")
-    shapes = arch.param_shapes()
     states = []
     for i in range(graph.n):
-        tr = plan.train_indices[i]
-        te = plan.test_indices[i]
+        tr, te = plan.train_indices[i], plan.test_indices[i]
         if len(tr) == 0:
             raise ValueError(f"agent {i} has an empty training shard")
-        z = {layer: substream(hyper.seed, "z", i, layer).uniform(-1.0, 1.0, shape)
-             for layer, shape in shapes.items()}
-        states.append(AgentState(
-            agent_id=i,
-            mask=MaskState(z, hyper.retention[i], hyper.min_nonzero),
-            train_x=train.features[tr], train_y=train.labels[tr],
-            test_x=test.features[te], test_y=test.labels[te],
-            eta=hyper.eta, lam=hyper.lam))
+        state = AgentState(i, hyper.retention[i], train.features[tr], train.labels[tr],
+                           test.features[te], test.labels[te], hyper.eta, hyper.lam)
+        if hyper.algorithm in _MASK_ALGORITHMS:
+            state.z = _scores(arch, hyper.seed, i)
+            state.min_nonzero = hyper.min_nonzero
+            state.m = extract(state.z, state.r, state.min_nonzero)
+        else:
+            state.weights = {layer: t.copy() for layer, t in w.items()}
+            if hyper.algorithm != "dsgd":
+                state.m = extract(state.weights, state.r)
+        states.append(state)
     return states
 
 
 def run(arch, hyper, graph, train, test, plan):
     """Full training run; returns the metrics log.
 
-    The shared parameter set comes from the params substream of the run
-    seed. Mask algorithms bootstrap with one exchange of the initial masks
-    (counted in the ledger); weight baselines start from per-agent copies
-    of the shared parameters. Evaluation happens at round 0, every
-    ``eval_interval`` rounds and at the final round; the logged loss is the
-    current model's loss over (at most) the first 256 local train samples.
-    A diverging step raises SimulationError naming the agent and round.
+    The shared parameters come from the params substream of the run seed,
+    :func:`build_states` readies every agent for round 1 and ``gossip_mask``
+    bootstraps the neighbor averages with one (accounted) mask exchange.
+    Evaluation happens at round 0, every ``eval_interval`` rounds and at the
+    final round; the logged loss is the current model's loss over (at most)
+    the first 256 local train samples. A diverging step raises
+    SimulationError naming the agent and round.
     """
     w = init_params(arch, seed_key(hyper.seed, "params"))
-    states = build_states(arch, hyper, graph, train, test, plan)
+    states = build_states(arch, hyper, graph, train, test, plan, w)
     ledger = CommLedger()
-
-    if hyper.algorithm in _MASK_ALGORITHMS:
+    if hyper.algorithm == "gossip_mask":
+        averages = _exchange_masks(graph, {s.agent_id: s.m for s in states},
+                                   0, arch.param_shapes(), ledger)
         for state in states:
-            state.m = extract_mask(state.mask)
-        if hyper.algorithm == "gossip_mask":
-            # bootstrap the neighbor averages with one (accounted) exchange
-            averages = _exchange_masks(graph, {s.agent_id: s.m for s in states},
-                                       0, arch.param_shapes(), ledger)
-            for state in states:
-                state.neighbor_avg = averages[state.agent_id]
-    else:
-        for state in states:
-            state.weights = {layer: w[layer].copy() for layer in w}
-            if hyper.algorithm != "dsgd":   # dsgd stays unmasked
-                state.m = extract(state.weights, state.mask.r)
+            state.neighbor_avg = averages[state.agent_id]
 
     log = MetricsLog()
     _evaluate_round(log, 0, states, w, arch, ledger)
@@ -507,30 +512,23 @@ def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
     :func:`check_harness` first."""
     check_harness(r_values, steps, eval_interval)
     w0 = init_params(arch, seed_key(seed, "params"))
-    shapes = arch.param_shapes()
     weight_traces, mask_traces = {}, {}
     for a, (tx, ty, ex, ey) in enumerate(shards):
         batches = [sample_batch(seed, a, k, len(ty), batch_size)
                    for k in range(1, steps + 1)]
-        weight_traces[a] = _train_arm(
-            arch, w0, AgentState(a, MaskState({}, 1.0), tx, ty, ex, ey,
-                                 eta_weight, 0.0, weights=w0),
-            batches, eval_interval)
+        arm = AgentState(a, 1.0, tx, ty, ex, ey, eta_weight, 0.0, weights=w0)
+        weight_traces[a] = _train_arm(arch, w0, arm, batches, eval_interval)
         for ri, r in enumerate(r_values):
-            z = {layer: substream(seed, "z", a, ri, layer).uniform(-1.0, 1.0, shape)
-                 for layer, shape in shapes.items()}
-            mask_traces[(a, r)] = _train_arm(
-                arch, w0, AgentState(a, MaskState(z, r, 0), tx, ty, ex, ey,
-                                     eta_mask, 0.0, m=extract(z, r, 0)),
-                batches, eval_interval)
+            z = _scores(arch, seed, a, ri)
+            arm = AgentState(a, r, tx, ty, ex, ey, eta_mask, 0.0, z=z, m=extract(z, r, 0))
+            mask_traces[(a, r)] = _train_arm(arch, w0, arm, batches, eval_interval)
     return MaskVsWeightTraces(weight_traces, mask_traces)
 
 
 def _train_arm(arch, w, state, batches, eval_interval):
-    """One harness arm: a local step per batch, which is a dense weight step
-    if the state has weights (its mask state is then unused), else a
-    half-step without neighbors. Returns the test accuracy at step 0 and
-    every ``eval_interval`` steps."""
+    """One harness arm: a local step per batch (a dense weight step if the
+    state has weights, else a half-step without neighbors). Returns the test
+    accuracy at step 0 and every ``eval_interval`` steps."""
     trace = []
     for k in range(len(batches) + 1):
         if k > 0:

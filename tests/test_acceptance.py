@@ -11,11 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipmask import (HyperConfig, MaskFrame, ModelArch, ProtocolError,
-                        assign_labels, bound_check, build_states, conv2d,
-                        decode_mask, desk_arch, mask_vs_weight_verify, encode_mask,
-                        erdos_renyi, exchange, extract_mask, filter_zero,
-                        finite_diff_check, flatten, gossip_mask_round,
+from gossipmask import (Dataset, Graph, HyperConfig, MaskFrame, ModelArch,
+                        PartitionPlan, ProtocolError, assign_labels,
+                        bound_check, build_states, conv2d, decode_mask,
+                        desk_arch, mask_vs_weight_verify, encode_mask,
+                        erdos_renyi, exchange, filter_zero, finite_diff_check,
+                        flatten, gossip_mask_round,
                         group_lasso_grad, group_lasso_value, init_params,
                         linear, loss_and_grad_v, maxpool2d, partition,
                         random_bound_instance, relu, retained_count,
@@ -106,9 +107,16 @@ def test_criterion_2_equation_oracle_equivalence():
     eta, lam, r, min_nonzero, seed = 0.7, 0.01, 0.5, 2, 99
     rng = np.random.default_rng(5)
     w = {0: rng.uniform(-1, 1, shape)}
-    z0 = [{0: rng.uniform(-1, 1, shape)} for _ in range(2)]
     train_x = [rng.random((12, 1, 2, 2)) for _ in range(2)]
     train_y = [rng.integers(0, classes, 12) for _ in range(2)]
+    # the library's agents on these shards, scores from the z substream
+    graph = Graph(np.array([[0, 1], [1, 0]]))
+    data = Dataset(np.concatenate(train_x), np.concatenate(train_y), classes)
+    shards = [np.arange(12), np.arange(12, 24)]
+    plan = PartitionPlan([tuple(range(classes))] * 2, shards, [s[:2] for s in shards])
+    hyper = HyperConfig("gossip_mask", 1, 8, eta, lam, seed, (r, r),
+                        min_nonzero, 1)
+    states = build_states(arch, hyper, graph, data, data, plan, w)
 
     # --- straight-line scripted reference, plain numpy throughout ---
     def thres(t):
@@ -141,7 +149,7 @@ def test_criterion_2_equation_oracle_equivalence():
                 out[o] = lam * t[o] / norm
         return out
 
-    z = [z0[a][0].copy() for a in range(2)]
+    z = [s.z[0].copy() for s in states]
     m_prev = [weak_filter_rule(thres(z[a])) for a in range(2)]      # own initial mask
     nb = [m_prev[1 - a] for a in range(2)]                  # bootstrap exchange
     g_ref, z_ref, m_ref = [None, None], [None, None], [None, None]
@@ -163,25 +171,13 @@ def test_criterion_2_equation_oracle_equivalence():
         z_ref[a], m_ref[a] = zk, weak_filter_rule(thres(yk))
 
     # --- the same round through the library ---
-    from gossipmask import AgentState, Graph, MaskState
-    graph = Graph(np.array([[0, 1], [1, 0]]))
-    states = []
     for a in range(2):
-        st = AgentState(agent_id=a,
-                        mask=MaskState({0: z0[a][0].copy()}, r, min_nonzero),
-                        train_x=train_x[a], train_y=train_y[a],
-                        test_x=train_x[a][:2], test_y=train_y[a][:2],
-                        eta=eta, lam=lam)
-        st.m = extract_mask(st.mask)
-        states.append(st)
-    for a in range(2):
+        np.testing.assert_array_equal(states[a].m[0], m_prev[a])
         states[a].neighbor_avg = {0: states[1 - a].m[0].copy()}
-    hyper = HyperConfig("gossip_mask", 1, 8, eta, lam, seed, (r, r),
-                        min_nonzero, 1)
     gossip_mask_round(states, w, arch, graph, hyper, 1)
 
     for a in range(2):
-        np.testing.assert_allclose(states[a].mask.z[0], z_ref[a], rtol=0,
+        np.testing.assert_allclose(states[a].z[0], z_ref[a], rtol=0,
                                    atol=1e-12)
         np.testing.assert_array_equal(states[a].m[0], m_ref[a])
     _pass(2, "one round matches the straight-line scripted reference")
@@ -202,10 +198,8 @@ def test_criterion_3_sparsity_exactness():
                       linear(8 * 36, classes)), (2, 6, 6), classes)
     hyper = HyperConfig("gossip_mask", rounds, 8, 0.1, 0.001, 0, retention, mn, 1)
     w = init_params(arch, seed_key(0, "params"))
-    states = build_states(arch, hyper, graph, train, test, plan)
+    states = build_states(arch, hyper, graph, train, test, plan, w)
     shapes = arch.param_shapes()
-    for s in states:
-        s.m = extract_mask(s.mask)
     inbox = exchange(graph, {s.agent_id: encode_mask(s.m, s.agent_id, 0)
                              for s in states})
     for s in states:
@@ -228,10 +222,10 @@ def test_criterion_3_sparsity_exactness():
             y, m = aggregate_step(s, avg)
             for layer, shape in shapes.items():
                 total = int(np.prod(shape))
-                cap = retained_count(s.mask.r, total)
+                cap = retained_count(s.r, total)
                 ones = int(m[layer].sum())
                 assert ones <= cap
-                pre = threshold_layer(y[layer], s.mask.r)
+                pre = threshold_layer(y[layer], s.r)
                 post = filter_zero(pre, mn)
                 np.testing.assert_array_equal(m[layer], post)
                 if np.array_equal(post, pre):  # filter zeroing cleared nothing
@@ -259,27 +253,20 @@ def test_criterion_4_communication_ratio():
 
     gossip_hyper = HyperConfig("gossip_mask", 1, 8, 0.1, 0.001, 1,
                                (0.3,) * 6, 2, 1)
-    states = build_states(arch, gossip_hyper, graph, train, test, plan)
-    for s in states:
-        s.m = extract_mask(s.mask)
+    w = init_params(arch, seed_key(1, "params"))
+    states = build_states(arch, gossip_hyper, graph, train, test, plan, w)
     inbox = exchange(graph, {s.agent_id: encode_mask(s.m, s.agent_id, 0)
                              for s in states})
     for s in states:
         s.neighbor_avg = _average_masks({f.sender: decode_mask(f, shapes)
                                          for f in inbox[s.agent_id]})
     gossip_ledger = CommLedger()
-    gossip_mask_round(states, init_params(arch, seed_key(1, "params")), arch,
-                      graph, gossip_hyper, 1, gossip_ledger)
+    gossip_mask_round(states, w, arch, graph, gossip_hyper, 1, gossip_ledger)
     gossip_payload = gossip_ledger.round_totals(1)[0]
 
     avr_hyper = HyperConfig("avr_weipru", 1, 8, 0.001, 0.001, 1,
                             (0.3,) * 6, 2, 1)
-    avr_states = build_states(arch, avr_hyper, graph, train, test, plan)
-    w = init_params(arch, seed_key(1, "params"))
-    for s in avr_states:
-        s.weights = {layer: w[layer].copy() for layer in w}
-        s.m = {layer: threshold_layer(s.weights[layer], s.mask.r)
-               for layer in s.weights}
+    avr_states = build_states(arch, avr_hyper, graph, train, test, plan, w)
     avr_ledger = CommLedger()
     baseline_round("avr_weipru", avr_states, None, arch, graph, avr_hyper, 1,
                    avr_ledger)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gossipmask import ALGORITHMS, FieldError, assign_labels, cli, seed_key
+from gossipmask import (ALGORITHMS, FieldError, assign_labels, cli, desk_arch,
+                        retained_count, seed_key)
 from gossipmask.cli import (ConfigError, RunConfig, main, parse_config,
                             render_config, run_experiment)
 
@@ -127,7 +128,7 @@ CONFIG_ERRORS = [
     ("sweep = 1.5\n", "line 1: sweep probability 1.5 outside (0, 1]"),
     ("cifar10 = /no/such/dir\n",
      "line 1: cifar10 directory '/no/such/dir' does not exist"),
-    # the retention ranges come from MaskState's own check
+    # the retention ranges come from retained_count's own check
     ("n = 3\nretention = 0.5,0.5,1.5\n",
      "line 2: retention ratio must be in (0, 1], got 1.5"),
     ("retention_set = 0.5,0\n", "line 1: retention ratio must be in (0, 1], got 0.0"),
@@ -165,6 +166,14 @@ CONFIG_ERRORS = [
     ("sweep = ring,ring\n", "line 1: sweep repeats the topology ring"),
     ("experiment = sweep\nsweep = ring\nn = 2\n",
      "line 2: a ring sweep entry needs at least 3 agents"),
+    # filter zeroing would clear every filter of a layer: conv0's filters
+    # hold 3 * 5 * 5 = 75 entries, and conv0 keeps 12 of its 1200 at r = 0.01
+    ("algorithm = ind_mask,gossip_mask\nmin_nonzero = 80\n",
+     "line 2: min_nonzero 80: an output filter of layer 0 keeps at most 75 ones"),
+    ("retention_set = 0.4,0.01\nmin_nonzero = 20\n",
+     "line 2: min_nonzero 20: an output filter of layer 0 keeps at most 12 ones"),
+    ("experiment = sweep\nalgorithm = gossip_mask,dsgd\nmin_nonzero = 80\n",
+     "line 3: min_nonzero 80: an output filter of layer 0 keeps at most 75 ones"),
 ]
 
 
@@ -179,6 +188,25 @@ def test_validation_errors():
         if got != message:
             wrong.append((text, message, got))
     assert wrong == []
+
+
+def test_unreachable_min_nonzero_passes_where_no_mask_is_trained():
+    # weight baselines and the harness arms never zero filters
+    for text in ("algorithm = dsgd,avr_weipru\n",
+                 "experiment = sweep\nalgorithm = dsgd,gossip_mask\n",
+                 "experiment = mask_vs_weight\n", "experiment = bound_check\n"):
+        assert parse_config(text + "min_nonzero = 80\n").min_nonzero == 80
+
+
+@pytest.mark.parametrize("key, value", [
+    ("out", "/tmp/run#1"), ("out", "a\nb"), ("out", "runs\r"), ("out", " runs"),
+    ("cifar10", "data#1"), ("cifar10", "a\x0bb"),
+])
+def test_manifest_strings_must_parse_back(key, value):
+    # render_config writes them raw, and this value would not read back
+    with pytest.raises(ConfigError, match=f"^--{key}: {key} must not contain "
+                                          "'#', a line break or edge blanks$"):
+        parse_config("", {key: value})
 
 
 def test_render_round_trips():
@@ -209,7 +237,7 @@ def valid_configs(draw):
         assign_labels(n, covered, c, seed_key(seed, "labels"))
     except FieldError:
         assume(False)
-    return RunConfig(
+    cfg = RunConfig(
         experiment=draw(st.sampled_from(cli._KINDS)),
         seed=seed,
         out=draw(_TEXT),
@@ -233,7 +261,7 @@ def valid_configs(draw):
         batch_size=draw(st.integers(1, 512)),
         rounds=draw(st.integers(0, 10 ** 6)),
         eval_interval=draw(st.integers(1, 100)),
-        min_nonzero=draw(st.integers(0, 10)),
+        min_nonzero=0,
         mask_vs_weight_r=tuple(draw(st.lists(_RATIO, min_size=1, max_size=4,
                                              unique=True))),
         mask_vs_weight_steps=draw(st.integers(1, 10 ** 4)),
@@ -243,6 +271,18 @@ def valid_configs(draw):
         sweep=tuple(draw(st.lists(
             st.one_of(st.just("ring"), _RATIO) if n >= 3 else _RATIO,
             min_size=1, max_size=5, unique_by=cli._sweep_label))))
+    # a trained mask algorithm's min_nonzero must fit in every layer's
+    # output filters, at every ratio
+    trained = {"train": cfg.algorithm, "sweep": cfg.algorithm[:1]}
+    most = 10
+    if set(trained.get(cfg.experiment, ())) & {"gossip_mask", "ind_mask"}:
+        dim, classes = cli._task_shape(cfg)
+        arch = desk_arch(dim, classes, cfg.conv_channels, cfg.hidden)
+        for shape in arch.param_shapes().values():
+            n = int(np.prod(shape))
+            most = min([most, n // shape[0]] + [
+                retained_count(r, n) for r in cfg.retention or cfg.retention_set])
+    return replace(cfg, min_nonzero=draw(st.integers(0, most)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -404,6 +444,17 @@ def test_main_seed_and_out_override(tmp_path):
     assert main(["run", str(conf), "--seed", "9", "--out", str(out), "--quiet"]) == 0
     manifest = (out / "manifest.txt").read_text()
     assert "seed = 9" in manifest
+
+
+def test_main_rejects_an_out_the_manifest_cannot_hold(tmp_path, capsys):
+    # '#' starts a comment: the manifest line would read back as out = .../run
+    conf = tmp_path / "c.conf"
+    conf.write_text(SMALL_TRAIN)
+    out = tmp_path / "run#1"
+    assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: --out: out must not contain '#', a line break or edge blanks\n")
+    assert not out.exists()
 
 
 def test_main_overrides_are_validated(tmp_path, capsys):

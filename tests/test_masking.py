@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipmask import (MaskState, extract, extract_mask, filter_zero,
+from gossipmask import (FieldError, check_min_nonzero, extract, filter_zero,
                         finite_diff_check, group_lasso_grad,
                         group_lasso_value, masking, retained_count,
                         threshold_layer)
@@ -163,13 +163,29 @@ def test_fil_idempotent_property(groups, width, min_nonzero, seed):
     np.testing.assert_array_equal(filter_zero(once, min_nonzero), once)
 
 
-# ----------------------------------------------------------- extract_mask
+# ------------------------------------------------------ check_min_nonzero
+
+def test_min_nonzero_limits_are_inclusive():
+    # conv filters of 2 * 2 * 2 = 8 entries; 32 entries keep 6 at r = 0.2
+    # and 16 at r = 0.5; the linear layer's filters hold 5 entries each
+    shapes = {0: (4, 2, 2, 2), 3: (2, 5)}
+    check_min_nonzero(5, shapes, (0.5,))
+    check_min_nonzero(0, shapes, (0.01,))
+    for min_nonzero, ratios, layer, most in ((6, (0.5,), 3, 5),
+                                             (7, (0.5, 0.2), 0, 6),
+                                             (2, (0.01,), 0, 1)):
+        with pytest.raises(FieldError, match=f"^min_nonzero {min_nonzero}: an output "
+                           f"filter of layer {layer} keeps at most {most} ones$") as exc:
+            check_min_nonzero(min_nonzero, shapes, ratios)
+        assert exc.value.field == "min_nonzero"
+
+
+# ---------------------------------------------------------------- extract
 
 def test_extract_without_fil_equals_threshold():
     rng = np.random.default_rng(5)
     z = {0: rng.standard_normal((3, 4)), 2: rng.standard_normal((2, 6))}
-    state = MaskState(z, 0.4, 0)
-    masks = extract_mask(state)
+    masks = extract(z, 0.4, 0)
     for idx in z:
         np.testing.assert_array_equal(masks[idx], threshold_layer(z[idx], 0.4))
 
@@ -187,13 +203,6 @@ def test_extract_starved_filter_cleared():
     z = np.array([[5.0, 4.0, 0.1, 0.05], [6.0, 0.2, 0.1, 0.05]])
     masks = extract({0: z}, 3 / 8, min_nonzero=2)
     np.testing.assert_array_equal(masks[0], [[1, 1, 0, 0], [0, 0, 0, 0]])
-
-
-def test_mask_state_validation():
-    with pytest.raises(ValueError):
-        MaskState({}, 0.0)
-    with pytest.raises(ValueError):
-        MaskState({}, 0.5, -1)
 
 
 # ------------------------------------------------------------ group lasso

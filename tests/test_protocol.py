@@ -223,6 +223,19 @@ def test_exchange_missing_frame():
         exchange(g, outbox)
 
 
+def test_exchange_rejects_frames_from_outside_the_graph():
+    # nothing could deliver or charge these frames, so they are not dropped
+    g = ring(3)
+    outbox = make_outbox(g)
+    for i in (7, 3):
+        outbox[i] = encode_mask({0: np.ones(12)}, i, 1)
+    ledger = CommLedger()
+    with pytest.raises(SimulationError,
+                       match=r"^frames from agents \[3, 7\] outside the graph$"):
+        exchange(g, outbox, ledger)
+    assert ledger.totals() == (0, 0, 0, 0)
+
+
 def test_exchange_sender_mismatch():
     g = ring(3)
     outbox = make_outbox(g)

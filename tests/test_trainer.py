@@ -1,20 +1,21 @@
 import copy
+import re
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gossipmask import (AgentState, FieldError, Graph, HyperConfig, MaskState,
+from gossipmask import (ALGORITHMS, AgentState, FieldError, Graph, HyperConfig,
                         ModelArch, SimulationError, aggregate_step,
                         assign_labels, backprop_half_step, baseline_round,
                         bound_check, build_states, check_harness, conv2d,
-                        decode_mask, desk_arch, erdos_renyi, extract_mask,
+                        decode_mask, desk_arch, erdos_renyi, extract,
                         fine_tune_step, flatten, forward, gossip_mask_round,
                         init_params, linear, make_masked_net,
                         mask_vs_weight_verify, partition, relu,
                         random_bound_instance, retained_count, run,
-                        sample_batch, synth_generate)
+                        sample_batch, substream, synth_generate)
 from gossipmask import trainer
 from gossipmask.trainer import _average_masks
 
@@ -31,7 +32,7 @@ def tiny_arch():
 def make_state(z, r=0.5, min_nonzero=0, eta=1.0, lam=0.0, agent_id=0,
                grad_cache=None, m=None):
     z = {k: np.asarray(v, dtype=np.float64) for k, v in z.items()}
-    state = AgentState(agent_id=agent_id, mask=MaskState(z, r, min_nonzero),
+    state = AgentState(agent_id=agent_id, r=r, z=z, min_nonzero=min_nonzero,
                        train_x=np.zeros((4, 1, 2, 2)),
                        train_y=np.zeros(4, dtype=int),
                        test_x=np.zeros((2, 1, 2, 2)),
@@ -70,7 +71,6 @@ def test_aggregation_preserves_sign():
 
 
 def test_isolated_agent_aggregation_is_plain_extraction():
-    from gossipmask import extract
     z = {0: np.array([[0.9, -0.1, 0.4, -0.6]])}
     state = make_state(z, r=0.5, grad_cache={0: np.zeros((1, 4))})
     y, m = aggregate_step(state, None)
@@ -124,7 +124,6 @@ def test_backprop_half_step_zero_weight_freezes_scores():
 
 
 def test_backprop_half_step_isolated_extracts_from_scores():
-    from gossipmask import extract
     arch = tiny_arch()
     rng = np.random.default_rng(2)
     w = init_params(arch, 5)
@@ -187,14 +186,50 @@ def fixture_run_inputs(n=4, seed=0, classes=4, algorithm="gossip_mask",
     return arch, hyper, graph, train, test, plan
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_build_states_are_ready_for_round_one(algorithm):
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm=algorithm)
+    w = init_params(arch, 7)
+    states = build_states(arch, hyper, graph, train, test, plan, w)
+    assert [s.agent_id for s in states] == list(range(graph.n))
+    for s in states:
+        r = hyper.retention[s.agent_id]
+        assert s.r == r and s.neighbor_avg is None and s.grad_cache is None
+        if algorithm in ("gossip_mask", "ind_mask"):
+            assert s.weights is None and s.min_nonzero == hyper.min_nonzero
+            for layer, t in w.items():   # the per-agent z substream
+                want = substream(hyper.seed, "z", s.agent_id, layer)
+                assert s.z[layer].tobytes() == want.uniform(-1.0, 1.0, t.shape).tobytes()
+            want = extract(s.z, r, hyper.min_nonzero)
+        else:
+            assert s.z is None
+            for layer, t in w.items():   # equal to w, but the agent's own copy
+                assert s.weights[layer].tobytes() == t.tobytes()
+                assert not np.shares_memory(s.weights[layer], t)
+            want = None if algorithm == "dsgd" else extract(w, r)
+        if want is None:
+            assert s.m is None
+        else:
+            assert s.m.keys() == want.keys()
+            assert all(np.array_equal(s.m[layer], want[layer]) for layer in want)
+
+
+def test_hyper_config_rejects_bad_ratio_and_min_nonzero():
+    for retention, min_nonzero, field, message in (
+            ((0.5, 0.0), 0, "r", "retention ratio must be in (0, 1], got 0.0"),
+            ((1.5,), 2, "r", "retention ratio must be in (0, 1], got 1.5"),
+            ((0.5,), -1, "min_nonzero", "min_nonzero must be nonnegative")):
+        with pytest.raises(FieldError, match=f"^{re.escape(message)}$") as exc:
+            HyperConfig("ind_mask", 1, 8, 1.0, 0.0, 0, retention, min_nonzero)
+        assert exc.value.field == field
+
+
 def test_shared_params_frozen_under_mask_rounds():
     arch, hyper, graph, train, test, plan = fixture_run_inputs()
     w = init_params(arch, 123)
     w_copy = copy.deepcopy(w)
-    states = build_states(arch, hyper, graph, train, test, plan)
-    from gossipmask import extract_mask, encode_mask, decode_mask, exchange
-    for s in states:
-        s.m = extract_mask(s.mask)
+    states = build_states(arch, hyper, graph, train, test, plan, w)
+    from gossipmask import encode_mask, exchange
     outbox = {s.agent_id: encode_mask(s.m, s.agent_id, 0) for s in states}
     inbox = exchange(graph, outbox)
     shapes = arch.param_shapes()
@@ -236,11 +271,23 @@ def test_run_and_harness_draw_shared_params_once(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_only_mask_runs_draw_scores(monkeypatch, algorithm):
+    keys = []
+    _counting(monkeypatch, "substream", lambda seed, name, *_: keys.append(name))
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm=algorithm,
+                                                               rounds=2)
+    run(arch, hyper, graph, train, test, plan)
+    scores = graph.n * len(arch.param_shapes())
+    assert keys.count("z") == (scores if algorithm in ("gossip_mask", "ind_mask") else 0)
+    assert keys.count("batch") == graph.n * hyper.rounds
+
+
 def test_gossip_round_steps_through_module_bindings(monkeypatch):
     arch, hyper, graph, train, test, plan = fixture_run_inputs()
-    states = build_states(arch, hyper, graph, train, test, plan)
+    w = init_params(arch, 0)
+    states = build_states(arch, hyper, graph, train, test, plan, w)
     for s in states:
-        s.m = extract_mask(s.mask)
         s.neighbor_avg = _average_masks({int(j): s.m for j in graph.neighbors[s.agent_id]})
     owner = {id(s.m): s.agent_id for s in states}
     calls = []
@@ -251,7 +298,7 @@ def test_gossip_round_steps_through_module_bindings(monkeypatch):
     for name in ("fine_tune_step", "aggregate_step"):
         _counting(monkeypatch, name,
                   lambda state, _, name=name: calls.append((name, state.agent_id)))
-    gossip_mask_round(states, init_params(arch, 0), arch, graph, hyper, 1)
+    gossip_mask_round(states, w, arch, graph, hyper, 1)
     agents = range(graph.n)
     assert calls == ([c for a in agents for c in (("half", a), ("grad", a))]
                      + [c for a in agents for c in (("fine_tune_step", a),
@@ -282,10 +329,9 @@ def test_decoded_masks_do_not_outlive_the_round(monkeypatch):
 
     monkeypatch.setattr(trainer, "decode_mask", recording_decode)
     arch, hyper, graph, train, test, plan = fixture_run_inputs()
-    states = build_states(arch, hyper, graph, train, test, plan)
-    for s in states:
-        s.m = extract_mask(s.mask)
-    gossip_mask_round(states, init_params(arch, 0), arch, graph, hyper, 1)
+    w = init_params(arch, 0)
+    states = build_states(arch, hyper, graph, train, test, plan, w)
+    gossip_mask_round(states, w, arch, graph, hyper, 1)
     assert len(decoded) == graph.n * len(arch.param_shapes())
     # each agent keeps only the average: no decoded array is still alive
     assert all(ref() is None for ref in decoded)
@@ -396,12 +442,11 @@ def test_diverging_weight_step_names_agent_and_round(algorithm, message):
 @pytest.mark.parametrize("algorithm", ["gossip_mask", "ind_mask"])
 def test_non_finite_score_names_agent_and_round(algorithm):
     arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm=algorithm)
-    states = build_states(arch, hyper, graph, train, test, plan)
-    for s in states:
-        s.m = extract_mask(s.mask)
-        s.neighbor_avg = _average_masks({int(j): s.m for j in graph.neighbors[s.agent_id]})
-    states[2].mask.z[0][0, 0, 0, 0] = np.nan
     w = init_params(arch, 0)
+    states = build_states(arch, hyper, graph, train, test, plan, w)
+    for s in states:
+        s.neighbor_avg = _average_masks({int(j): s.m for j in graph.neighbors[s.agent_id]})
+    states[2].z[0][0, 0, 0, 0] = np.nan
     with pytest.raises(SimulationError,
                        match=r"^agent 2, round 5, layer 0: \d+ non-finite score"):
         if algorithm == "gossip_mask":
@@ -412,16 +457,14 @@ def test_non_finite_score_names_agent_and_round(algorithm):
 
 def test_non_finite_score_names_its_layer():
     arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm="ind_mask")
-    states = build_states(arch, hyper, graph, train, test, plan)
-    for s in states:
-        s.m = extract_mask(s.mask)
-    states[1].mask.z[2][0, 0] = np.inf   # the linear layer's scores
+    w = init_params(arch, 0)
+    states = build_states(arch, hyper, graph, train, test, plan, w)
+    states[1].z[2][0, 0] = np.inf   # the linear layer's scores
     with np.errstate(invalid="ignore"), pytest.raises(
             SimulationError,
             match=r"^agent 1, round 4, layer 2: 1 non-finite score\(s\) "
                   r"in a tensor of shape \(4, 100\)$"):
-        baseline_round("ind_mask", states, init_params(arch, 0), arch, graph,
-                       hyper, 4)
+        baseline_round("ind_mask", states, w, arch, graph, hyper, 4)
 
 
 def test_diverging_harness_arm_names_agent_and_step():
@@ -462,9 +505,8 @@ def zero_data_states(graph, arch, weights_per_agent, r=0.5):
     # so SGD is a no-op and aggregation effects can be isolated
     states = []
     for i in range(graph.n):
-        state = AgentState(agent_id=i, mask=MaskState(
-            {k: np.ones(s) for k, s in arch.param_shapes().items()}, r, 0),
-            train_x=np.zeros((6,) + arch.input_shape),
+        state = AgentState(
+            agent_id=i, r=r, train_x=np.zeros((6,) + arch.input_shape),
             train_y=np.zeros(6, dtype=int),
             test_x=np.zeros((2,) + arch.input_shape),
             test_y=np.zeros(2, dtype=int), eta=0.5, lam=0.0)
