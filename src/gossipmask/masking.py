@@ -96,7 +96,8 @@ def check_min_nonzero(min_nonzero, shapes, ratios):
 
 def extract(tensors, r, min_nonzero=0):
     """Per-layer composition of thresholding and filter zeroing. A tensor
-    that thresholding rejects raises a LayerError naming its layer."""
+    that thresholding rejects, or a layer that filter zeroing leaves with
+    no ones, raises a LayerError naming its layer."""
     masks = {}
     for idx, t in sorted(tensors.items()):
         try:
@@ -104,6 +105,9 @@ def extract(tensors, r, min_nonzero=0):
         except ValueError as exc:
             raise LayerError(idx, str(exc)) from None
         masks[idx] = filter_zero(mask, min_nonzero)
+        if min_nonzero > 0 and not masks[idx].any():
+            raise LayerError(idx, f"filter zeroing at min_nonzero {min_nonzero} "
+                                  f"left no ones")
     return masks
 
 

@@ -22,10 +22,17 @@ offset tables depend only on a layer's geometry, so each is built once and
 cached read-only.
 
 :func:`forward` keeps what the backward reads: conv columns, relu masks
-and pool indices. Evaluation (:func:`loss`, the trainer's accuracy and
-bound networks) keeps none, and runs the conv, relu and pool layers, which
-work per sample, on chunks of samples. The linear layers see the whole
-batch, since a 2-d gemm rounds differently when its row count changes.
+and pool indices. The lowest parameterized conv needs its columns only for
+its weight gradient; from ``_REGATHER_BYTES`` of columns on it keeps its
+padded input instead, and the backward gathers the columns again with the
+same ``np.take``, into the same gemm. The backward releases each layer's
+cache once it has used it, so the upper conv's columns are freed before
+the lowest conv's are gathered again: a training step holds one set of
+large columns at a time. Evaluation (:func:`loss`, the trainer's accuracy
+and bound networks) keeps no cache, and runs the conv, relu and pool
+layers, which work per sample, on chunks of samples. The linear layers see
+the whole batch, since a 2-d gemm rounds differently when its row count
+changes.
 
 Tensors are plain numpy float64 arrays. A conv output is a channel-last
 array viewed as (n, c, h, w). The max pool's gathered path reads its input
@@ -235,6 +242,10 @@ def identity_masks(arch):
 # bytes of column gradient _conv_backward handles per sample block: half of
 # a 2 MiB per-core L2 cache
 _BLOCK_BYTES = 1 << 20
+# bytes of im2col columns from which the lowest parameterized conv keeps
+# its padded input instead, and gathers the columns again for the weight
+# gradient. The desk shape's columns stay below it and stay cached.
+_REGATHER_BYTES = 1 << 20
 # samples per evaluation chunk: a default training step's batch, so its
 # columns stay below the training peak
 _EVAL_ROWS = 128
@@ -307,35 +318,49 @@ def _pool_offsets(shape, window, stride):
             _table((cell[:, None] + corner.ravel()).ravel()))
 
 
-def _conv_forward(x, v, padding):
-    n, c, h, w = x.shape
-    o, _, kh, kw = v.shape
-    # a contiguous padded copy, also at padding 0: columns viewed straight
-    # from a strided input could reach the gemm with other strides
-    hp, wp = h + 2 * padding, w + 2 * padding
-    xp = np.zeros((n, c, hp, wp))
-    xp[:, :, padding:padding + h, padding:padding + w] = x
+def _im2col(xp, kh, kw):
+    """The im2col columns of a zero-padded (n, c, hp, wp) batch, as
+    (n, out row, out col, c * kh * kw)."""
+    n, c, hp, wp = xp.shape
     oh, ow = hp - kh + 1, wp - kw + 1
     off = _conv_offsets(c, hp, wp, kh, kw)
     if off is None:
         sn, sc, sh, sw = xp.strides
-        cols = as_strided(xp, (n, oh, ow, c, kh, kw), (sn, sh, sw, sc, sh, sw),
+        return as_strided(xp, (n, oh, ow, c, kh, kw), (sn, sh, sw, sc, sh, sw),
                           writeable=False).reshape(n, oh, ow, -1)
-    else:
-        cols = np.take(xp.reshape(n, -1), off, axis=1).reshape(n, oh, ow, -1)
+    return np.take(xp.reshape(n, -1), off, axis=1).reshape(n, oh, ow, -1)
+
+
+def _conv_forward(x, v, padding, lowest=False):
+    """The conv output and its backward cache ``(cols, xp, x shape,
+    padding)``. It holds the columns, or for the ``lowest`` parameterized
+    layer from ``_REGATHER_BYTES`` of columns on the padded input ``xp``;
+    the other of the two is None."""
+    n, c, h, w = x.shape
+    o, _, kh, kw = v.shape
+    # a contiguous padded copy, also at padding 0: columns viewed straight
+    # from a strided input could reach the gemm with other strides
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    cols = _im2col(xp, kh, kw)
     # one gemm per (sample, output row); a single 2-d gemm over all rows
     # would round differently
     out = cols @ v.reshape(o, -1).T
-    return out.transpose(0, 3, 1, 2), (cols, x.shape, padding)
+    if lowest and cols.nbytes >= _REGATHER_BYTES:
+        return out.transpose(0, 3, 1, 2), (None, xp, x.shape, padding)
+    return out.transpose(0, 3, 1, 2), (cols, None, x.shape, padding)
 
 
 def _conv_grad_v(grad_out, v, cache):
+    cols = cache[0]
+    if cols is None:
+        cols = _im2col(cache[1], *v.shape[2:])
     g = grad_out.transpose(0, 2, 3, 1).reshape(-1, v.shape[0])
-    return (g.T @ cache[0].reshape(-1, cache[0].shape[-1])).reshape(v.shape)
+    return (g.T @ cols.reshape(-1, cols.shape[-1])).reshape(v.shape)
 
 
 def _conv_backward(grad_out, v, cache):
-    _, (n, c, h, w), padding = cache
+    _, _, (n, c, h, w), padding = cache
     o, _, kh, kw = v.shape
     oh, ow = grad_out.shape[2:]
     g = grad_out.transpose(0, 2, 3, 1)
@@ -444,7 +469,9 @@ def _layers(arch, v, x, span, caches=None):
     for idx in span:
         layer = arch.layers[idx]
         if layer.kind == "conv2d":
-            x, kept = _conv_forward(x, v[idx], layer.padding)
+            lowest = caches is not None and not any(
+                entry[0] in ("conv2d", "linear") for entry in caches)
+            x, kept = _conv_forward(x, v[idx], layer.padding, lowest)
             kept = (v[idx], kept)
         elif layer.kind == "linear":
             kept = (v[idx], x)
@@ -490,11 +517,15 @@ def _logits(arch, w, m, batch):
 
 
 def _backward(caches, grad_logits):
+    """The v-gradient of every parameterized layer. It pops each layer's
+    cache off ``caches`` as it goes, so a used cache is freed before the
+    layer below runs."""
     # nothing below the lowest parameterized layer needs a gradient
     first = next((e[1] for e in caches if e[0] in ("conv2d", "linear")), len(caches))
     g = grad_logits
     grad_v = {}
-    for kind, idx, *rest in reversed(caches[first:]):
+    while len(caches) > first:
+        kind, idx, *rest = caches.pop()
         if kind == "linear":
             v, xin = rest
             grad_v[idx] = g.T @ xin

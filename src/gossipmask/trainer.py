@@ -32,11 +32,15 @@ Algorithms
 
 Within a round agents are processed in ascending id and all reductions
 over neighbors iterate in ascending sender id, so results do not depend
-on scheduling. The shared parameter set is never written by the
-mask-based algorithms.
+on scheduling. The rounds run on the calling thread; only the
+mask-vs-weight harness spreads its independent arms over threads. The
+shared parameter set is never written by the mask-based algorithms.
 """
 
+import contextvars
 import math
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -253,19 +257,27 @@ def aggregate_step(state, neighbor_avg):
 
 
 @contextmanager
-def _checked_step(state, round_index):
-    """Wrap one per-agent step. A step diverged when its loss is not finite,
-    when thresholding met a non-finite score or weight (a LayerError), or
-    when it left the agent with a non-finite weight; each raises
-    SimulationError naming the agent and round, and the layer for the
-    latter two."""
+def _blamed(state, round_index):
+    """Re-raise a ValueError of the block as a SimulationError naming the
+    agent and round, and for a LayerError the layer. Yields that name."""
     where = f"agent {state.agent_id}, round {round_index}"
     try:
-        yield
+        yield where
     except LayerError as exc:
         raise SimulationError(f"{where}, {exc}") from exc
     except ValueError as exc:
         raise SimulationError(f"{where}: {exc}") from exc
+
+
+@contextmanager
+def _checked_step(state, round_index):
+    """Wrap one per-agent step. A step diverged when its loss is not finite,
+    when extraction met a non-finite score or weight or left a layer with
+    no ones (a LayerError), or when it left the agent with a non-finite
+    weight; each raises SimulationError naming the agent and round, and
+    the layer for the latter two."""
+    with _blamed(state, round_index) as where:
+        yield
     if not math.isfinite(state.last_loss):
         raise SimulationError(f"{where}: non-finite loss {state.last_loss}")
     for layer, t in (state.weights or {}).items():
@@ -431,7 +443,8 @@ def build_states(arch, hyper, graph, train, test, plan, w):
         if hyper.algorithm in _MASK_ALGORITHMS:
             state.z = _scores(arch, hyper.seed, i)
             state.min_nonzero = hyper.min_nonzero
-            state.m = extract(state.z, state.r, state.min_nonzero)
+            with _blamed(state, 0):
+                state.m = extract(state.z, state.r, state.min_nonzero)
         else:
             state.weights = {layer: t.copy() for layer, t in w.items()}
             if hyper.algorithm != "dsgd":
@@ -509,20 +522,30 @@ def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
     regularizer and no filter zeroing), from the same fixed random
     initialization. Accuracy is recorded at step 0 and every
     ``eval_interval`` steps. Arguments are checked by
-    :func:`check_harness` first."""
+    :func:`check_harness` first. The arms are independent: they run
+    through :func:`_each` on every core the process may use, and the
+    traces are those of a plain loop over them."""
     check_harness(r_values, steps, eval_interval)
     w0 = init_params(arch, seed_key(seed, "params"))
-    weight_traces, mask_traces = {}, {}
-    for a, (tx, ty, ex, ey) in enumerate(shards):
-        batches = [sample_batch(seed, a, k, len(ty), batch_size)
-                   for k in range(1, steps + 1)]
-        arm = AgentState(a, 1.0, tx, ty, ex, ey, eta_weight, 0.0, weights=w0)
-        weight_traces[a] = _train_arm(arch, w0, arm, batches, eval_interval)
-        for ri, r in enumerate(r_values):
+    batches = [[sample_batch(seed, a, k, len(ty), batch_size)
+                for k in range(1, steps + 1)]
+               for a, (_, ty, _, _) in enumerate(shards)]
+
+    def train(arm):
+        a, ri = arm
+        if ri is None:
+            state = AgentState(a, 1.0, *shards[a], eta_weight, 0.0, weights=w0)
+        else:
             z = _scores(arch, seed, a, ri)
-            arm = AgentState(a, r, tx, ty, ex, ey, eta_mask, 0.0, z=z, m=extract(z, r, 0))
-            mask_traces[(a, r)] = _train_arm(arch, w0, arm, batches, eval_interval)
-    return MaskVsWeightTraces(weight_traces, mask_traces)
+            state = AgentState(a, r_values[ri], *shards[a], eta_mask, 0.0, z=z,
+                               m=extract(z, r_values[ri], 0))
+        return _train_arm(arch, w0, state, batches[a], eval_interval)
+
+    arms = [(a, ri) for a in range(len(shards)) for ri in (None, *range(len(r_values)))]
+    traces = dict(zip(arms, _each(train, arms)))
+    return MaskVsWeightTraces(
+        {a: t for (a, ri), t in traces.items() if ri is None},
+        {(a, r_values[ri]): t for (a, ri), t in traces.items() if ri is not None})
 
 
 def _train_arm(arch, w, state, batches, eval_interval):
@@ -539,6 +562,52 @@ def _train_arm(arch, w, state, batches, eval_interval):
             trace.append((k, _accuracy(arch, params, state.m, state.test_x,
                                        state.test_y)))
     return trace
+
+
+# Threads that run independent work items: the calling thread and helpers,
+# one per core the process may use.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:      # no affinity masks outside Linux
+    _WORKERS = os.cpu_count() or 1
+
+
+def _each(fn, items):
+    """``[fn(item) for item in items]``, computed by the calling thread and
+    up to ``_WORKERS - 1`` helper threads, which take the items in order
+    under one lock. Each helper runs in a copy of the caller's context, so
+    the caller's ``np.errstate`` holds in it. Once a failure is recorded
+    no further item starts, and the failure of the lowest item index is
+    raised: the one a plain loop would raise, since every lower item had
+    started."""
+    items = list(items)
+    results, failures = [None] * len(items), {}
+    lock, todo = threading.Lock(), iter(range(len(items)))
+
+    def drain():
+        while True:
+            with lock:
+                i = None if failures else next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                with lock:
+                    failures[i] = exc
+    helpers = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(drain,), daemon=True)
+               for _ in range(min(_WORKERS, len(items)) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        drain()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 # ----------------------------------------------------- output-gap bounds

@@ -487,18 +487,35 @@ def test_main_diverging_run_names_agent_and_round(tmp_path, capsys):
     assert not (tmp_path / "out" / "metrics_dsgd.csv").exists()
 
 
-def test_main_non_finite_weight_names_agent_round_and_layer(tmp_path, capsys):
-    # round 1's loss is finite, but its dsgd step overflows the weights; a
-    # last-round blow-up would otherwise show only as a nan evaluation
-    values = {"algorithm": "dsgd", "eta_weight": "1e307", "rounds": "1",
-              "out": str(tmp_path / "out")}
+def _train_conf(tmp_path, values):
+    """configs/train.conf with the given keys' values replaced."""
     text = (Path(__file__).resolve().parent.parent / "configs" / "train.conf").read_text()
 
     def override(mo):
         return f"{mo[1]} = {values[mo[1]]}" if mo[1] in values else mo[0]
     conf = tmp_path / "c.conf"
     conf.write_text(re.sub(r"(?m)^(\w+) = .*$", override, text))
+    return conf
+
+
+def test_main_non_finite_weight_names_agent_round_and_layer(tmp_path, capsys):
+    # round 1's loss is finite, but its dsgd step overflows the weights; a
+    # last-round blow-up would otherwise show only as a nan evaluation
+    conf = _train_conf(tmp_path, {"algorithm": "dsgd", "eta_weight": "1e307",
+                                  "rounds": "1", "out": str(tmp_path / "out")})
     with np.errstate(all="ignore"):
         assert main(["run", str(conf), "--quiet"]) == 2
     assert "error: agent 0, round 1, layer 0: non-finite weight\n" in capsys.readouterr().err
     assert not (tmp_path / "out" / "metrics_dsgd.csv").exists()
+
+
+def test_main_layer_left_without_ones_names_agent_round_and_layer(tmp_path, capsys):
+    # min_nonzero 12 passes the parse-time rule (layer 9 keeps 19 entries
+    # at r = 0.1), but thresholding spreads those over 6 filters and filter
+    # zeroing then clears the whole layer
+    conf = _train_conf(tmp_path, {"algorithm": "gossip_mask", "min_nonzero": "12",
+                                  "rounds": "10", "out": str(tmp_path / "out")})
+    assert main(["run", str(conf), "--quiet"]) == 2
+    assert re.fullmatch(r"error: agent \d+, round \d+, layer \d+: filter zeroing "
+                        r"at min_nonzero 12 left no ones\n", capsys.readouterr().err)
+    assert not (tmp_path / "out" / "metrics_gossip_mask.csv").exists()

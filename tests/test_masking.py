@@ -194,8 +194,13 @@ def test_extract_fil_only_clears_bits():
     rng = np.random.default_rng(6)
     z = {0: rng.standard_normal((4, 5))}
     loose = extract(z, 0.3, 0)
-    tight = extract(z, 0.3, 3)
-    assert tight[0].sum() <= loose[0].sum()
+    tight = extract(z, 0.3, 2)
+    assert 0 < tight[0].sum() <= loose[0].sum()
+    assert (tight[0] <= loose[0]).all()
+    # 6 ones over 4 filters: none keeps 3, so the layer would be left empty
+    with pytest.raises(LayerError, match="^layer 0: filter zeroing at "
+                                         "min_nonzero 3 left no ones$"):
+        extract(z, 0.3, 3)
 
 
 def test_extract_starved_filter_cleared():

@@ -216,6 +216,33 @@ def test_forward_only_loss_peaks_below_a_training_step():
         assert peak(loss, x[:n], y[:n]) < step
 
 
+def test_training_step_holds_one_set_of_large_columns():
+    # at the README default shape and batch 128 each conv's columns take
+    # about 19 MiB. The lowest conv keeps its padded input and gathers its
+    # columns again once the upper conv's cache is freed; at the desk
+    # shape's batch of 8 both convs keep their columns
+    arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
+    rng = np.random.default_rng(0)
+    w = init_params(arch, 0)
+    x, y = rng.standard_normal((128, 3, 16, 16)), rng.integers(0, 10, 128)
+    loss_and_grad_v(arch, w, None, x, y)   # builds the tables
+    tracemalloc.start()
+    try:
+        loss_and_grad_v(arch, w, None, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+    def kept(arch, batch):
+        caches = forward(arch, init_params(arch, 0), None, batch)[1]
+        return [(e[3][0] is not None, e[3][1] is not None)
+                for e in caches if e[0] == "conv2d"]
+    assert kept(arch, x) == [(False, True), (True, False)]
+    desk = desk_arch((3, 8, 8), 6, (16, 32), 32)
+    assert kept(desk, rng.standard_normal((8, 3, 8, 8))) == [(True, False)] * 2
+
+
 def test_duplicated_batch_same_loss_and_grad():
     arch = small_arch()
     rng = np.random.default_rng(9)
@@ -394,8 +421,9 @@ def _ref_maxpool_forward(x, window, stride):
 
 def _ref_conv_backward(grad_out, v, cache):
     """The earlier conv backward: col2im over kernel offsets into an
-    (n, c, h, w) buffer with transposed reads, and the weight gradient."""
-    cols, x_shape, padding = cache
+    (n, c, h, w) buffer with transposed reads, and the weight gradient
+    from the cached columns."""
+    cols, _, x_shape, padding = cache
     n, c, h, w = x_shape
     o, _, kh, kw = v.shape
     oh, ow = grad_out.shape[2], grad_out.shape[3]
@@ -476,7 +504,17 @@ def _special_values(rng, x):
     return x
 
 
-def test_conv_forward_bitwise_equal_to_reference():
+def _columns(cache, v):
+    """A conv cache's columns: the cached ones, or gathered again from the
+    cached padded input."""
+    cols, xp = cache[:2]
+    return nn._im2col(xp, *v.shape[2:]) if cols is None else cols
+
+
+def test_conv_forward_bitwise_equal_to_reference(monkeypatch):
+    # as the lowest parameterized layer, the conv keeps its padded input
+    # from _REGATHER_BYTES of columns on, here from the first byte
+    monkeypatch.setattr(nn, "_REGATHER_BYTES", 0)
     cases = 0
     for i, (rng, x_shape, v_shape, pad) in enumerate(_conv_cases()):
         x = _wide_magnitudes(rng, x_shape)
@@ -485,16 +523,19 @@ def test_conv_forward_bitwise_equal_to_reference():
         v = _wide_magnitudes(rng, v_shape)
         for layout in _layouts(x):
             before = layout.copy()
-            with np.errstate(invalid="ignore"):  # inf - inf in the products
-                want_out, want_cols = _ref_conv_forward(layout, v, pad)
-                out, (cols, shape, padding) = nn._conv_forward(layout, v, pad)
-            assert out.tobytes() == want_out.tobytes(), (x_shape, v_shape, pad)
-            assert out.strides == want_out.strides
-            assert cols.tobytes() == want_cols.tobytes()
-            assert (shape, padding) == (x_shape, pad)
-            assert layout.tobytes() == before.tobytes()
-            cases += 1
-    assert cases == 3 * 48
+            for lowest in (False, True):
+                with np.errstate(invalid="ignore"):  # inf - inf in the products
+                    want_out, want_cols = _ref_conv_forward(layout, v, pad)
+                    out, cache = nn._conv_forward(layout, v, pad, lowest)
+                    cols = _columns(cache, v)
+                assert out.tobytes() == want_out.tobytes(), (x_shape, v_shape, pad)
+                assert out.strides == want_out.strides
+                assert cols.tobytes() == want_cols.tobytes()
+                assert (cache[0] is None, cache[1] is None) == (lowest, not lowest)
+                assert cache[2:] == (x_shape, pad)
+                assert layout.tobytes() == before.tobytes()
+                cases += 1
+    assert cases == 2 * 3 * 48
 
 
 def test_maxpool_forward_bitwise_equal_to_reference():
@@ -522,20 +563,26 @@ def test_maxpool_forward_bitwise_equal_to_reference():
             assert layout.tobytes() == before.tobytes()
 
 
-def test_conv_backward_bitwise_equal_to_reference():
+def test_conv_backward_bitwise_equal_to_reference(monkeypatch):
+    # the weight gradient of a cache that keeps the padded input (the
+    # lowest conv's from _REGATHER_BYTES of columns on) gathers the columns
+    # again; its bytes match the reference's on the reference's columns
+    monkeypatch.setattr(nn, "_REGATHER_BYTES", 0)
     cases = 0
     for rng, x_shape, v_shape, pad in _conv_cases():
         x = _wide_magnitudes(rng, x_shape)
         v = _wide_magnitudes(rng, v_shape)
-        out, cache = nn._conv_forward(x, v, pad)
+        out, want_cols = _ref_conv_forward(x, v, pad)
         for g in _layouts(_wide_magnitudes(rng, out.shape)):
-            want_gx, want_gv = _ref_conv_backward(g, v, cache)
-            gx = nn._conv_backward(g, v, cache)
-            assert gx.shape == x_shape
-            assert gx.tobytes() == want_gx.tobytes(), (x_shape, v_shape, pad)
-            assert nn._conv_grad_v(g, v, cache).tobytes() == want_gv.tobytes()
-            cases += 1
-    assert cases == 3 * 48
+            want_gx, want_gv = _ref_conv_backward(g, v, (want_cols, None, x_shape, pad))
+            for lowest in (False, True):
+                cache = nn._conv_forward(x, v, pad, lowest)[1]
+                gx = nn._conv_backward(g, v, cache)
+                assert gx.shape == x_shape
+                assert gx.tobytes() == want_gx.tobytes(), (x_shape, v_shape, pad)
+                assert nn._conv_grad_v(g, v, cache).tobytes() == want_gv.tobytes()
+                cases += 1
+    assert cases == 2 * 3 * 48
 
 
 def test_maxpool_backward_bitwise_equal_to_reference():
@@ -635,10 +682,11 @@ def test_gathered_kernels_bitwise_equal_to_reference(monkeypatch):
 
 def _use_reference_kernels(monkeypatch):
     """Run every conv through the in-test reference kernels, which copy
-    strided windows, and every pool through the strided copy."""
-    def conv_forward(x, v, padding):
+    strided windows and always cache them, and every pool through the
+    strided copy."""
+    def conv_forward(x, v, padding, lowest=False):
         out, cols = _ref_conv_forward(x, v, padding)
-        return out, (cols, x.shape, padding)
+        return out, (cols, None, x.shape, padding)
     monkeypatch.setattr(nn, "_conv_forward", conv_forward)
     monkeypatch.setattr(nn, "_conv_backward",
                         lambda g, v, cache: _ref_conv_backward(g, v, cache)[0])
@@ -666,7 +714,8 @@ def test_default_shape_gathers_and_matches_the_strided_copy(monkeypatch, shape, 
         logits, caches = forward(arch, w, m, x)
         value, grads = loss_and_grad_v(arch, w, m, x, y)
         return (logits.tobytes(),
-                [entry[3][0].tobytes() for entry in caches if entry[0] == "conv2d"],
+                [_columns(entry[3], entry[2]).tobytes()
+                 for entry in caches if entry[0] == "conv2d"],
                 np.float64(value).tobytes(),
                 {idx: g.tobytes() for idx, g in grads.items()})
     takes = []
@@ -714,7 +763,7 @@ def test_index_tables_are_cached_read_only_and_bounded():
     arrays = []
     for entry in caches:
         if entry[0] == "conv2d":
-            (_, c, h, wd), pad = entry[3][1:]
+            (_, c, h, wd), pad = entry[3][2:]
             arrays.append(nn._conv_offsets(c, h + 2 * pad, wd + 2 * pad, 5, 5))
         elif entry[0] == "maxpool2d":
             _, shape, window, stride = entry[2]

@@ -1,5 +1,9 @@
 import copy
+import pickle
 import re
+import sys
+import threading
+import time
 import weakref
 from dataclasses import replace
 
@@ -467,6 +471,20 @@ def test_non_finite_score_names_its_layer():
         baseline_round("ind_mask", states, w, arch, graph, hyper, 4)
 
 
+def test_layer_left_without_ones_names_agent_round_and_layer():
+    # an output filter of layer 0 holds 18 entries, so filter zeroing at 19
+    # clears the layer: when the states are built (round 0) or mid-run
+    message = "layer 0: filter zeroing at min_nonzero 19 left no ones$"
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm="ind_mask")
+    w = init_params(arch, 0)
+    with pytest.raises(SimulationError, match=f"^agent 0, round 0, {message}"):
+        build_states(arch, replace(hyper, min_nonzero=19), graph, train, test, plan, w)
+    states = build_states(arch, hyper, graph, train, test, plan, w)
+    states[1].min_nonzero = 19
+    with pytest.raises(SimulationError, match=f"^agent 1, round 4, {message}"):
+        baseline_round("ind_mask", states, w, arch, graph, hyper, 4)
+
+
 def test_diverging_harness_arm_names_agent_and_step():
     train, test = synth_generate(3, (1, 3, 3), 20, noise=0.2, seed=0)
     arch = ModelArch((conv2d(1, 4, 3, padding=1), relu(), flatten(),
@@ -628,6 +646,89 @@ def test_mask_vs_weight_trace_lengths():
     assert len(traces.weight[0]) == 12 // 3 + 1
     assert len(traces.mask[(0, 0.5)]) == 12 // 3 + 1
     assert [s for s, _ in traces.weight[0]] == [0, 3, 6, 9, 12]
+
+
+# ------------------------------------------------------------ harness arms
+
+def test_each_returns_results_in_item_order(monkeypatch):
+    monkeypatch.setattr(trainer, "_WORKERS", 4)
+    delays = np.random.default_rng(0).random(24) * 0.01
+    threads = set()
+
+    def square(i):
+        threads.add(threading.get_ident())
+        time.sleep(delays[i])
+        return i * i
+    assert trainer._each(square, range(24)) == [i * i for i in range(24)]
+    assert len(threads) > 1
+    assert trainer._each(square, []) == []
+
+
+def test_each_reraises_the_lowest_failing_item(monkeypatch):
+    # item 1 fails first, while item 0 still runs; item 0's failure is the
+    # one a plain loop would raise. No item starts after a failure
+    monkeypatch.setattr(trainer, "_WORKERS", 2)
+    failed, started = threading.Event(), []
+
+    def fn(i):
+        started.append(i)
+        if i == 0:
+            assert failed.wait(10)
+            raise ValueError("item 0")
+        if i == 1:
+            failed.set()
+            raise ValueError("item 1")
+        return i
+    with pytest.raises(ValueError, match="^item 0$"):
+        trainer._each(fn, range(6))
+    assert sorted(started) == [0, 1]
+
+
+def _harness_inputs(agents=1):
+    train, test = synth_generate(3, (1, 3, 3), 20, noise=0.2, seed=0)
+    arch = ModelArch((conv2d(1, 4, 3, padding=1), relu(), flatten(),
+                      linear(36, 3)), (1, 3, 3), 3)
+    return arch, [(train.features, train.labels, test.features, test.labels)] * agents
+
+
+def test_harness_arms_run_under_the_callers_errstate(monkeypatch):
+    # each of the three arms waits for the other two at its first gradient,
+    # so each runs on its own thread, two of them helpers
+    monkeypatch.setattr(trainer, "_WORKERS", 3)
+    arrived = threading.Barrier(3, timeout=10)
+    seen = {}
+    original = trainer.loss_and_grad_v
+
+    def spy(*args):
+        if threading.get_ident() not in seen:
+            seen[threading.get_ident()] = np.geterr()["over"]
+            arrived.wait()
+        return original(*args)
+    monkeypatch.setattr(trainer, "loss_and_grad_v", spy)
+    arch, shards = _harness_inputs()
+    with np.errstate(over="raise"):
+        mask_vs_weight_verify(arch, shards, r_values=(0.3, 0.5), steps=2,
+                              eta_weight=0.01, eta_mask=1.0, batch_size=4, seed=3)
+    assert list(seen.values()) == ["raise"] * 3
+    assert threading.get_ident() in seen
+
+
+def test_harness_traces_do_not_depend_on_the_worker_count(monkeypatch):
+    # 2 agents x (weight arm + 2 mask arms): 6 arms on 6 threads, more
+    # than the cores, switching often, against a plain loop
+    arch, shards = _harness_inputs(agents=2)
+    traces = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 6):
+            monkeypatch.setattr(trainer, "_WORKERS", workers)
+            traces.append(pickle.dumps(mask_vs_weight_verify(
+                arch, shards, r_values=(0.3, 0.5), steps=12, eta_weight=0.01,
+                eta_mask=1.0, batch_size=4, seed=3)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert traces[0] == traces[1]
 
 
 # ----------------------------------------------------------- bound checker
