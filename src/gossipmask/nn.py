@@ -244,8 +244,10 @@ def identity_masks(arch):
 _BLOCK_BYTES = 1 << 20
 # bytes of im2col columns from which the lowest parameterized conv keeps
 # its padded input instead, and gathers the columns again for the weight
-# gradient. The desk shape's columns stay below it and stay cached.
-_REGATHER_BYTES = 1 << 20
+# gradient. The desk shape's batch of 8 (0.3 MB of columns) stays cached:
+# regathered, its gossip rounds ran about 3% slower. The mask-vs-weight
+# harness's batch of 32 at the same shape (1.2 MB) regathers.
+_REGATHER_BYTES = 1 << 19
 # samples per evaluation chunk: a default training step's batch, so its
 # columns stay below the training peak
 _EVAL_ROWS = 128

@@ -37,7 +37,6 @@ mask-vs-weight harness spreads its independent arms over threads. The
 shared parameter set is never written by the mask-based algorithms.
 """
 
-import contextvars
 import math
 import os
 import threading
@@ -523,8 +522,8 @@ def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
     initialization. Accuracy is recorded at step 0 and every
     ``eval_interval`` steps. Arguments are checked by
     :func:`check_harness` first. The arms are independent: they run
-    through :func:`_each` on every core the process may use, and the
-    traces are those of a plain loop over them."""
+    through :func:`_each` on up to two of the cores the process may use,
+    and the traces are those of a plain loop over them."""
     check_harness(r_values, steps, eval_interval)
     w0 = init_params(arch, seed_key(seed, "params"))
     batches = [[sample_batch(seed, a, k, len(ty), batch_size)
@@ -565,21 +564,23 @@ def _train_arm(arch, w, state, batches, eval_interval):
 
 
 # Threads that run independent work items: the calling thread and helpers,
-# one per core the process may use.
+# one per core the process may use, at most two. Each thread adds a few MB
+# of peak memory (its own malloc arena), and more than two were never
+# measured against the benchmark's memory bound.
 try:
-    _WORKERS = len(os.sched_getaffinity(0))
+    _WORKERS = min(2, len(os.sched_getaffinity(0)))
 except AttributeError:      # no affinity masks outside Linux
-    _WORKERS = os.cpu_count() or 1
+    _WORKERS = min(2, os.cpu_count() or 1)
 
 
 def _each(fn, items):
     """``[fn(item) for item in items]``, computed by the calling thread and
     up to ``_WORKERS - 1`` helper threads, which take the items in order
-    under one lock. Each helper runs in a copy of the caller's context, so
-    the caller's ``np.errstate`` holds in it. Once a failure is recorded
-    no further item starts, and the failure of the lowest item index is
-    raised: the one a plain loop would raise, since every lower item had
-    started."""
+    under one lock. Each helper sets the caller's ``np.errstate`` itself,
+    since numpy before 2.0 keeps that state per thread. Once a failure is
+    recorded no further item starts, and the failure of the lowest item
+    index is raised: the one a plain loop would raise, since every lower
+    item had started."""
     items = list(items)
     results, failures = [None] * len(items), {}
     lock, todo = threading.Lock(), iter(range(len(items)))
@@ -595,8 +596,12 @@ def _each(fn, items):
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 with lock:
                     failures[i] = exc
-    helpers = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(drain,), daemon=True)
+    err, errcall = np.geterr(), np.geterrcall()
+
+    def helper():
+        with np.errstate(call=errcall, **err):
+            drain()
+    helpers = [threading.Thread(target=helper, daemon=True)
                for _ in range(min(_WORKERS, len(items)) - 1)]
     for thread in helpers:
         thread.start()

@@ -219,8 +219,9 @@ def test_forward_only_loss_peaks_below_a_training_step():
 def test_training_step_holds_one_set_of_large_columns():
     # at the README default shape and batch 128 each conv's columns take
     # about 19 MiB. The lowest conv keeps its padded input and gathers its
-    # columns again once the upper conv's cache is freed; at the desk
-    # shape's batch of 8 both convs keep their columns
+    # columns again once the upper conv's cache is freed, as it does at the
+    # desk shape's batch of 32; at its batch of 8 both convs keep their
+    # columns
     arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
     rng = np.random.default_rng(0)
     w = init_params(arch, 0)
@@ -241,6 +242,7 @@ def test_training_step_holds_one_set_of_large_columns():
     assert kept(arch, x) == [(False, True), (True, False)]
     desk = desk_arch((3, 8, 8), 6, (16, 32), 32)
     assert kept(desk, rng.standard_normal((8, 3, 8, 8))) == [(True, False)] * 2
+    assert kept(desk, rng.standard_normal((32, 3, 8, 8))) == [(False, True), (True, False)]
 
 
 def test_duplicated_batch_same_loss_and_grad():

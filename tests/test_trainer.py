@@ -664,6 +664,12 @@ def test_each_returns_results_in_item_order(monkeypatch):
     assert trainer._each(square, []) == []
 
 
+def test_workers_stay_at_the_measured_two():
+    # each helper thread adds a few MB of peak memory; more threads were
+    # not measured against the benchmark's memory bound
+    assert 1 <= trainer._WORKERS <= 2
+
+
 def test_each_reraises_the_lowest_failing_item(monkeypatch):
     # item 1 fails first, while item 0 still runs; item 0's failure is the
     # one a plain loop would raise. No item starts after a failure
