@@ -8,9 +8,8 @@ weight payloads for identical shapes.
 
 import numpy as np
 
-from gossipmask import (CommLedger, MaskFrame, account_mask_bits,
-                        account_real_bits, decode_mask, desk_arch,
-                        encode_mask, exchange, ring)
+from gossipmask import (CommLedger, MaskFrame, account_real_bits, decode_mask,
+                        desk_arch, encode_mask, exchange, ring)
 
 # a tiny frame, byte by byte
 mask = np.array([1.0, 0, 0, 0, 0, 0, 0, 1.0])
@@ -25,9 +24,9 @@ print("  decodes back to", back[0].astype(int).tolist())
 # accounting for the default desk network
 arch = desk_arch()
 masks = {idx: np.ones(s) for idx, s in arch.param_shapes().items()}
-payload = account_mask_bits(masks)
-real = account_real_bits(masks)
 frame = encode_mask(masks, 0, 0)
+payload = frame.payload_bits()
+real = account_real_bits(masks)
 print(f"\ndesk network, {arch.param_count()} parameters:")
 print(f"  mask payload  {payload} bits ({payload / 8 / 1024:.1f} KiB)")
 print(f"  weight payload {real} bits ({real / 8 / 1024:.1f} KiB), "

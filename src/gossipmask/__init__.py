@@ -19,15 +19,14 @@ from .nn import (LayerSpec, ModelArch, conv2d, desk_arch, finite_diff_check,
                  flatten, forward, grad_z, identity_masks, init_params, linear,
                  loss_and_grad_v, maxpool2d, relu, shape_chain)
 from .protocol import (CommLedger, MaskFrame, ProtocolError, SimulationError,
-                       account_mask_bits, account_real_bits, decode_mask,
-                       encode_mask, exchange)
+                       account_real_bits, decode_mask, encode_mask, exchange)
 from .seeds import seed_key, substream
 from .topology import (Graph, GraphGenerationError, erdos_renyi,
                        from_edge_list, is_connected, ring, to_edge_list)
 from .trainer import (ALGORITHMS, AgentState, BoundReport, HyperConfig,
                       MaskVsWeightTraces, MetricsLog, MetricsRow,
-                      aggregate_step, backprop_half_step, baseline_round,
-                      bound_check, build_states, check_harness, fine_tune_step,
+                      aggregate_step, backprop_half_step, bound_check,
+                      build_states, check_harness, fine_tune_step,
                       gossip_mask_round, make_masked_net,
                       mask_vs_weight_verify, random_bound_instance, run,
                       sample_batch)

@@ -37,7 +37,7 @@ import numpy as np
 from .data import (assign_labels, check_synth, load_cifar10, partition,
                    synth_generate)
 from .errors import FieldError
-from .masking import check_min_nonzero, group_lasso_value, retained_count
+from .masking import check_min_nonzero, retained_count
 from .nn import desk_arch
 from .protocol import SENDER_BITS
 from .seeds import seed_key, substream
@@ -214,7 +214,6 @@ def _validate(cfg, where):
             fail("algorithm", f"algorithm repeats '{alg}'")
         for eta in ("eta_mask", "eta_weight"):
             check({"eta": eta}, _hyper, cfg, alg, getattr(cfg, eta))
-    check({}, group_lasso_value, {}, cfg.lam)
     check({"r_values": "mask_vs_weight_r", "steps": "mask_vs_weight_steps",
            "eval_interval": "mask_vs_weight_eval"}, check_harness,
           cfg.mask_vs_weight_r, cfg.mask_vs_weight_steps, cfg.mask_vs_weight_eval)

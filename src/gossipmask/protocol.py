@@ -30,7 +30,6 @@ __all__ = [
     "SimulationError",
     "encode_mask",
     "decode_mask",
-    "account_mask_bits",
     "account_real_bits",
     "exchange",
 ]
@@ -158,11 +157,6 @@ def decode_mask(frame, expected_shapes):
             raise ProtocolError(f"segment layer {layer}: nonzero padding bits")
         masks[layer] = bits[:count].astype(np.float64).reshape(shape)
     return masks
-
-
-def account_mask_bits(mask_set):
-    """Payload cost of a mask set: one bit per entry."""
-    return int(sum(np.asarray(m).size for m in mask_set.values()))
 
 
 def account_real_bits(params):

@@ -1,8 +1,10 @@
 """Synchronous multi-agent training loops and verification harnesses.
 
+One round function, :func:`gossip_mask_round`, runs all six algorithms.
 Every round starts with one local step per agent, the same step the
 mask-vs-weight harness takes: the half-step (a) below for an agent that
-trains scores, the weight step for one that trains weights.
+trains scores, the weight step for one that trains weights. The algorithm
+then picks the round's mixing rule, its only branch.
 
 Algorithms
 ----------
@@ -65,9 +67,10 @@ __all__ = [
     "backprop_half_step",
     "fine_tune_step",
     "aggregate_step",
+    "build_states",
     "gossip_mask_round",
-    "baseline_round",
     "run",
+    "MaskVsWeightTraces",
     "mask_vs_weight_verify",
     "check_harness",
     "bound_check",
@@ -101,8 +104,13 @@ class HyperConfig:
         if self.algorithm not in ALGORITHMS:
             raise FieldError("algorithm", f"unknown algorithm '{self.algorithm}' "
                                           f"(choose from {ALGORITHMS})")
-        if self.eta <= 0:
+        if not self.eta > 0:    # also rejects nan
             raise FieldError("eta", "learning rates must be positive")
+        if not self.lam >= 0:
+            raise FieldError("lam", "lambda must be nonnegative")
+        for name in ("eta", "lam"):
+            if math.isinf(getattr(self, name)):
+                raise FieldError(name, f"{name} must be finite")
         if self.batch_size < 1:
             raise FieldError("batch_size", "batch size must be at least 1")
         if self.rounds < 0:
@@ -313,21 +321,6 @@ def _exchange_masks(graph, masks, round_index, shapes, ledger):
             for a in outbox}
 
 
-def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
-    """One synchronous collaborative round: per-agent half-step, one frame
-    exchange, then fine-tuning and aggregation per agent on the average of
-    its received masks."""
-    outbox = {s.agent_id: _local_step(s, w, arch, *_local_batch(s, hyper, round_index),
-                                      round_index) for s in states}
-    averages = _exchange_masks(graph, outbox, round_index, arch.param_shapes(),
-                               ledger)
-    for state in states:
-        with _checked_step(state, round_index):
-            fine_tune_step(state, averages[state.agent_id])
-            aggregate_step(state, averages[state.agent_id])
-    return states
-
-
 def _weight_step(state, arch, batch_x, batch_y):
     """Local SGD step on the agent's own weights. Dense when ``state.m`` is
     None; otherwise masked (v = w * m, so the weight gradient is the
@@ -345,29 +338,39 @@ def _weight_step(state, arch, batch_x, batch_y):
     return {layer: t * state.m[layer] for layer, t in state.weights.items()}
 
 
-def baseline_round(kind, states, w, arch, graph, hyper, round_index, ledger=None):
-    """One synchronous round of a baseline algorithm (see the module
-    docstring): the local step, then the mixing rule of the weight
-    baselines that communicate."""
-    if kind == "gossip_mask" or kind not in ALGORITHMS:
-        raise ValueError(f"unknown baseline '{kind}'")
+# bench/workloads.py times rounds by swapping trainer.gossip_mask_round and
+# bench/spans.py traces it as trainer.round, so the round function of all
+# six algorithms keeps this name until those two are renamed with it.
+def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
+    """One synchronous round of ``hyper.algorithm`` (see the module
+    docstring): one local step per agent in ascending id, then the
+    algorithm's mixing rule."""
+    kind = hyper.algorithm
+    if kind not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm '{kind}'")
     sent = {s.agent_id: _local_step(s, w, arch, *_local_batch(s, hyper, round_index),
                                     round_index) for s in states}
-    if kind in ("ind_mask", "ind_weipru"):
-        return states
-    for state in states:
-        neighbors = graph.neighbors[state.agent_id]
-        if ledger is not None:
-            ledger.add_transmission(round_index, state.agent_id, neighbors,
-                                    account_real_bits(sent[state.agent_id]))
-        parties = [state.agent_id] + [int(j) for j in neighbors]
-        avg = {layer: sum(sent[p][layer] for p in parties) / len(parties)
-               for layer in state.weights}
-        if kind == "par_weipru":     # mix only the entries the mask keeps
-            avg = {layer: np.where(state.m[layer] == 1.0, avg[layer], t)
-                   for layer, t in state.weights.items()}
-        with _checked_step(state, round_index):
-            state.weights = avg
+    if kind == "gossip_mask":
+        averages = _exchange_masks(graph, sent, round_index, arch.param_shapes(),
+                                   ledger)
+        for state in states:
+            with _checked_step(state, round_index):
+                fine_tune_step(state, averages[state.agent_id])
+                aggregate_step(state, averages[state.agent_id])
+    elif kind not in ("ind_mask", "ind_weipru"):
+        for state in states:
+            neighbors = graph.neighbors[state.agent_id]
+            if ledger is not None:
+                ledger.add_transmission(round_index, state.agent_id, neighbors,
+                                        account_real_bits(sent[state.agent_id]))
+            parties = [state.agent_id] + [int(j) for j in neighbors]
+            avg = {layer: sum(sent[p][layer] for p in parties) / len(parties)
+                   for layer in state.weights}
+            if kind == "par_weipru":     # mix only the entries the mask keeps
+                avg = {layer: np.where(state.m[layer] == 1.0, avg[layer], t)
+                       for layer, t in state.weights.items()}
+            with _checked_step(state, round_index):
+                state.weights = avg
     return states
 
 
@@ -475,11 +478,7 @@ def run(arch, hyper, graph, train, test, plan):
     log = MetricsLog()
     _evaluate_round(log, 0, states, w, arch, ledger)
     for k in range(1, hyper.rounds + 1):
-        if hyper.algorithm == "gossip_mask":
-            gossip_mask_round(states, w, arch, graph, hyper, k, ledger)
-        else:
-            baseline_round(hyper.algorithm, states, w, arch, graph, hyper, k,
-                           ledger)
+        gossip_mask_round(states, w, arch, graph, hyper, k, ledger)
         if k % hyper.eval_interval == 0 or k == hyper.rounds:
             _evaluate_round(log, k, states, w, arch, ledger)
     log.final_sparsity = _final_sparsity(states, arch)

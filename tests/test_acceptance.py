@@ -25,8 +25,7 @@ from gossipmask import (Dataset, Graph, HyperConfig, MaskFrame, ModelArch,
 from gossipmask.cli import parse_config, run_experiment
 from gossipmask.protocol import CommLedger
 from gossipmask.trainer import (_average_masks, aggregate_step,
-                                backprop_half_step, baseline_round,
-                                fine_tune_step)
+                                backprop_half_step, fine_tune_step)
 
 
 def _pass(n, name):
@@ -268,8 +267,7 @@ def test_criterion_4_communication_ratio():
                             (0.3,) * 6, 2, 1)
     avr_states = build_states(arch, avr_hyper, graph, train, test, plan, w)
     avr_ledger = CommLedger()
-    baseline_round("avr_weipru", avr_states, None, arch, graph, avr_hyper, 1,
-                   avr_ledger)
+    gossip_mask_round(avr_states, None, arch, graph, avr_hyper, 1, avr_ledger)
     avr_payload = avr_ledger.round_totals(1)[0]
 
     assert gossip_payload * 32 == avr_payload

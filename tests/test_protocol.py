@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipmask import (CommLedger, MaskFrame, ProtocolError, SimulationError,
-                        account_mask_bits, account_real_bits, decode_mask,
-                        encode_mask, exchange, ring)
+                        account_real_bits, decode_mask, encode_mask, exchange,
+                        ring)
 
 
 def random_mask_set(rng, max_layers=3, max_entries=64):
@@ -141,10 +141,10 @@ def test_non_binary_mask_rejected():
 
 def test_account_bits():
     masks = {0: np.ones(600), 1: np.ones(400)}
-    assert account_mask_bits(masks) == 1000
+    assert encode_mask(masks, 0, 0).payload_bits() == 1000
     params = {0: np.zeros(600), 1: np.zeros(400)}
     assert account_real_bits(params) == 32000
-    assert account_mask_bits({}) == 0
+    assert encode_mask({}, 0, 0).payload_bits() == 0
     assert account_real_bits({}) == 0
 
 
@@ -283,4 +283,4 @@ def test_ledger_totals_accumulate():
 
 def test_mask_to_real_ratio_is_exactly_one_over_32():
     shapes = {0: np.ones((16, 3, 5, 5)), 1: np.ones((32, 16, 5, 5))}
-    assert account_mask_bits(shapes) * 32 == account_real_bits(shapes)
+    assert encode_mask(shapes, 0, 0).payload_bits() * 32 == account_real_bits(shapes)

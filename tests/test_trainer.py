@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import re
 import sys
@@ -12,11 +13,11 @@ import pytest
 
 from gossipmask import (ALGORITHMS, AgentState, FieldError, Graph, HyperConfig,
                         ModelArch, SimulationError, aggregate_step,
-                        assign_labels, backprop_half_step, baseline_round,
-                        bound_check, build_states, check_harness, conv2d,
-                        decode_mask, desk_arch, erdos_renyi, extract,
-                        fine_tune_step, flatten, forward, gossip_mask_round,
-                        init_params, linear, make_masked_net,
+                        assign_labels, backprop_half_step, bound_check,
+                        build_states, check_harness, conv2d, decode_mask,
+                        desk_arch, erdos_renyi, extract, fine_tune_step,
+                        flatten, forward, gossip_mask_round, init_params,
+                        linear, make_masked_net,
                         mask_vs_weight_verify, partition, relu,
                         random_bound_instance, retained_count, run,
                         sample_batch, substream, synth_generate)
@@ -228,6 +229,20 @@ def test_hyper_config_rejects_bad_ratio_and_min_nonzero():
         assert exc.value.field == field
 
 
+@pytest.mark.parametrize("eta,lam,field,message", [
+    (math.nan, 0.0, "eta", "learning rates must be positive"),
+    (math.inf, 0.0, "eta", "eta must be finite"),
+    (1.0, -0.5, "lam", "lambda must be nonnegative"),
+    (1.0, math.nan, "lam", "lambda must be nonnegative"),
+    (1.0, math.inf, "lam", "lam must be finite"),
+])
+def test_hyper_config_rejects_bad_eta_and_lambda(eta, lam, field, message):
+    # at construction, not as a divergence blamed on an agent at round 1
+    with pytest.raises(FieldError, match=f"^{re.escape(message)}$") as exc:
+        HyperConfig("gossip_mask", 1, 8, eta, lam, 0, (0.5,))
+    assert exc.value.field == field
+
+
 def test_shared_params_frozen_under_mask_rounds():
     arch, hyper, graph, train, test, plan = fixture_run_inputs()
     w = init_params(arch, 123)
@@ -242,7 +257,8 @@ def test_shared_params_frozen_under_mask_rounds():
                                          for f in inbox[s.agent_id]})
     for k in range(1, 3):
         gossip_mask_round(states, w, arch, graph, hyper, k)
-    baseline_round("ind_mask", states, w, arch, graph, hyper, 3)
+    gossip_mask_round(states, w, arch, graph, replace(hyper, algorithm="ind_mask"),
+                      3)
     for idx in w:
         assert np.array_equal(w[idx], w_copy[idx])
 
@@ -418,12 +434,27 @@ def test_sparsity_respects_retention():
             assert ones <= retained_count(r, total)
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_calls_the_one_round_function_every_round(algorithm, monkeypatch):
+    calls = []
+    round_fn = trainer.gossip_mask_round
+
+    def counting(states, w, arch, graph, hyper, round_index, ledger=None):
+        calls.append(round_index)
+        return round_fn(states, w, arch, graph, hyper, round_index, ledger)
+    monkeypatch.setattr(trainer, "gossip_mask_round", counting)
+    run(*fixture_run_inputs(algorithm=algorithm, rounds=2))
+    assert calls == [1, 2]
+
+
 def test_unknown_algorithm_rejected():
     arch, hyper, graph, train, test, plan = fixture_run_inputs()
     with pytest.raises(ValueError):
         HyperConfig("magic", 1, 8, 1.0, 0.0, 0, (0.5,) * 4)
-    with pytest.raises(ValueError, match="unknown baseline"):
-        baseline_round("magic", [], None, arch, graph, hyper, 1)
+    # a config changed after construction must not fall into a mixing rule
+    hyper.algorithm = "magic"
+    with pytest.raises(ValueError, match="^unknown algorithm 'magic'$"):
+        gossip_mask_round([], None, arch, graph, hyper, 1)
 
 
 # ------------------------------------------------------------- divergence
@@ -453,10 +484,7 @@ def test_non_finite_score_names_agent_and_round(algorithm):
     states[2].z[0][0, 0, 0, 0] = np.nan
     with pytest.raises(SimulationError,
                        match=r"^agent 2, round 5, layer 0: \d+ non-finite score"):
-        if algorithm == "gossip_mask":
-            gossip_mask_round(states, w, arch, graph, hyper, 5)
-        else:
-            baseline_round(algorithm, states, w, arch, graph, hyper, 5)
+        gossip_mask_round(states, w, arch, graph, hyper, 5)
 
 
 def test_non_finite_score_names_its_layer():
@@ -468,7 +496,7 @@ def test_non_finite_score_names_its_layer():
             SimulationError,
             match=r"^agent 1, round 4, layer 2: 1 non-finite score\(s\) "
                   r"in a tensor of shape \(4, 100\)$"):
-        baseline_round("ind_mask", states, w, arch, graph, hyper, 4)
+        gossip_mask_round(states, w, arch, graph, hyper, 4)
 
 
 def test_layer_left_without_ones_names_agent_round_and_layer():
@@ -482,7 +510,7 @@ def test_layer_left_without_ones_names_agent_round_and_layer():
     states = build_states(arch, hyper, graph, train, test, plan, w)
     states[1].min_nonzero = 19
     with pytest.raises(SimulationError, match=f"^agent 1, round 4, {message}"):
-        baseline_round("ind_mask", states, w, arch, graph, hyper, 4)
+        gossip_mask_round(states, w, arch, graph, hyper, 4)
 
 
 def test_diverging_harness_arm_names_agent_and_step():
@@ -512,7 +540,7 @@ def test_non_finite_mixed_weight_names_agent_round_and_layer(algorithm):
                         min_nonzero=0, eval_interval=1)
     with np.errstate(over="ignore"), pytest.raises(
             SimulationError, match=r"^agent 0, round 1, layer 0: non-finite weight$"):
-        baseline_round(algorithm, states, None, arch, graph, hyper, 1)
+        gossip_mask_round(states, None, arch, graph, hyper, 1)
     assert all(np.isfinite(s.weights[0]).all() for s in states[1:])
 
 
@@ -541,7 +569,7 @@ def test_avr_weipru_identical_models_fixed_point():
     states = zero_data_states(graph, arch, [w, w, w], r=0.5)
     hyper = HyperConfig("avr_weipru", 1, 4, 0.5, 0.0, 0, (0.5,) * 3,
                         min_nonzero=0, eval_interval=1)
-    baseline_round("avr_weipru", states, None, arch, graph, hyper, 1)
+    gossip_mask_round(states, None, arch, graph, hyper, 1)
     pruned = {k: w[k] * states[0].m[k] for k in w}
     for s in states:
         for k in w:
@@ -555,7 +583,7 @@ def test_par_weipru_keeps_unmasked_entries_local():
     states = zero_data_states(graph, arch, ws, r=0.4)
     hyper = HyperConfig("par_weipru", 1, 4, 0.5, 0.0, 0, (0.4,) * 3,
                         min_nonzero=0, eval_interval=1)
-    baseline_round("par_weipru", states, None, arch, graph, hyper, 1)
+    gossip_mask_round(states, None, arch, graph, hyper, 1)
     for i, s in enumerate(states):
         local = s.m[0] == 0.0
         # zero gradient left the local weights at their initial values
@@ -575,7 +603,7 @@ def test_dsgd_averages_neighbors():
         s.m = None
     hyper = HyperConfig("dsgd", 1, 4, 0.5, 0.0, 0, (1.0,) * 3,
                         min_nonzero=0, eval_interval=1)
-    baseline_round("dsgd", states, None, arch, graph, hyper, 1)
+    gossip_mask_round(states, None, arch, graph, hyper, 1)
     mean = sum((ws[j][0] for j in range(3))) / 3
     for s in states:
         np.testing.assert_allclose(s.weights[0], mean, atol=1e-15)
