@@ -15,11 +15,11 @@ scatters the column gradient back (col2im) one cache-sized block of
 samples at a time, into the unpadded input only: the adds that would land
 in the padding are skipped. Max pooling takes each window's first
 maximum, as ``argmax`` does. From ``_GATHER_BYTES`` of windows on, the
-pool gathers them like the conv columns and finds its maxima with
-elementwise reductions over the gathered planes instead of a row-wise
-``argmax`` over a strided copy. The bytes are the same either way. The
-offset tables depend only on a layer's geometry, so each is built once and
-cached read-only.
+pool gathers them like the conv columns, one block of samples at a time,
+and finds its maxima with elementwise reductions over the gathered
+planes instead of a row-wise ``argmax`` over a strided copy. The bytes
+are the same either way. The offset tables depend only on a layer's
+geometry, so each is built once and cached read-only.
 
 :func:`forward` keeps what the backward reads: conv columns, relu masks
 and pool indices. The lowest parameterized conv needs its columns only for
@@ -28,21 +28,30 @@ padded input instead, and the backward gathers the columns again with the
 same ``np.take``, into the same gemm. The backward releases each layer's
 cache once it has used it, so the upper conv's columns are freed before
 the lowest conv's are gathered again: a training step holds one set of
-large columns at a time. Evaluation (:func:`loss`, the trainer's accuracy
-and bound networks) keeps no cache, and runs the conv, relu and pool
-layers, which work per sample, on chunks of samples. The linear layers see
-the whole batch, since a 2-d gemm rounds differently when its row count
-changes.
+large columns at a time. From ``_SHARED_BYTES`` of columns on (the
+README default shape at batch 128) a step holds none of its own: each
+such conv runs its forward one ``_BLOCK_BYTES`` block of samples at a
+time into a preallocated output, keeps only its padded input, and
+gathers the full columns for its weight gradient into one process-wide
+buffer, which it reads only under that buffer's lock. Steps on several
+threads then share one column set, and a relu writes in place to the
+array the layer below it made. Evaluation (:func:`loss`, the trainer's
+accuracy and bound networks) keeps no cache, and runs the conv, relu and
+pool layers, which work per sample, on chunks of samples. The linear
+layers see the whole batch, since a 2-d gemm rounds differently when its
+row count changes.
 
 Tensors are plain numpy float64 arrays. A conv output is a channel-last
 array viewed as (n, c, h, w). The max pool's gathered path reads its input
 channel-last, and its input gradient is channel-last: each pool of
 :func:`desk_arch` follows a conv and a relu, so it reads a view, and the
 relu mask meets a gradient of its own layout. Other inputs are copied,
-with the same bytes out. All functions are pure: no global state but the
-table caches, no randomness outside :func:`init_params`.
+with the same bytes out. All functions are pure and may run on several
+threads at once: no global state but the table caches and the locked
+column buffer, no randomness outside :func:`init_params`.
 """
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -239,9 +248,17 @@ def identity_masks(arch):
 
 # ----------------------------------------------------------- layer kernels
 
-# bytes of column gradient _conv_backward handles per sample block: half of
-# a 2 MiB per-core L2 cache
+# bytes of column gradient _conv_backward handles per sample block, and of
+# columns or pool windows the blocked forwards gather per block: half of a
+# 2 MiB per-core L2 cache
 _BLOCK_BYTES = 1 << 20
+# bytes of im2col columns from which a conv computes its forward one sample
+# block at a time, keeps only its padded input, and gathers the full
+# columns for its weight gradient into the one shared buffer below: the
+# L2 of both cores. The default shape's 19 MiB per conv at batch 128 shares;
+# the desk shape (0.3 MB at batch 8) and the mask-vs-weight harness (1.2 MB
+# at batch 32) do not, and keep the _REGATHER_BYTES rule.
+_SHARED_BYTES = 1 << 22
 # bytes of im2col columns from which the lowest parameterized conv keeps
 # its padded input instead, and gathers the columns again for the weight
 # gradient. The desk shape's batch of 8 (0.3 MB of columns) stays cached:
@@ -320,9 +337,10 @@ def _pool_offsets(shape, window, stride):
             _table((cell[:, None] + corner.ravel()).ravel()))
 
 
-def _im2col(xp, kh, kw):
+def _im2col(xp, kh, kw, buf=None):
     """The im2col columns of a zero-padded (n, c, hp, wp) batch, as
-    (n, out row, out col, c * kh * kw)."""
+    (n, out row, out col, c * kh * kw). Gathered columns are written to the
+    front of the flat array ``buf`` where it is given."""
     n, c, hp, wp = xp.shape
     oh, ow = hp - kh + 1, wp - kw + 1
     off = _conv_offsets(c, hp, wp, kh, kw)
@@ -330,35 +348,91 @@ def _im2col(xp, kh, kw):
         sn, sc, sh, sw = xp.strides
         return as_strided(xp, (n, oh, ow, c, kh, kw), (sn, sh, sw, sc, sh, sw),
                           writeable=False).reshape(n, oh, ow, -1)
-    return np.take(xp.reshape(n, -1), off, axis=1).reshape(n, oh, ow, -1)
+    if buf is None:
+        return np.take(xp.reshape(n, -1), off, axis=1).reshape(n, oh, ow, -1)
+    # mode="clip" changes no in-range offset; with out= the default mode
+    # gathers into a temporary and copies it over
+    cols = buf[:n * off.size].reshape(n, -1)
+    np.take(xp.reshape(n, -1), off, axis=1, out=cols, mode="clip")
+    return cols.reshape(n, oh, ow, -1)
+
+
+# the full columns of a sharing conv's weight gradient: one process-wide
+# buffer, grown to the largest column set seen and used only under its lock
+_shared = threading.Lock()
+_shared_buf = np.empty(0)
+
+
+def _column_bytes(rows, c, kh, kw):
+    """Bytes of ``rows`` im2col rows (output positions) of a conv with
+    ``c`` input channels and a (kh, kw) kernel."""
+    return rows * c * kh * kw * 8
+
+
+@lru_cache(maxsize=32)
+def _largest_column_bytes(arch, batch):
+    chain = shape_chain(arch.layers, arch.input_shape)
+    return max((_column_bytes(batch * chain[pos + 1][1] * chain[pos + 1][2],
+                              layer.in_channels, *layer.kernel)
+                for pos, layer in enumerate(arch.layers)
+                if layer.kind == "conv2d"), default=0)
+
+
+def _shares_columns(arch, batch):
+    """Whether a training step of ``arch`` on ``batch`` samples runs a conv
+    whose columns reach ``_SHARED_BYTES``, and so holds no full column set
+    of its own."""
+    return _largest_column_bytes(arch, batch) >= _SHARED_BYTES
 
 
 def _conv_forward(x, v, padding, lowest=False):
     """The conv output and its backward cache ``(cols, xp, x shape,
-    padding)``. It holds the columns, or for the ``lowest`` parameterized
-    layer from ``_REGATHER_BYTES`` of columns on the padded input ``xp``;
-    the other of the two is None."""
+    padding)``. It holds the columns, or the padded input ``xp`` from
+    ``_SHARED_BYTES`` of columns on and, for the ``lowest`` parameterized
+    layer, from ``_REGATHER_BYTES``; the other of the two is None."""
     n, c, h, w = x.shape
     o, _, kh, kw = v.shape
+    oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
     # a contiguous padded copy, also at padding 0: columns viewed straight
     # from a strided input could reach the gemm with other strides
     xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
     xp[:, :, padding:padding + h, padding:padding + w] = x
-    cols = _im2col(xp, kh, kw)
+    vt = v.reshape(o, -1).T
     # one gemm per (sample, output row); a single 2-d gemm over all rows
     # would round differently
-    out = cols @ v.reshape(o, -1).T
-    if lowest and cols.nbytes >= _REGATHER_BYTES:
-        return out.transpose(0, 3, 1, 2), (None, xp, x.shape, padding)
-    return out.transpose(0, 3, 1, 2), (cols, None, x.shape, padding)
+    if _column_bytes(n * oh * ow, c, kh, kw) >= _SHARED_BYTES:
+        out = np.empty((n, oh, ow, o))
+        blk = max(1, _BLOCK_BYTES // _column_bytes(oh * ow, c, kh, kw))
+        buf = np.empty(min(n, blk) * oh * ow * c * kh * kw)
+        for s in range(0, n, blk):
+            np.matmul(_im2col(xp[s:s + blk], kh, kw, buf), vt, out=out[s:s + blk])
+        cols = None
+    else:
+        cols = _im2col(xp, kh, kw)
+        out = cols @ vt
+        if lowest and cols.nbytes >= _REGATHER_BYTES:
+            cols = None
+    return out.transpose(0, 3, 1, 2), (cols, xp if cols is None else None, x.shape,
+                                       padding)
 
 
 def _conv_grad_v(grad_out, v, cache):
-    cols = cache[0]
-    if cols is None:
-        cols = _im2col(cache[1], *v.shape[2:])
-    g = grad_out.transpose(0, 2, 3, 1).reshape(-1, v.shape[0])
-    return (g.T @ cols.reshape(-1, cols.shape[-1])).reshape(v.shape)
+    """The weight gradient: one 2-d gemm over the columns of the whole
+    batch, cached, gathered again or, from ``_SHARED_BYTES`` on, gathered
+    into the shared buffer and multiplied under its lock."""
+    global _shared_buf
+    cols, xp = cache[:2]
+    o, c, kh, kw = v.shape
+    g = grad_out.transpose(0, 2, 3, 1).reshape(-1, o)
+    size = _column_bytes(len(g), c, kh, kw)
+    if cols is not None or size < _SHARED_BYTES:
+        cols = _im2col(xp, kh, kw) if cols is None else cols
+        return (g.T @ cols.reshape(-1, cols.shape[-1])).reshape(v.shape)
+    with _shared:
+        if _shared_buf.nbytes < size:
+            _shared_buf = np.empty(size // 8)
+        cols = _im2col(xp, kh, kw, _shared_buf)
+        return (g.T @ cols.reshape(-1, cols.shape[-1])).reshape(v.shape)
 
 
 def _conv_backward(grad_out, v, cache):
@@ -399,24 +473,33 @@ def _maxpool_forward(x, window, stride):
         out = flat[np.arange(len(flat)), idx].reshape(n, c, oh, ow)
         return out, (idx.reshape(n, c, oh, ow), x.shape, window, stride)
     # above it: gather each sample's cells as (cell, window) planes, reduce
-    # the planes with elementwise maxima and take each window's first hit.
-    # The rows are a view of a channel-last x, such as a conv output.
+    # the planes with elementwise maxima and take each window's first hit,
+    # one block of samples at a time. The rows are a view of a channel-last
+    # x, such as a conv output.
     rows = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n, -1)
     off = _pool_offsets(x.shape[1:], window, stride)[2]
-    cells = np.take(rows, off, axis=1).reshape(n, k, m)
-    top = np.maximum.reduce(cells, axis=1)
-    miss = cells != top[:, None]
-    if np.isnan(top).any():
-        miss &= cells == cells     # a NaN is the maximum of its window
-    # the first hit's index is the number of misses before it
-    idx = np.zeros((n, m), dtype=np.uint8 if k < 256 else np.intp)
-    left = miss[:, 0].copy()
-    for j in range(1, k):
-        idx += left
-        left &= miss[:, j]
-    idx = idx.astype(np.intp)
-    # the values are gathered, not taken from top, so a zero keeps its sign
-    out = np.take(cells, (np.arange(n)[:, None] * k + idx) * m + np.arange(m))
+    out, idx = np.empty((n, m), dtype=x.dtype), np.empty((n, m), dtype=np.intp)
+    blk = max(1, _BLOCK_BYTES // (m * k * x.itemsize))
+    buf = np.empty((min(n, blk), k * m), dtype=x.dtype)
+    for s in range(0, n, blk):
+        part = rows[s:s + blk]
+        cells = np.take(part, off, axis=1, out=buf[:len(part)],
+                        mode="clip").reshape(-1, k, m)
+        top = np.maximum.reduce(cells, axis=1)
+        miss = cells != top[:, None]
+        if np.isnan(top).any():
+            miss &= cells == cells     # a NaN is the maximum of its window
+        # the first hit's index is the number of misses before it
+        first = np.zeros((len(cells), m), dtype=np.uint8 if k < 256 else np.intp)
+        left = miss[:, 0].copy()
+        for j in range(1, k):
+            first += left
+            left &= miss[:, j]
+        idx[s:s + blk] = first
+        # the values are gathered, not taken from top, so a zero keeps its
+        # sign
+        np.take(cells, (np.arange(len(cells))[:, None] * k + first) * m
+                + np.arange(m), out=out[s:s + blk], mode="clip")
     return out.reshape(n, c, oh, ow), (idx.reshape(n, c, oh, ow), x.shape, window,
                                        stride)
 
@@ -467,7 +550,9 @@ def _operands(arch, w, m, batch):
 def _layers(arch, v, x, span, caches=None):
     """Run the layers at the indices ``span`` on ``x``. Each layer's
     backward cache goes to ``caches`` where it is given; else the next
-    layer drops it."""
+    layer drops it. A relu writes in place to an array an earlier layer of
+    this call made, never to ``x`` itself."""
+    made = False
     for idx in span:
         layer = arch.layers[idx]
         if layer.kind == "conv2d":
@@ -480,7 +565,7 @@ def _layers(arch, v, x, span, caches=None):
             x = x @ v[idx].T
         elif layer.kind == "relu":
             kept = (x > 0,) if caches is not None else ()
-            x = np.maximum(x, 0.0)
+            x = np.maximum(x, 0.0, out=x if made else None)
         elif layer.kind == "maxpool2d":
             x, kept = _maxpool_forward(x, layer.window, layer.stride)
             kept = (kept,)
@@ -489,6 +574,7 @@ def _layers(arch, v, x, span, caches=None):
             x = x.reshape(x.shape[0], -1)
         if caches is not None:
             caches.append((layer.kind, idx) + kept)
+        made = made or layer.kind != "flatten"
     return x
 
 
@@ -536,7 +622,7 @@ def _backward(caches, grad_logits):
             grad_v[idx] = _conv_grad_v(g, *rest)
             g = _conv_backward(g, *rest) if idx > first else None
         elif kind == "relu":
-            g = g * rest[0]
+            g = np.multiply(g, rest[0], out=g)     # g is always this pass's own
         elif kind == "maxpool2d":
             g = _maxpool_backward(g, rest[0])
         elif kind == "flatten":

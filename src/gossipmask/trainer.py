@@ -34,9 +34,14 @@ Algorithms
 
 Within a round agents are processed in ascending id and all reductions
 over neighbors iterate in ascending sender id, so results do not depend
-on scheduling. The rounds run on the calling thread; only the
-mask-vs-weight harness spreads its independent arms over threads. The
-shared parameter set is never written by the mask-based algorithms.
+on scheduling. The local steps of a round are independent. Where a step's
+conv columns reach ``nn._SHARED_BYTES`` (the README default shape, not
+the desk or harness shapes; a fixed property of the architecture and
+batch size) they run through :func:`_each` on up to two cores, with the
+results, the exchange and the mixing in ascending agent order; else in a
+plain loop. The mask-vs-weight harness spreads its independent arms the
+same way. The shared parameter set is never written by the mask-based
+algorithms.
 """
 
 import math
@@ -50,8 +55,8 @@ import numpy as np
 from .errors import FieldError, LayerError
 from .masking import (extract, group_lasso_grad, retained_count,
                       threshold_layer)  # noqa: F401 (bench/spans.py traces it)
-from .nn import (ModelArch, _logits, conv2d, flatten, grad_z, init_params,
-                 linear, loss as batch_loss, loss_and_grad_v, relu)
+from .nn import (ModelArch, _logits, _shares_columns, conv2d, flatten, grad_z,
+                 init_params, linear, loss as batch_loss, loss_and_grad_v, relu)
 from .protocol import (CommLedger, SimulationError, account_real_bits,
                        decode_mask, encode_mask, exchange)
 from .seeds import seed_key, substream
@@ -343,13 +348,22 @@ def _weight_step(state, arch, batch_x, batch_y):
 # six algorithms keeps this name until those two are renamed with it.
 def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
     """One synchronous round of ``hyper.algorithm`` (see the module
-    docstring): one local step per agent in ascending id, then the
-    algorithm's mixing rule."""
+    docstring): one local step per agent, collected in ascending id, then
+    the algorithm's mixing rule. The steps run through :func:`_each` where
+    the architecture's conv columns at ``hyper.batch_size`` reach
+    ``nn._SHARED_BYTES``; a diverging step raises what the plain loop
+    would, naming the lowest failing agent."""
     kind = hyper.algorithm
     if kind not in ALGORITHMS:
         raise ValueError(f"unknown algorithm '{kind}'")
-    sent = {s.agent_id: _local_step(s, w, arch, *_local_batch(s, hyper, round_index),
-                                    round_index) for s in states}
+    def step(state):
+        return _local_step(state, w, arch, *_local_batch(state, hyper, round_index),
+                           round_index)
+    # threads pay off only for large kernels (small numpy calls hold the
+    # GIL), and fit in memory only where the steps share their columns
+    pooled = _shares_columns(arch, hyper.batch_size)
+    sent = dict(zip([s.agent_id for s in states],
+                    _each(step, states) if pooled else [step(s) for s in states]))
     if kind == "gossip_mask":
         averages = _exchange_masks(graph, sent, round_index, arch.param_shapes(),
                                    ledger)

@@ -1,3 +1,7 @@
+import itertools
+import pickle
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -218,31 +222,68 @@ def test_forward_only_loss_peaks_below_a_training_step():
 
 def test_training_step_holds_one_set_of_large_columns():
     # at the README default shape and batch 128 each conv's columns take
-    # about 19 MiB. The lowest conv keeps its padded input and gathers its
-    # columns again once the upper conv's cache is freed, as it does at the
-    # desk shape's batch of 32; at its batch of 8 both convs keep their
-    # columns
+    # about 19 MiB, above _SHARED_BYTES: both convs keep their padded input
+    # and gather their columns for the weight gradient into the one shared
+    # buffer, so the step itself holds none. The desk shape's lowest conv
+    # keeps its padded input at its batch of 32 and gathers its columns
+    # again; at its batch of 8 both convs keep their columns
     arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
     rng = np.random.default_rng(0)
     w = init_params(arch, 0)
     x, y = rng.standard_normal((128, 3, 16, 16)), rng.integers(0, 10, 128)
-    loss_and_grad_v(arch, w, None, x, y)   # builds the tables
+    loss_and_grad_v(arch, w, None, x, y)   # builds the tables and the buffer
     tracemalloc.start()
     try:
         loss_and_grad_v(arch, w, None, x, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 << 20
+    assert peak < 10 << 20
+    assert nn._shared_buf.nbytes >= 128 * 7 * 7 * 16 * 25 * 8
 
     def kept(arch, batch):
         caches = forward(arch, init_params(arch, 0), None, batch)[1]
         return [(e[3][0] is not None, e[3][1] is not None)
                 for e in caches if e[0] == "conv2d"]
-    assert kept(arch, x) == [(False, True), (True, False)]
+    assert kept(arch, x) == [(False, True)] * 2
     desk = desk_arch((3, 8, 8), 6, (16, 32), 32)
     assert kept(desk, rng.standard_normal((8, 3, 8, 8))) == [(True, False)] * 2
     assert kept(desk, rng.standard_normal((32, 3, 8, 8))) == [(False, True), (True, False)]
+
+
+def test_loss_and_grad_v_on_three_threads_bitwise_equal_to_serial(monkeypatch):
+    # above _SHARED_BYTES (here from the first byte) every conv's weight
+    # gradient gathers its columns into the one shared buffer; three threads
+    # that switch often contend for it, and each result matches a serial call
+    monkeypatch.setattr(nn, "_SHARED_BYTES", 0)
+    arch = desk_arch((3, 8, 8), 6, (16, 32), 32)
+    rng = np.random.default_rng(5)
+    w = init_params(arch, 5)
+    calls = [(random_masks(arch, rng), rng.standard_normal((n, 3, 8, 8)),
+              rng.integers(0, 6, n)) for n in (8, 32, 13) for _ in range(2)]
+
+    def digest(m, x, y):
+        value, grads = loss_and_grad_v(arch, w, m, x, y)
+        return pickle.dumps((value, grads))
+    want = [digest(*call) for call in calls]
+    got, start = [[] for _ in range(3)], threading.Barrier(3, timeout=10)
+
+    def worker(t):
+        start.wait()
+        for k in range(4 * len(calls)):     # each call several times, staggered
+            got[t].append(digest(*calls[(k + 2 * t) % len(calls)]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for t in range(3):
+        assert got[t] == [want[(k + 2 * t) % len(calls)] for k in range(4 * len(calls))]
 
 
 def test_duplicated_batch_same_loss_and_grad():
@@ -515,8 +556,11 @@ def _columns(cache, v):
 
 def test_conv_forward_bitwise_equal_to_reference(monkeypatch):
     # as the lowest parameterized layer, the conv keeps its padded input
-    # from _REGATHER_BYTES of columns on, here from the first byte
+    # from _REGATHER_BYTES of columns on, here from the first byte; every
+    # conv does from _SHARED_BYTES on, and then runs its forward in sample
+    # blocks, here of one sample each
     monkeypatch.setattr(nn, "_REGATHER_BYTES", 0)
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
     cases = 0
     for i, (rng, x_shape, v_shape, pad) in enumerate(_conv_cases()):
         x = _wide_magnitudes(rng, x_shape)
@@ -525,7 +569,8 @@ def test_conv_forward_bitwise_equal_to_reference(monkeypatch):
         v = _wide_magnitudes(rng, v_shape)
         for layout in _layouts(x):
             before = layout.copy()
-            for lowest in (False, True):
+            for lowest, shared in itertools.product((False, True), repeat=2):
+                monkeypatch.setattr(nn, "_SHARED_BYTES", 0 if shared else 1 << 62)
                 with np.errstate(invalid="ignore"):  # inf - inf in the products
                     want_out, want_cols = _ref_conv_forward(layout, v, pad)
                     out, cache = nn._conv_forward(layout, v, pad, lowest)
@@ -533,11 +578,12 @@ def test_conv_forward_bitwise_equal_to_reference(monkeypatch):
                 assert out.tobytes() == want_out.tobytes(), (x_shape, v_shape, pad)
                 assert out.strides == want_out.strides
                 assert cols.tobytes() == want_cols.tobytes()
-                assert (cache[0] is None, cache[1] is None) == (lowest, not lowest)
+                keeps_xp = lowest or shared
+                assert (cache[0] is None, cache[1] is None) == (keeps_xp, not keeps_xp)
                 assert cache[2:] == (x_shape, pad)
                 assert layout.tobytes() == before.tobytes()
                 cases += 1
-    assert cases == 2 * 3 * 48
+    assert cases == 4 * 3 * 48
 
 
 def test_maxpool_forward_bitwise_equal_to_reference():
@@ -577,14 +623,16 @@ def test_conv_backward_bitwise_equal_to_reference(monkeypatch):
         out, want_cols = _ref_conv_forward(x, v, pad)
         for g in _layouts(_wide_magnitudes(rng, out.shape)):
             want_gx, want_gv = _ref_conv_backward(g, v, (want_cols, None, x_shape, pad))
-            for lowest in (False, True):
+            # shared: the columns are gathered into the shared buffer
+            for lowest, shared in itertools.product((False, True), repeat=2):
+                monkeypatch.setattr(nn, "_SHARED_BYTES", 0 if shared else 1 << 62)
                 cache = nn._conv_forward(x, v, pad, lowest)[1]
                 gx = nn._conv_backward(g, v, cache)
                 assert gx.shape == x_shape
                 assert gx.tobytes() == want_gx.tobytes(), (x_shape, v_shape, pad)
                 assert nn._conv_grad_v(g, v, cache).tobytes() == want_gv.tobytes()
                 cases += 1
-    assert cases == 2 * 3 * 48
+    assert cases == 4 * 3 * 48
 
 
 def test_maxpool_backward_bitwise_equal_to_reference():
@@ -680,6 +728,9 @@ def test_gathered_kernels_bitwise_equal_to_reference(monkeypatch):
     test_maxpool_forward_bitwise_equal_to_reference()
     test_maxpool_backward_bitwise_equal_to_reference()
     test_maxpool_input_gradient_is_channel_last()
+    # the gathered forward in sample blocks of one sample each
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
+    test_maxpool_forward_bitwise_equal_to_reference()
 
 
 def _use_reference_kernels(monkeypatch):

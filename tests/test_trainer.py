@@ -21,8 +21,13 @@ from gossipmask import (ALGORITHMS, AgentState, FieldError, Graph, HyperConfig,
                         mask_vs_weight_verify, partition, relu,
                         random_bound_instance, retained_count, run,
                         sample_batch, substream, synth_generate)
-from gossipmask import trainer
+from gossipmask import nn, trainer
+from gossipmask.cli import RunConfig, parse_config
 from gossipmask.trainer import _average_masks
+
+import test_golden
+
+CONFIGS = test_golden.CONFIGS
 
 
 def k2_graph():
@@ -763,6 +768,93 @@ def test_harness_traces_do_not_depend_on_the_worker_count(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert traces[0] == traces[1]
+
+
+# -------------------------------------------------------------- round pool
+
+def _config_arch(cfg):
+    return desk_arch(cfg.dim, cfg.classes, cfg.conv_channels, cfg.hidden)
+
+
+def test_round_pool_gate_threads_only_the_default_shape():
+    # the README default shape's columns reach _SHARED_BYTES at batch 128;
+    # configs/train.conf (batch 8) and the mask-vs-weight harness (batch 32)
+    # stay below it, and their rounds run in a plain loop
+    default = RunConfig()
+    assert default.batch_size == 128
+    assert nn._shares_columns(_config_arch(default), 128)
+    for name, batch in (("train.conf", 8), ("mask_vs_weight.conf", 32)):
+        cfg = parse_config((CONFIGS / name).read_text())
+        assert cfg.batch_size == batch
+        assert not nn._shares_columns(_config_arch(cfg), batch)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_round_runs_its_local_steps_through_the_pool_past_the_gate(shared, monkeypatch):
+    monkeypatch.setattr(nn, "_SHARED_BYTES", 0 if shared else 1 << 62)
+    pooled = []
+    each = trainer._each
+
+    def spy(fn, items):
+        pooled.append([s.agent_id for s in items])
+        return each(fn, items)
+    monkeypatch.setattr(trainer, "_each", spy)
+    arch, hyper, graph, train, test, plan = fixture_run_inputs()
+    w = init_params(arch, 0)
+    states = build_states(arch, hyper, graph, train, test, plan, w)
+    gossip_mask_round(states, w, arch, graph, hyper, 1)
+    assert pooled == ([[0, 1, 2, 3]] if shared else [])
+
+
+def test_threaded_round_names_the_lower_of_two_diverging_agents(monkeypatch):
+    # agents 1 and 2 diverge; agent 1 fails only after agent 2 has failed on
+    # the other thread. The error names agent 1, as the serial loop's does
+    monkeypatch.setattr(trainer, "_WORKERS", 2)
+    failed = threading.Event()
+    step = trainer._local_step
+
+    def ordered(state, *args):
+        if state.agent_id == 1:
+            assert failed.wait(10)
+        try:
+            return step(state, *args)
+        except SimulationError:
+            if state.agent_id == 2:
+                failed.set()
+            raise
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm="ind_mask")
+    w = init_params(arch, 0)
+    messages = []
+    for shared in (True, False):
+        monkeypatch.setattr(nn, "_SHARED_BYTES", 0 if shared else 1 << 62)
+        monkeypatch.setattr(trainer, "_local_step", ordered if shared else step)
+        states = build_states(arch, hyper, graph, train, test, plan, w)
+        for s in states[1:3]:
+            s.train_x = np.full_like(s.train_x, np.nan)
+        with np.errstate(invalid="ignore"), pytest.raises(SimulationError) as err:
+            gossip_mask_round(states, w, arch, graph, hyper, 3)
+        messages.append(str(err.value))
+    assert failed.is_set()
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("agent 1, round 3")
+
+
+def test_round_pool_keeps_the_golden_digests(monkeypatch, tmp_path):
+    # every conv past the gate and its weight gradient through the shared
+    # buffer, the rounds of all six algorithms and the harness arms on four
+    # threads: every golden CSV digest stays as it is
+    monkeypatch.setattr(nn, "_SHARED_BYTES", 0)
+    monkeypatch.setattr(trainer, "_WORKERS", 4)
+    pooled = []
+    each = trainer._each
+
+    def spy(fn, items):
+        pooled.append(len(items))
+        return each(fn, items)
+    monkeypatch.setattr(trainer, "_each", spy)
+    test_golden.test_golden_trajectory(tmp_path)
+    # 6 algorithms x 10 rounds of 8 agents, then one harness call
+    assert pooled == [8] * 60 + [3 * 4]
 
 
 # ----------------------------------------------------------- bound checker
