@@ -175,6 +175,7 @@ class CommLedger:
     def __init__(self):
         # round -> agent -> [sent_payload, sent_header, recv_payload, recv_header]
         self.per_round = {}
+        self._totals = (0, 0, 0, 0)     # the same four, summed over everything
 
     def _slot(self, round_index, agent):
         return self.per_round.setdefault(round_index, {}).setdefault(
@@ -183,13 +184,15 @@ class CommLedger:
     def add_transmission(self, round_index, sender, receivers, payload_bits,
                          header_bits=0):
         receivers = list(receivers)
+        sent = (payload_bits * len(receivers), header_bits * len(receivers))
         slot = self._slot(round_index, sender)
-        slot[0] += payload_bits * len(receivers)
-        slot[1] += header_bits * len(receivers)
+        slot[0] += sent[0]
+        slot[1] += sent[1]
         for r in receivers:
             rslot = self._slot(round_index, int(r))
             rslot[2] += payload_bits
             rslot[3] += header_bits
+        self._totals = tuple(t + b for t, b in zip(self._totals, sent + sent))
 
     def round_totals(self, round_index):
         """(sent_payload, sent_header, recv_payload, recv_header) summed
@@ -202,13 +205,9 @@ class CommLedger:
 
     def totals(self):
         """Cumulative (sent_payload, sent_header, recv_payload, recv_header)
-        over all rounds."""
-        totals = [0, 0, 0, 0]
-        for round_index in self.per_round:
-            rt = self.round_totals(round_index)
-            for i in range(4):
-                totals[i] += rt[i]
-        return tuple(totals)
+        over all rounds, kept as a running sum: every bit sent is received
+        once, so the received sums grow by the sent ones."""
+        return self._totals
 
 
 def exchange(graph, outbox, ledger=None):

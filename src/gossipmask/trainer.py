@@ -34,18 +34,21 @@ Algorithms
 
 Within a round agents are processed in ascending id and all reductions
 over neighbors iterate in ascending sender id, so results do not depend
-on scheduling. The local steps of a round are independent. Where a step's
-conv columns reach ``nn._SHARED_BYTES`` (the README default shape, not
-the desk or harness shapes; a fixed property of the architecture and
-batch size) they run through :func:`_each` on up to two cores, with the
-results, the exchange and the mixing in ascending agent order; else in a
-plain loop. The mask-vs-weight harness spreads its independent arms the
-same way. The shared parameter set is never written by the mask-based
-algorithms.
+on scheduling. Three kinds of work are independent per item and run
+through :func:`_each`: a round's local steps, the per-agent evaluation
+(test accuracy and logged loss) and the mask-vs-weight harness's arms.
+The harness arms use up to two cores. The steps and the evaluation do
+where a step's conv columns reach ``nn._SHARED_BYTES`` (the README
+default shape, not the desk or harness shapes; a fixed property of the
+architecture and batch size), else one worker, which is a plain loop.
+Results, the exchange, the mixing and the evaluation rows stay in
+ascending agent order. The shared parameter set is never written by the
+mask-based algorithms.
 """
 
 import math
 import os
+import queue
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -204,7 +207,9 @@ def _average_masks(mask_sets):
 
 def _aggregation_tensor(z, neighbor_avg):
     """Blend neighbor mask information into the scores: per layer
-    y = z + mean(|z|) * sign(z) * neighbor_average. Without a neighbor
+    y = z + mean(|z|) * sign(z) * neighbor_average. That formula is this
+    repository's reading of the paper's aggregation tensor, not a quoted
+    equation (PAPER.md holds only the abstract). Without a neighbor
     average that is the scores themselves, not a copy: ``extract`` only
     reads them."""
     if neighbor_avg is None:
@@ -349,21 +354,17 @@ def _weight_step(state, arch, batch_x, batch_y):
 def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
     """One synchronous round of ``hyper.algorithm`` (see the module
     docstring): one local step per agent, collected in ascending id, then
-    the algorithm's mixing rule. The steps run through :func:`_each` where
-    the architecture's conv columns at ``hyper.batch_size`` reach
-    ``nn._SHARED_BYTES``; a diverging step raises what the plain loop
-    would, naming the lowest failing agent."""
+    the algorithm's mixing rule. The steps run through :func:`_each` on
+    :func:`_agent_workers` threads; a diverging step raises what the plain
+    loop would, naming the lowest failing agent."""
     kind = hyper.algorithm
     if kind not in ALGORITHMS:
         raise ValueError(f"unknown algorithm '{kind}'")
     def step(state):
         return _local_step(state, w, arch, *_local_batch(state, hyper, round_index),
                            round_index)
-    # threads pay off only for large kernels (small numpy calls hold the
-    # GIL), and fit in memory only where the steps share their columns
-    pooled = _shares_columns(arch, hyper.batch_size)
     sent = dict(zip([s.agent_id for s in states],
-                    _each(step, states) if pooled else [step(s) for s in states]))
+                    _each(step, states, _agent_workers(arch, hyper.batch_size))))
     if kind == "gossip_mask":
         averages = _exchange_masks(graph, sent, round_index, arch.param_shapes(),
                                    ledger)
@@ -409,16 +410,20 @@ def _accuracy(arch, params, masks, x, y):
     return correct / len(y)
 
 
-def _evaluate_round(log, round_index, states, w, arch, ledger):
+def _evaluate_round(log, round_index, states, w, arch, ledger, workers):
+    """Log every agent's test accuracy and loss over its first
+    ``_LOSS_ROWS`` train samples, computed on ``workers`` threads, in
+    ascending agent order after the round's mean row."""
     sent_payload, sent_header, _, _ = ledger.totals()
-    rows = []
-    for state in states:
+
+    def evaluate(state):
         params = state.weights if state.weights is not None else w
-        acc = _accuracy(arch, params, state.m, state.test_x, state.test_y)
-        loss = batch_loss(arch, params, state.m, state.train_x[:_LOSS_ROWS],
-                          state.train_y[:_LOSS_ROWS])
-        rows.append(MetricsRow(round_index, state.agent_id, acc, loss,
-                               sent_payload, sent_header))
+        return (_accuracy(arch, params, state.m, state.test_x, state.test_y),
+                batch_loss(arch, params, state.m, state.train_x[:_LOSS_ROWS],
+                           state.train_y[:_LOSS_ROWS]))
+    rows = [MetricsRow(round_index, state.agent_id, acc, loss, sent_payload,
+                       sent_header)
+            for state, (acc, loss) in zip(states, _each(evaluate, states, workers))]
     log.rows.append(MetricsRow(round_index, -1,
                                float(np.mean([row.accuracy for row in rows])),
                                float(np.mean([row.loss for row in rows])),
@@ -478,8 +483,10 @@ def run(arch, hyper, graph, train, test, plan):
     Evaluation happens at round 0, every ``eval_interval`` rounds and at the
     final round; the logged loss is the current model's loss over (at most)
     the first 256 local train samples. A diverging step raises
-    SimulationError naming the agent and round.
+    SimulationError naming the agent and round. Evaluation runs on the
+    round steps' :func:`_agent_workers` threads.
     """
+    workers = _agent_workers(arch, hyper.batch_size)
     w = init_params(arch, seed_key(hyper.seed, "params"))
     states = build_states(arch, hyper, graph, train, test, plan, w)
     ledger = CommLedger()
@@ -490,11 +497,11 @@ def run(arch, hyper, graph, train, test, plan):
             state.neighbor_avg = averages[state.agent_id]
 
     log = MetricsLog()
-    _evaluate_round(log, 0, states, w, arch, ledger)
+    _evaluate_round(log, 0, states, w, arch, ledger, workers)
     for k in range(1, hyper.rounds + 1):
         gossip_mask_round(states, w, arch, graph, hyper, k, ledger)
         if k % hyper.eval_interval == 0 or k == hyper.rounds:
-            _evaluate_round(log, k, states, w, arch, ledger)
+            _evaluate_round(log, k, states, w, arch, ledger, workers)
     log.final_sparsity = _final_sparsity(states, arch)
     return log
 
@@ -554,7 +561,7 @@ def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
         return _train_arm(arch, w0, state, batches[a], eval_interval)
 
     arms = [(a, ri) for a in range(len(shards)) for ri in (None, *range(len(r_values)))]
-    traces = dict(zip(arms, _each(train, arms)))
+    traces = dict(zip(arms, _each(train, arms, _WORKERS)))
     return MaskVsWeightTraces(
         {a: t for (a, ri), t in traces.items() if ri is None},
         {(a, r_values[ri]): t for (a, ri), t in traces.items() if ri is not None})
@@ -586,14 +593,37 @@ except AttributeError:      # no affinity masks outside Linux
     _WORKERS = min(2, os.cpu_count() or 1)
 
 
-def _each(fn, items):
+def _agent_workers(arch, batch_size):
+    """Threads for a run's per-agent work (local steps and evaluation):
+    ``_WORKERS`` where a training step's conv columns reach
+    ``nn._SHARED_BYTES``, else one. Threads pay off only for large kernels
+    (small numpy calls hold the GIL), and fit in memory only where the
+    steps share their columns."""
+    return _WORKERS if _shares_columns(arch, batch_size) else 1
+
+
+# Job queues of the helper threads started so far. A helper serves every
+# later call and never exits: a thread hands its malloc arena back only
+# after join() has returned, so a helper started right after another one
+# could get a fresh arena and keep a second copy of a step's peak memory.
+_helpers = []
+_helpers_lock = threading.Lock()
+
+
+def _serve(jobs):
+    while True:
+        jobs.get()()
+
+
+def _each(fn, items, workers):
     """``[fn(item) for item in items]``, computed by the calling thread and
-    up to ``_WORKERS - 1`` helper threads, which take the items in order
-    under one lock. Each helper sets the caller's ``np.errstate`` itself,
-    since numpy before 2.0 keeps that state per thread. Once a failure is
-    recorded no further item starts, and the failure of the lowest item
-    index is raised: the one a plain loop would raise, since every lower
-    item had started."""
+    up to ``workers - 1`` helper threads, which take the items in order
+    under one lock; one worker is a plain loop on the calling thread. Each
+    helper sets the caller's ``np.errstate`` itself, since numpy before
+    2.0 keeps that state per thread. Once a failure is recorded no further
+    item starts, and the failure of the lowest item index is raised: the
+    one a plain loop would raise, since every lower item had started.
+    ``fn`` must not call ``_each``: its job would wait behind its own."""
     items = list(items)
     results, failures = [None] * len(items), {}
     lock, todo = threading.Lock(), iter(range(len(items)))
@@ -610,19 +640,26 @@ def _each(fn, items):
                 with lock:
                     failures[i] = exc
     err, errcall = np.geterr(), np.geterrcall()
+    finished = threading.Semaphore(0)
 
     def helper():
-        with np.errstate(call=errcall, **err):
-            drain()
-    helpers = [threading.Thread(target=helper, daemon=True)
-               for _ in range(min(_WORKERS, len(items)) - 1)]
-    for thread in helpers:
-        thread.start()
+        try:
+            with np.errstate(call=errcall, **err):
+                drain()
+        finally:
+            finished.release()
+    count = max(0, min(workers, len(items)) - 1)
+    with _helpers_lock:
+        while len(_helpers) < count:
+            _helpers.append(queue.SimpleQueue())
+            threading.Thread(target=_serve, args=(_helpers[-1],), daemon=True).start()
+        for jobs in _helpers[:count]:
+            jobs.put(helper)
     try:
         drain()
     finally:
-        for thread in helpers:
-            thread.join()
+        for _ in range(count):
+            finished.acquire()
     if failures:
         raise failures[min(failures)]
     return results

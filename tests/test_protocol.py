@@ -281,6 +281,21 @@ def test_ledger_totals_accumulate():
     assert ledger.totals()[0] == 2 * first
 
 
+def test_ledger_totals_are_the_sum_of_the_round_totals():
+    # totals() is a running sum; it must equal summing every round afresh
+    g = ring(7)
+    rng = np.random.default_rng(0)
+    ledger = CommLedger()
+    for _ in range(200):
+        round_index = int(rng.integers(0, 40))
+        sender = int(rng.integers(0, g.n))
+        ledger.add_transmission(round_index, sender, g.neighbors[sender],
+                                int(rng.integers(0, 10 ** 6)), int(rng.integers(0, 200)))
+    summed = [sum(ledger.round_totals(k)[i] for k in ledger.per_round) for i in range(4)]
+    assert ledger.totals() == tuple(summed)
+    assert summed[0] == summed[2] and summed[1] == summed[3]
+
+
 def test_mask_to_real_ratio_is_exactly_one_over_32():
     shapes = {0: np.ones((16, 3, 5, 5)), 1: np.ones((32, 16, 5, 5))}
     assert encode_mask(shapes, 0, 0).payload_bits() * 32 == account_real_bits(shapes)

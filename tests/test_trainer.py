@@ -683,8 +683,7 @@ def test_mask_vs_weight_trace_lengths():
 
 # ------------------------------------------------------------ harness arms
 
-def test_each_returns_results_in_item_order(monkeypatch):
-    monkeypatch.setattr(trainer, "_WORKERS", 4)
+def test_each_returns_results_in_item_order():
     delays = np.random.default_rng(0).random(24) * 0.01
     threads = set()
 
@@ -692,9 +691,24 @@ def test_each_returns_results_in_item_order(monkeypatch):
         threads.add(threading.get_ident())
         time.sleep(delays[i])
         return i * i
-    assert trainer._each(square, range(24)) == [i * i for i in range(24)]
+    assert trainer._each(square, range(24), 4) == [i * i for i in range(24)]
     assert len(threads) > 1
-    assert trainer._each(square, []) == []
+    assert trainer._each(square, [], 4) == []
+    # one worker is a plain loop on the calling thread
+    threads.clear()
+    assert trainer._each(square, range(6), 1) == [i * i for i in range(6)]
+    assert threads == {threading.get_ident()}
+
+
+def test_each_keeps_its_helper_threads_across_calls():
+    # a helper that exited would return its malloc arena only after join(),
+    # so a fresh helper per call could allocate a second arena's peak
+    def where(i):
+        time.sleep(0.005)
+        return threading.current_thread()
+    calls = [set(trainer._each(where, range(8), 2)) for _ in range(3)]
+    helpers = [c - {threading.current_thread()} for c in calls]
+    assert helpers[0] and helpers[0] == helpers[1] == helpers[2]
 
 
 def test_workers_stay_at_the_measured_two():
@@ -703,10 +717,9 @@ def test_workers_stay_at_the_measured_two():
     assert 1 <= trainer._WORKERS <= 2
 
 
-def test_each_reraises_the_lowest_failing_item(monkeypatch):
+def test_each_reraises_the_lowest_failing_item():
     # item 1 fails first, while item 0 still runs; item 0's failure is the
     # one a plain loop would raise. No item starts after a failure
-    monkeypatch.setattr(trainer, "_WORKERS", 2)
     failed, started = threading.Event(), []
 
     def fn(i):
@@ -719,7 +732,7 @@ def test_each_reraises_the_lowest_failing_item(monkeypatch):
             raise ValueError("item 1")
         return i
     with pytest.raises(ValueError, match="^item 0$"):
-        trainer._each(fn, range(6))
+        trainer._each(fn, range(6), 2)
     assert sorted(started) == [0, 1]
 
 
@@ -792,12 +805,14 @@ def test_round_pool_gate_threads_only_the_default_shape():
 @pytest.mark.parametrize("shared", [False, True])
 def test_round_runs_its_local_steps_through_the_pool_past_the_gate(shared, monkeypatch):
     monkeypatch.setattr(nn, "_SHARED_BYTES", 0 if shared else 1 << 62)
+    monkeypatch.setattr(trainer, "_WORKERS", 2)
     pooled = []
     each = trainer._each
 
-    def spy(fn, items):
-        pooled.append([s.agent_id for s in items])
-        return each(fn, items)
+    def spy(fn, items, workers):
+        if workers > 1:
+            pooled.append([s.agent_id for s in items])
+        return each(fn, items, workers)
     monkeypatch.setattr(trainer, "_each", spy)
     arch, hyper, graph, train, test, plan = fixture_run_inputs()
     w = init_params(arch, 0)
@@ -841,20 +856,69 @@ def test_threaded_round_names_the_lower_of_two_diverging_agents(monkeypatch):
 
 def test_round_pool_keeps_the_golden_digests(monkeypatch, tmp_path):
     # every conv past the gate and its weight gradient through the shared
-    # buffer, the rounds of all six algorithms and the harness arms on four
-    # threads: every golden CSV digest stays as it is
+    # buffer, the rounds and evaluations of all six algorithms and the
+    # harness arms on four threads: every golden CSV digest stays as it is
     monkeypatch.setattr(nn, "_SHARED_BYTES", 0)
     monkeypatch.setattr(trainer, "_WORKERS", 4)
     pooled = []
     each = trainer._each
 
-    def spy(fn, items):
-        pooled.append(len(items))
-        return each(fn, items)
+    def spy(fn, items, workers):
+        pooled.append((fn.__name__, len(items), workers))
+        return each(fn, items, workers)
     monkeypatch.setattr(trainer, "_each", spy)
     test_golden.test_golden_trajectory(tmp_path)
-    # 6 algorithms x 10 rounds of 8 agents, then one harness call
-    assert pooled == [8] * 60 + [3 * 4]
+    # per algorithm: the round-0 evaluation, 10 rounds of 8 agents and the
+    # round-10 evaluation; then one harness call of 3 agents x 4 arms
+    run = [("evaluate", 8, 4)] + [("step", 8, 4)] * 10 + [("evaluate", 8, 4)]
+    assert pooled == run * 6 + [("train", 3 * 4, 4)]
+
+
+@pytest.mark.parametrize("name", [None, "train.conf", "mask_vs_weight.conf"])
+def test_run_evaluates_on_the_pool_exactly_past_the_gate(name, monkeypatch):
+    # the README default shape (name None) passes the round steps' gate,
+    # the two config shapes do not; the gate depends only on the
+    # architecture and the batch size, so a small task of each shape does
+    monkeypatch.setattr(trainer, "_WORKERS", 2)
+    cfg = RunConfig() if name is None else parse_config((CONFIGS / name).read_text())
+    seen = []
+    each = trainer._each
+
+    def spy(fn, items, workers):
+        seen.append((fn.__name__, workers))
+        return each(fn, items, workers)
+    monkeypatch.setattr(trainer, "_each", spy)
+    train, test = synth_generate(cfg.classes, cfg.dim, 5, noise=0.1, seed=0)
+    plan = partition(train, test, assign_labels(2, cfg.classes, cfg.classes, 0), 0)
+    hyper = HyperConfig("ind_mask", rounds=0, batch_size=cfg.batch_size, eta=1.0,
+                        lam=0.0, seed=0, retention=(0.5, 0.5))
+    run(_config_arch(cfg), hyper, erdos_renyi(2, 1.0, 0), train, test, plan)
+    assert seen == [("evaluate", 2 if name is None else 1)]
+
+
+def test_pooled_evaluation_rows_equal_the_plain_loops(monkeypatch):
+    # four threads, switching often, against one, with every conv on the
+    # default shape's blocked forward: the same rows, float for float, for
+    # every agent and the mean row
+    monkeypatch.setattr(nn, "_SHARED_BYTES", 0)
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(
+        n=6, r=(0.3, 0.2, 0.4, 0.3, 0.5, 0.1))
+    w = init_params(arch, 0)
+    states = build_states(arch, hyper, graph, train, test, plan, w)
+    for k in (1, 2):
+        gossip_mask_round(states, w, arch, graph, hyper, k)
+    ledger = trainer.CommLedger()
+    logs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 4):
+            logs.append(trainer.MetricsLog())
+            trainer._evaluate_round(logs[-1], 2, states, w, arch, ledger, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [row.agent for row in logs[0].rows] == [-1, 0, 1, 2, 3, 4, 5]
+    assert pickle.dumps(logs[0].rows) == pickle.dumps(logs[1].rows)
 
 
 # ----------------------------------------------------------- bound checker
