@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (assign_labels, check_synth, load_cifar10, partition,
+from .data import (Rows, assign_labels, check_synth, load_cifar10, partition,
                    synth_generate)
 from .errors import FieldError
 from .masking import check_min_nonzero, retained_count
@@ -387,8 +387,8 @@ def _run_mask_vs_weight(cfg, out, quiet):
     for labels in label_sets:
         tr = np.flatnonzero(np.isin(train.labels, list(labels)))
         te = np.flatnonzero(np.isin(test.labels, list(labels)))
-        shards.append((train.features[tr], train.labels[tr],
-                       test.features[te], test.labels[te]))
+        shards.append((Rows(train.features, tr), Rows(train.labels, tr),
+                       Rows(test.features, te), Rows(test.labels, te)))
     traces = mask_vs_weight_verify(arch, shards, cfg.mask_vs_weight_r,
                                    cfg.mask_vs_weight_steps, cfg.eta_weight,
                                    cfg.eta_mask, cfg.batch_size, cfg.seed,

@@ -5,8 +5,10 @@ is the default desk-scale task: one random prototype per class plus
 uniform noise, clipped back into range. The partitioner implements label
 skew: each agent holds a few labels, a label's training samples are split
 as evenly as possible among its holders, and each agent's test set is the
-union of all test samples of its labels (shared labels duplicate test
-samples across agents by design).
+union of all test samples of its labels. Shared labels duplicate test
+samples across agents by index, not by copy: an agent reads its samples
+through :class:`Rows`, a view of the dataset's arrays at the plan's
+indices, which gathers only the rows asked for.
 
 A loader for the CIFAR-10 binary batch format (3073-byte records, one
 label byte followed by 3072 channel-major pixel bytes) is included for
@@ -23,6 +25,7 @@ from .errors import FieldError
 __all__ = [
     "Dataset",
     "PartitionPlan",
+    "Rows",
     "DataFormatError",
     "synth_generate",
     "check_synth",
@@ -69,6 +72,27 @@ class PartitionPlan:
     label_sets: list
     train_indices: list
     test_indices: list
+
+
+class Rows:
+    """Read-only view of the rows ``base[index]`` of a shared array. It
+    gathers on demand: a slice or an index array ``key`` gives
+    ``base[index[key]]``, the bytes the same key gives on a copy of
+    ``base[index]``, and ``np.asarray`` gathers every row."""
+
+    __slots__ = ("base", "index")
+
+    def __init__(self, base, index):
+        self.base, self.index = base, np.asarray(index, dtype=np.intp)
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, key):
+        return self.base[self.index[key]]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.base[self.index], dtype=dtype)
 
 
 def synth_generate(num_classes, dim, per_class, noise=0.1, seed=0):
@@ -133,7 +157,8 @@ def assign_labels(num_agents, num_classes, labels_per_agent, seed):
 def partition(train, test, label_sets, seed):
     """Split training samples of each label evenly (sizes differ by at most
     one) among the label's holders; give each agent all test samples of its
-    labels."""
+    labels. The plan holds indices only: a test sample of a shared label is
+    listed once per holder, and :class:`Rows` reads it from the one dataset."""
     holders = {lab: [i for i, s in enumerate(label_sets) if lab in s]
                for lab in range(train.num_classes)}
     for lab, h in holders.items():

@@ -517,12 +517,16 @@ def _maxpool_backward(grad_out, cache):
     return gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
+def _cross_entropy(logits, labels):
+    """Mean softmax cross-entropy over the rows, and the log-probabilities."""
+    shift = logits - logits.max(axis=1, keepdims=True)
+    logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    return -logp[np.arange(logits.shape[0]), labels].mean(), logp
+
+
 def _softmax_cross_entropy(logits, labels):
     n = logits.shape[0]
-    shift = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shift).sum(axis=1, keepdims=True))
-    logp = shift - logz
-    loss = -logp[np.arange(n), labels].mean()
+    loss, logp = _cross_entropy(logits, labels)
     grad = np.exp(logp)
     grad[np.arange(n), labels] -= 1.0
     return loss, grad / n
@@ -651,7 +655,7 @@ def loss(arch, w, m, batch, labels):
     its memory. The linear layers see the whole batch: their gemms round
     differently when the row count changes."""
     x, y = _labelled_batch(arch, batch, labels)
-    return _softmax_cross_entropy(_logits(arch, w, m, x), y)[0]
+    return _cross_entropy(_logits(arch, w, m, x), y)[0]
 
 
 def loss_and_grad_v(arch, w, m, batch, labels):

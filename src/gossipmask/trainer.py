@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import Rows
 from .errors import FieldError, LayerError
 from .masking import (extract, group_lasso_grad, retained_count,
                       threshold_layer)  # noqa: F401 (bench/spans.py traces it)
@@ -129,8 +130,10 @@ class HyperConfig:
 
 @dataclass(slots=True)
 class AgentState:
-    """Everything one agent owns between rounds: its mask ``m`` comes from
-    its scores ``z`` or, in a weight baseline, its ``weights``, at ratio ``r``."""
+    """One agent's state between rounds. It reads its train and test
+    samples through shared rows (:class:`~gossipmask.data.Rows` in a run,
+    or plain arrays) and owns the rest: its mask ``m`` comes from its
+    scores ``z`` or, in a weight baseline, its ``weights``, at ratio ``r``."""
 
     agent_id: int
     r: float
@@ -447,8 +450,10 @@ def _scores(arch, seed, *key):
 
 def build_states(arch, hyper, graph, train, test, plan, w):
     """Per-agent states for :func:`run`, ready for round 1: a data shard each,
-    and scores from the z substream with their mask (mask algorithms) or a
-    copy of ``w`` with its pruning mask (weight baselines; dsgd is unmasked)."""
+    read through :class:`~gossipmask.data.Rows` at the plan's indices (no
+    copy of a sample), and scores from the z substream with their mask
+    (mask algorithms) or a copy of ``w`` with its pruning mask (weight
+    baselines; dsgd is unmasked)."""
     if len(hyper.retention) != graph.n:
         raise ValueError(
             f"retention list has {len(hyper.retention)} entries for {graph.n} agents")
@@ -459,8 +464,9 @@ def build_states(arch, hyper, graph, train, test, plan, w):
         tr, te = plan.train_indices[i], plan.test_indices[i]
         if len(tr) == 0:
             raise ValueError(f"agent {i} has an empty training shard")
-        state = AgentState(i, hyper.retention[i], train.features[tr], train.labels[tr],
-                           test.features[te], test.labels[te], hyper.eta, hyper.lam)
+        state = AgentState(i, hyper.retention[i], Rows(train.features, tr),
+                           Rows(train.labels, tr), Rows(test.features, te),
+                           Rows(test.labels, te), hyper.eta, hyper.lam)
         if hyper.algorithm in _MASK_ALGORITHMS:
             state.z = _scores(arch, hyper.seed, i)
             state.min_nonzero = hyper.min_nonzero

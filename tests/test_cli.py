@@ -382,7 +382,7 @@ def test_sweep_writes_one_file_per_topology(tmp_path):
         assert (tmp_path / "s" / f"graph_{label}.edges").is_file()
 
 
-def test_mask_vs_weight_experiment(tmp_path):
+def test_mask_vs_weight_experiment(tmp_path, monkeypatch):
     text = """
 experiment = mask_vs_weight
 seed = 1
@@ -399,11 +399,30 @@ mask_vs_weight_steps = 6
 mask_vs_weight_eval = 3
 batch_size = 6
 """
+    # the harness shards read the task's rows; they hold no copy of them
+    tasks, shards = [], []
+    task, verify = cli._task, cli.mask_vs_weight_verify
+
+    def task_spy(cfg):
+        tasks.append(task(cfg))
+        return tasks[-1]
+
+    def verify_spy(arch, agent_shards, *args):
+        shards.extend(agent_shards)
+        return verify(arch, agent_shards, *args)
+    monkeypatch.setattr(cli, "_task", task_spy)
+    monkeypatch.setattr(cli, "mask_vs_weight_verify", verify_spy)
     run_experiment(parse_config(text + f"out = {tmp_path/'d'}\n"), quiet=True)
     rows = (tmp_path / "d" / "mask_vs_weight.csv").read_text().splitlines()
     assert rows[0] == "step,agent,arm,r,accuracy"
     # 2 agents x 2 arms x (6/3 + 1) evaluations
     assert len(rows) == 1 + 2 * 2 * 3
+    (train, test, label_sets, _), = tasks
+    assert len(shards) == len(label_sets) == 2
+    for (tx, ty, ex, ey), labels in zip(shards, label_sets):
+        assert tx.base is train.features and ex.base is test.features
+        assert ty.base is train.labels and ey.base is test.labels
+        assert set(ty[:len(ty)]) == set(ey[:len(ey)]) == set(labels)
 
 
 def test_bound_check_experiment(tmp_path):

@@ -176,6 +176,16 @@ def test_forward_only_loss_shares_input_checks():
             loss(arch, w, None, batch, labels)
 
 
+def test_forward_only_loss_builds_no_gradient(monkeypatch):
+    # the logged loss needs the value alone: no softmax gradient is built
+    def no_gradient(*args):
+        raise AssertionError("loss built a softmax gradient")
+    monkeypatch.setattr(nn, "_softmax_cross_entropy", no_gradient)
+    arch = small_arch()
+    x = np.random.default_rng(0).random((3,) + arch.input_shape)
+    assert np.isfinite(loss(arch, init_params(arch, 0), None, x, np.array([0, 1, 2])))
+
+
 @pytest.mark.parametrize("masked", [False, True])
 def test_forward_only_loss_bitwise_equal(masked):
     for seed in range(5):

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -222,6 +223,48 @@ def test_build_states_are_ready_for_round_one(algorithm):
         else:
             assert s.m.keys() == want.keys()
             assert all(np.array_equal(s.m[layer], want[layer]) for layer in want)
+
+
+def test_states_read_the_plan_rows_without_copying_them():
+    # a state's batch, test rows and logged-loss rows are, byte for byte,
+    # the rows of the plan's indices, read from the datasets themselves
+    arch, hyper, graph, train, test, plan = fixture_run_inputs()
+    states = build_states(arch, hyper, graph, train, test, plan, init_params(arch, 0))
+    for s, tr, te in zip(states, plan.train_indices, plan.test_indices):
+        assert s.train_x.base is train.features and s.test_x.base is test.features
+        assert s.train_y.base is train.labels and s.test_y.base is test.labels
+        x, y = train.features[tr], train.labels[tr]
+        idx = sample_batch(hyper.seed, s.agent_id, 3, len(tr), hyper.batch_size)
+        bx, by = trainer._local_batch(s, hyper, 3)
+        assert bx.tobytes() == x[idx].tobytes() and by.tobytes() == y[idx].tobytes()
+        rows = trainer._LOSS_ROWS
+        assert s.train_x[:rows].tobytes() == x[:rows].tobytes()
+        assert s.train_y[:rows].tobytes() == y[:rows].tobytes()
+        assert s.test_x[:len(te)].tobytes() == test.features[te].tobytes()
+        assert s.test_y[:len(te)].tobytes() == test.labels[te].tobytes()
+        assert np.asarray(s.test_x).tobytes() == test.features[te].tobytes()
+
+
+def test_build_states_at_the_default_shape_hold_no_sample_copies():
+    # README defaults (20 agents, 3x16x16): the scores and masks take
+    # 15.9 MiB; a copy of each agent's train and test rows would add 14 MiB
+    cfg = RunConfig()
+    train, test = synth_generate(cfg.classes, cfg.dim, cfg.per_class, cfg.noise, seed=0)
+    plan = partition(train, test, assign_labels(cfg.n, cfg.classes, cfg.c, 0), 0)
+    arch = _config_arch(cfg)
+    hyper = HyperConfig("gossip_mask", rounds=1, batch_size=cfg.batch_size,
+                        eta=cfg.eta_mask, lam=cfg.lam, seed=0,
+                        retention=(0.3,) * cfg.n, min_nonzero=cfg.min_nonzero)
+    w = init_params(arch, 0)
+    tracemalloc.start()
+    try:
+        states = build_states(arch, hyper, erdos_renyi(cfg.n, cfg.p, 0), train,
+                              test, plan, w)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(states) == cfg.n
+    assert held < 17 * 2 ** 20
 
 
 def test_hyper_config_rejects_bad_ratio_and_min_nonzero():
