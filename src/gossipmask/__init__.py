@@ -16,7 +16,7 @@ from .masking import (check_min_nonzero, extract, filter_zero,
                       group_lasso_grad, group_lasso_value, retained_count,
                       threshold_layer)
 from .nn import (LayerSpec, ModelArch, conv2d, desk_arch, finite_diff_check,
-                 flatten, forward, grad_z, identity_masks, init_params, linear,
+                 flatten, forward, grad_z, init_params, linear,
                  loss_and_grad_v, maxpool2d, relu, shape_chain)
 from .protocol import (CommLedger, MaskFrame, ProtocolError, SimulationError,
                        account_real_bits, decode_mask, encode_mask, exchange)

@@ -8,7 +8,9 @@ output-filter slice) drives the scores toward structured sparsity.
 
 Masks are float64 arrays of 0.0/1.0 so they combine directly with
 parameter tensors; the leading axis of every masked tensor indexes output
-filters (conv: ``(O, I, H, W)``, linear: ``(O, I)``).
+filters (conv: ``(O, I, H, W)``, linear: ``(O, I)``). Masks decoded from
+the wire are uint8 bits (``protocol.decode_mask``), which the receiver
+only counts.
 """
 
 import numpy as np

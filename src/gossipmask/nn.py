@@ -71,7 +71,6 @@ __all__ = [
     "desk_arch",
     "shape_chain",
     "init_params",
-    "identity_masks",
     "forward",
     "loss",
     "loss_and_grad_v",
@@ -239,11 +238,6 @@ def init_params(arch, seed):
         rng = np.random.default_rng(base + [idx])
         params[idx] = rng.uniform(-1.0, 1.0, size=shape)
     return params
-
-
-def identity_masks(arch):
-    """All-ones mask set matching the parameter shapes."""
-    return {idx: np.ones(shape) for idx, shape in arch.param_shapes().items()}
 
 
 # ----------------------------------------------------------- layer kernels

@@ -14,8 +14,10 @@ rejects any frame violating the layout.
 Cost accounting follows the 1-bit-per-mask-entry vs 32-bit-per-real
 convention: a mask transmission costs one payload bit per entry, a
 real-valued transmission 32 bits per entry. Header and padding overhead is
-tracked separately so payload comparisons stay exact. Every transmission
-is unicast: an agent sending to d neighbors pays d times.
+tracked separately so payload comparisons stay exact, and is counted from
+the frame's bytes: the layout above lives only in the struct formats,
+``to_bytes`` and ``from_bytes``. Every transmission is unicast: an agent
+sending to d neighbors pays d times.
 """
 
 import struct
@@ -67,9 +69,8 @@ class MaskFrame:
 
     def header_bits(self):
         """Everything that is not a mask entry: frame header, segment
-        headers and padding bits, counted from the layout."""
-        padding = sum(-count % 8 for _, count, _ in self.segments)
-        return 8 * (_HEADER.size + _SEGMENT.size * len(self.segments)) + padding
+        headers and padding bits, counted from the bytes."""
+        return 8 * len(self.to_bytes()) - self.payload_bits()
 
     def to_bytes(self):
         out = [_HEADER.pack(MAGIC, VERSION, self.sender, self.round_index,
@@ -135,8 +136,10 @@ def encode_mask(mask_set, sender, round_index):
 
 
 def decode_mask(frame, expected_shapes):
-    """Exact inverse of :func:`encode_mask`, validated against the expected
-    per-layer shapes. Rejects count mismatches and nonzero padding bits."""
+    """Inverse of :func:`encode_mask`, validated against the expected
+    per-layer shapes: each layer's wire bits unpacked as uint8 (one byte
+    per entry) in its shape. Rejects count mismatches and nonzero padding
+    bits."""
     expected = {int(k): tuple(v) for k, v in expected_shapes.items()}
     got = [layer for layer, _, _ in frame.segments]
     if sorted(got) != sorted(expected):
@@ -155,7 +158,7 @@ def decode_mask(frame, expected_shapes):
                              bitorder="little")
         if bits[count:].any():
             raise ProtocolError(f"segment layer {layer}: nonzero padding bits")
-        masks[layer] = bits[:count].astype(np.float64).reshape(shape)
+        masks[layer] = bits[:count].reshape(shape)
     return masks
 
 
@@ -193,15 +196,6 @@ class CommLedger:
             rslot[2] += payload_bits
             rslot[3] += header_bits
         self._totals = tuple(t + b for t, b in zip(self._totals, sent + sent))
-
-    def round_totals(self, round_index):
-        """(sent_payload, sent_header, recv_payload, recv_header) summed
-        over agents for one round."""
-        totals = [0, 0, 0, 0]
-        for slot in self.per_round.get(round_index, {}).values():
-            for i in range(4):
-                totals[i] += slot[i]
-        return tuple(totals)
 
     def totals(self):
         """Cumulative (sent_payload, sent_header, recv_payload, recv_header)

@@ -51,6 +51,8 @@ class Graph:
         adj = np.asarray(adjacency)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
+        if adj.shape[0] == 0:
+            raise ValueError("a graph needs at least one node")
         if not np.isin(adj, (0, 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         if (adj != adj.T).any():

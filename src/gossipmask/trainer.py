@@ -19,8 +19,9 @@ Algorithms
     masks, and (d) re-extracts its mask from the aggregation tensor built
     on the fine-tuned scores. Only 1-bit masks ever cross the wire, and
     fusion sees the neighborhood only through that entry-wise average:
-    the receive step hands each agent its average, taken once per round
-    in ascending sender order, and the decoded masks are dropped.
+    the receive step decodes each frame once to uint8 bits, counts each
+    agent's received bits per entry in ascending sender order, divides
+    once by the sender count and drops the bits.
 ``ind_mask``
     The collaborative round with an empty neighborhood: (c) and (d) change
     nothing, so the mask extracted in (a) is the new mask; nothing is sent.
@@ -192,22 +193,6 @@ def sample_batch(seed, agent, round_index, n, batch_size):
     return rng.integers(0, n, size=batch_size)
 
 
-def _average_masks(mask_sets):
-    """Entry-wise mean of the given mask sets (keyed by sender); None when
-    there is nothing to average (the empty average acts as a zero tensor)."""
-    if not mask_sets:
-        return None
-    senders = sorted(mask_sets)
-    avg = {layer: np.array(m, dtype=np.float64)
-           for layer, m in mask_sets[senders[0]].items()}
-    for s in senders[1:]:
-        for layer, m in mask_sets[s].items():
-            avg[layer] += m
-    for layer in avg:
-        avg[layer] /= len(senders)
-    return avg
-
-
 def _aggregation_tensor(z, neighbor_avg):
     """Blend neighbor mask information into the scores: per layer
     y = z + mean(|z|) * sign(z) * neighbor_average. That formula is this
@@ -325,13 +310,27 @@ def _local_step(state, w, arch, batch_x, batch_y, step):
 def _exchange_masks(graph, masks, round_index, shapes, ledger):
     """Send every agent's mask set (``masks`` maps agent -> mask set) to its
     neighbors: one frame per agent through :func:`exchange`, each frame
-    decoded once. Returns agent -> the average of the mask sets it received
-    (None without neighbors); the decoded sets are dropped on return."""
+    decoded once to uint8 bits. Returns agent -> the entry-wise average of
+    the masks it received (None without neighbors, which acts as a zero
+    tensor): per layer the received bits counted in int32 (wide enough
+    for every sender id ``encode_mask`` admits), in ascending sender order,
+    and divided once by the sender count. The counts are exact, so that is
+    a float64 sum-then-divide bit for bit. The decoded bits are dropped on
+    return."""
     outbox = {a: encode_mask(m, a, round_index) for a, m in masks.items()}
     inbox = exchange(graph, outbox, ledger)
     decoded = {sender: decode_mask(frame, shapes) for sender, frame in outbox.items()}
-    return {a: _average_masks({f.sender: decoded[f.sender] for f in inbox[a]})
-            for a in outbox}
+
+    def average(frames):
+        if not frames:
+            return None
+        first, *rest = (decoded[f.sender] for f in frames)
+        counts = {layer: bits.astype(np.int32) for layer, bits in first.items()}
+        for bits in rest:
+            for layer, count in counts.items():
+                count += bits[layer]
+        return {layer: count / len(frames) for layer, count in counts.items()}
+    return {a: average(inbox[a]) for a in outbox}
 
 
 def _weight_step(state, arch, batch_x, batch_y):

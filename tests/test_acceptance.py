@@ -24,8 +24,9 @@ from gossipmask import (Dataset, Graph, HyperConfig, MaskFrame, ModelArch,
                         threshold_layer)
 from gossipmask.cli import parse_config, run_experiment
 from gossipmask.protocol import CommLedger
-from gossipmask.trainer import (_average_masks, aggregate_step,
-                                backprop_half_step, fine_tune_step)
+from gossipmask.trainer import (aggregate_step, backprop_half_step,
+                                fine_tune_step)
+from test_trainer import reference_average
 
 
 def _pass(n, name):
@@ -202,8 +203,8 @@ def test_criterion_3_sparsity_exactness():
     inbox = exchange(graph, {s.agent_id: encode_mask(s.m, s.agent_id, 0)
                              for s in states})
     for s in states:
-        s.neighbor_avg = _average_masks({f.sender: decode_mask(f, shapes)
-                                         for f in inbox[s.agent_id]})
+        s.neighbor_avg = reference_average({f.sender: decode_mask(f, shapes)
+                                            for f in inbox[s.agent_id]})
     checked = equalities = 0
     for k in range(1, rounds + 1):
         outbox = {}
@@ -215,8 +216,8 @@ def test_criterion_3_sparsity_exactness():
             outbox[s.agent_id] = encode_mask(m_half, s.agent_id, k)
         inbox = exchange(graph, outbox)
         for s in states:
-            avg = _average_masks({f.sender: decode_mask(f, shapes)
-                                  for f in inbox[s.agent_id]})
+            avg = reference_average({f.sender: decode_mask(f, shapes)
+                                     for f in inbox[s.agent_id]})
             fine_tune_step(s, avg)
             y, m = aggregate_step(s, avg)
             for layer, shape in shapes.items():
@@ -239,6 +240,11 @@ def test_criterion_3_sparsity_exactness():
 
 # ---------------------------------------------------------------------- 4
 
+def _round_payload(ledger, round_index):
+    """Payload bits sent in one round, summed over agents."""
+    return sum(slot[0] for slot in ledger.per_round[round_index].values())
+
+
 def test_criterion_4_communication_ratio():
     classes = 4
     train, test = synth_generate(classes, (2, 5, 5), 30, noise=0.2,
@@ -257,18 +263,18 @@ def test_criterion_4_communication_ratio():
     inbox = exchange(graph, {s.agent_id: encode_mask(s.m, s.agent_id, 0)
                              for s in states})
     for s in states:
-        s.neighbor_avg = _average_masks({f.sender: decode_mask(f, shapes)
-                                         for f in inbox[s.agent_id]})
+        s.neighbor_avg = reference_average({f.sender: decode_mask(f, shapes)
+                                            for f in inbox[s.agent_id]})
     gossip_ledger = CommLedger()
     gossip_mask_round(states, w, arch, graph, gossip_hyper, 1, gossip_ledger)
-    gossip_payload = gossip_ledger.round_totals(1)[0]
+    gossip_payload = _round_payload(gossip_ledger, 1)
 
     avr_hyper = HyperConfig("avr_weipru", 1, 8, 0.001, 0.001, 1,
                             (0.3,) * 6, 2, 1)
     avr_states = build_states(arch, avr_hyper, graph, train, test, plan, w)
     avr_ledger = CommLedger()
     gossip_mask_round(avr_states, None, arch, graph, avr_hyper, 1, avr_ledger)
-    avr_payload = avr_ledger.round_totals(1)[0]
+    avr_payload = _round_payload(avr_ledger, 1)
 
     assert gossip_payload * 32 == avr_payload
     assert gossip_payload == int(graph.degrees.sum()) * arch.param_count()

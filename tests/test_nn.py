@@ -10,7 +10,7 @@ import pytest
 
 from gossipmask import (FieldError, ModelArch, conv2d, desk_arch,
                         finite_diff_check, flatten, forward, grad_z,
-                        identity_masks, init_params, linear, loss_and_grad_v,
+                        init_params, linear, loss_and_grad_v,
                         maxpool2d, relu, shape_chain)
 from gossipmask import nn
 from gossipmask.cli import RunConfig, run_experiment
@@ -98,7 +98,8 @@ def test_identity_mask_is_bitwise_noop():
     rng = np.random.default_rng(0)
     w = init_params(arch, 3)
     x = rng.random((4, 2, 6, 6))
-    masked, _ = forward(arch, w, identity_masks(arch), x)
+    ones = {idx: np.ones(s) for idx, s in arch.param_shapes().items()}
+    masked, _ = forward(arch, w, ones, x)
     unmasked, _ = forward(arch, w, None, x)
     assert np.array_equal(masked, unmasked)
 
@@ -123,7 +124,7 @@ def test_forward_shape_mismatch():
     w = init_params(arch, 3)
     with pytest.raises(ValueError):
         forward(arch, w, None, np.zeros((2, 2, 5, 5)))
-    bad_mask = identity_masks(arch)
+    bad_mask = {idx: np.ones(s) for idx, s in arch.param_shapes().items()}
     bad_mask[0] = np.ones((3, 2, 2, 2))
     with pytest.raises(ValueError):
         forward(arch, w, bad_mask, np.zeros((2, 2, 6, 6)))

@@ -40,6 +40,7 @@ def test_round_trip_random_masks():
         wire = MaskFrame.from_bytes(frame.to_bytes())
         decoded = decode_mask(wire, {k: v.shape for k, v in masks.items()})
         for k in masks:
+            assert decoded[k].dtype == np.uint8
             assert np.array_equal(decoded[k], masks[k])
 
 
@@ -183,6 +184,18 @@ def test_header_bits_match_serialized_length(seed, layers):
     assert frame.header_bits() == len(frame.to_bytes()) * 8 - frame.payload_bits()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+                max_size=5))
+def test_header_bits_follow_the_documented_layout(shapes):
+    # a 16-byte frame header, a 6-byte header per segment and the padding
+    # bits up to each payload's byte boundary
+    masks = {layer: np.ones(shape) for layer, shape in enumerate(shapes)}
+    frame = encode_mask(masks, 1, 2)
+    padding = sum(-int(np.prod(shape)) % 8 for shape in shapes)
+    assert frame.header_bits() == 8 * (16 + 6 * len(shapes)) + padding
+
+
 def test_header_bits_separate_from_payload():
     masks = {0: np.ones(5), 1: np.ones(16)}
     frame = encode_mask(masks, 0, 0)
@@ -268,8 +281,8 @@ def test_ledger_per_round_payload_formula():
     ledger = CommLedger()
     entries = 12
     exchange(g, make_outbox(g, entries=entries), ledger)
-    sp, _, _, _ = ledger.round_totals(1)
-    assert sp == int(g.degrees.sum()) * entries
+    sent = sum(slot[0] for slot in ledger.per_round[1].values())
+    assert sent == int(g.degrees.sum()) * entries
 
 
 def test_ledger_totals_accumulate():
@@ -282,7 +295,8 @@ def test_ledger_totals_accumulate():
 
 
 def test_ledger_totals_are_the_sum_of_the_round_totals():
-    # totals() is a running sum; it must equal summing every round afresh
+    # totals() is a running sum; it must equal summing every round's
+    # per-agent slots afresh
     g = ring(7)
     rng = np.random.default_rng(0)
     ledger = CommLedger()
@@ -291,7 +305,8 @@ def test_ledger_totals_are_the_sum_of_the_round_totals():
         sender = int(rng.integers(0, g.n))
         ledger.add_transmission(round_index, sender, g.neighbors[sender],
                                 int(rng.integers(0, 10 ** 6)), int(rng.integers(0, 200)))
-    summed = [sum(ledger.round_totals(k)[i] for k in ledger.per_round) for i in range(4)]
+    summed = [sum(slot[i] for agents in ledger.per_round.values()
+                  for slot in agents.values()) for i in range(4)]
     assert ledger.totals() == tuple(summed)
     assert summed[0] == summed[2] and summed[1] == summed[3]
 

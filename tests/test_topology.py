@@ -88,6 +88,11 @@ def test_graph_invariants_enforced():
         Graph(np.array([[0, 2], [2, 0]]))  # non-binary
 
 
+def test_graph_without_nodes_rejected():
+    with pytest.raises(ValueError, match="^a graph needs at least one node$"):
+        Graph(np.zeros((0, 0)))
+
+
 def test_graph_immutable_adjacency():
     g = ring(4)
     with pytest.raises(ValueError):

@@ -24,11 +24,26 @@ from gossipmask import (ALGORITHMS, AgentState, FieldError, Graph, HyperConfig,
                         sample_batch, substream, synth_generate)
 from gossipmask import nn, trainer
 from gossipmask.cli import RunConfig, parse_config
-from gossipmask.trainer import _average_masks
+from gossipmask.protocol import MaskFrame
 
 import test_golden
 
 CONFIGS = test_golden.CONFIGS
+
+
+def reference_average(mask_sets):
+    """The neighbor average the round must give, computed the plain way:
+    the mask sets (keyed by sender) as float64, summed in ascending sender
+    order and divided once by their number; None for no senders."""
+    if not mask_sets:
+        return None
+    senders = sorted(mask_sets)
+    total = {layer: np.array(m, dtype=np.float64)
+             for layer, m in mask_sets[senders[0]].items()}
+    for s in senders[1:]:
+        for layer, m in mask_sets[s].items():
+            total[layer] += m
+    return {layer: t / len(senders) for layer, t in total.items()}
 
 
 def k2_graph():
@@ -62,8 +77,8 @@ def test_aggregation_tensor_hand_example():
     # y = [0.2 + 0.3 * 1 * 1, -0.4 + 0.3 * (-1) * 0.5] = [0.5, -0.55]
     state = make_state({0: [[0.2, -0.4]]}, r=0.5, eta=1.0,
                        grad_cache={0: [[0.0, 0.0]]})
-    avg = _average_masks({1: {0: np.array([[1.0, 1.0]])},
-                          2: {0: np.array([[1.0, 0.0]])}})
+    avg = reference_average({1: {0: np.array([[1.0, 1.0]])},
+                             2: {0: np.array([[1.0, 0.0]])}})
     y, m = aggregate_step(state, avg)
     np.testing.assert_allclose(y[0], [[0.5, -0.55]], atol=1e-15)
     # r = 0.5 over 2 entries keeps the single largest magnitude: -0.55
@@ -76,7 +91,7 @@ def test_aggregation_preserves_sign():
     nb = {1: {0: (rng.random((4, 6)) < 0.5).astype(float)},
           2: {0: (rng.random((4, 6)) < 0.5).astype(float)}}
     state = make_state({0: z}, r=0.5, grad_cache={0: np.zeros((4, 6))})
-    y, _ = aggregate_step(state, _average_masks(nb))
+    y, _ = aggregate_step(state, reference_average(nb))
     nz = z != 0
     assert np.array_equal(np.sign(y[0])[nz], np.sign(z)[nz])
 
@@ -92,8 +107,8 @@ def test_isolated_agent_aggregation_is_plain_extraction():
 def test_fine_tune_hand_example():
     # z = [1.0], G = [0.5], eta = 1, neighbor mask average [0.5] -> z = 0.75
     state = make_state({0: [[1.0]]}, r=1.0, eta=1.0, grad_cache={0: [[0.5]]})
-    z = fine_tune_step(state, _average_masks({1: {0: np.array([[1.0]])},
-                                              2: {0: np.array([[0.0]])}}))
+    z = fine_tune_step(state, reference_average({1: {0: np.array([[1.0]])},
+                                                 2: {0: np.array([[0.0]])}}))
     np.testing.assert_allclose(z[0], [[0.75]], atol=1e-15)
 
 
@@ -174,11 +189,42 @@ def test_half_step_skips_group_lasso_at_zero_lambda(monkeypatch):
     assert calls == [0.001]
 
 
-def test_average_masks_ascending_and_empty():
-    assert _average_masks({}) is None
-    sets = {2: {0: np.array([1.0, 0.0])}, 1: {0: np.array([1.0, 1.0])}}
-    avg = _average_masks(sets)
-    np.testing.assert_array_equal(avg[0], [1.0, 0.5])
+def test_exchange_masks_ascending_and_empty():
+    # agent 0 hears agents 1 and 2; agents 1 and 2 hear only agent 0
+    path = Graph(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]]))
+    masks = {0: {0: np.array([0.0, 1.0])}, 1: {0: np.array([1.0, 1.0])},
+             2: {0: np.array([1.0, 0.0])}}
+    averages = trainer._exchange_masks(path, masks, 0, {0: (2,)}, None)
+    assert averages[0][0].dtype == np.float64
+    np.testing.assert_array_equal(averages[0][0], [1.0, 0.5])
+    np.testing.assert_array_equal(averages[2][0], [0.0, 1.0])
+    # a lone agent hears nobody: no average, which acts as a zero tensor
+    lone = trainer._exchange_masks(Graph(np.zeros((1, 1))), {0: masks[0]}, 0,
+                                   {0: (2,)}, None)
+    assert lone == {0: None}
+
+
+def test_hub_average_of_many_senders_equals_the_float_reference():
+    # 300 leaves send to the hub: an entry every leaf keeps counts past 255,
+    # so a count narrower than int32 would wrap there
+    n = 301
+    adjacency = np.zeros((n, n), dtype=int)
+    adjacency[0, 1:] = adjacency[1:, 0] = 1
+    shapes = {0: (3,), 2: (2, 2)}
+    rng = np.random.default_rng(11)
+    masks = {a: {layer: (rng.random(shape) < 0.5).astype(np.float64)
+                 for layer, shape in shapes.items()} for a in range(n)}
+    for a in range(n):
+        masks[a][0][0] = 1.0
+    averages = trainer._exchange_masks(Graph(adjacency), masks, 4, shapes, None)
+    want = reference_average({a: masks[a] for a in range(1, n)})
+    for layer in shapes:
+        assert averages[0][layer].dtype == want[layer].dtype
+        assert averages[0][layer].tobytes() == want[layer].tobytes()
+    assert averages[0][0][0] == 1.0
+    for a in (1, n - 1):
+        for layer in shapes:
+            assert averages[a][layer].tobytes() == masks[0][layer].tobytes()
 
 
 # ------------------------------------------------------------- full round
@@ -301,8 +347,8 @@ def test_shared_params_frozen_under_mask_rounds():
     inbox = exchange(graph, outbox)
     shapes = arch.param_shapes()
     for s in states:
-        s.neighbor_avg = _average_masks({f.sender: decode_mask(f, shapes)
-                                         for f in inbox[s.agent_id]})
+        s.neighbor_avg = reference_average({f.sender: decode_mask(f, shapes)
+                                            for f in inbox[s.agent_id]})
     for k in range(1, 3):
         gossip_mask_round(states, w, arch, graph, hyper, k)
     gossip_mask_round(states, w, arch, graph, replace(hyper, algorithm="ind_mask"),
@@ -356,7 +402,8 @@ def test_gossip_round_steps_through_module_bindings(monkeypatch):
     w = init_params(arch, 0)
     states = build_states(arch, hyper, graph, train, test, plan, w)
     for s in states:
-        s.neighbor_avg = _average_masks({int(j): s.m for j in graph.neighbors[s.agent_id]})
+        s.neighbor_avg = reference_average({int(j): s.m
+                                            for j in graph.neighbors[s.agent_id]})
     owner = {id(s.m): s.agent_id for s in states}
     calls = []
     _counting(monkeypatch, "backprop_half_step",
@@ -388,11 +435,12 @@ def test_each_frame_decoded_once(monkeypatch):
 
 
 def test_decoded_masks_do_not_outlive_the_round(monkeypatch):
-    decoded = []
+    decoded, dtypes = [], set()
 
     def recording_decode(frame, shapes):
         masks = decode_mask(frame, shapes)
         decoded.extend(weakref.ref(m) for m in masks.values())
+        dtypes.update(m.dtype for m in masks.values())
         return masks
 
     monkeypatch.setattr(trainer, "decode_mask", recording_decode)
@@ -401,6 +449,8 @@ def test_decoded_masks_do_not_outlive_the_round(monkeypatch):
     states = build_states(arch, hyper, graph, train, test, plan, w)
     gossip_mask_round(states, w, arch, graph, hyper, 1)
     assert len(decoded) == graph.n * len(arch.param_shapes())
+    # the wire bits, one byte each, not float64 copies
+    assert dtypes == {np.dtype(np.uint8)}
     # each agent keeps only the average: no decoded array is still alive
     assert all(ref() is None for ref in decoded)
     for s in states:
@@ -408,18 +458,48 @@ def test_decoded_masks_do_not_outlive_the_round(monkeypatch):
 
 
 def test_received_masks_averaged_once_per_round(monkeypatch):
-    calls = []
+    # one exchange per round, the bootstrap included; each agent's average
+    # from it is the one object that fine-tuning, aggregation and the next
+    # round's half-step read
+    exchanged, seen = [], {}
+    exchange_masks = trainer._exchange_masks
 
-    def counting_average(mask_sets):
-        calls.append(mask_sets)
-        return _average_masks(mask_sets)
-
-    monkeypatch.setattr(trainer, "_average_masks", counting_average)
+    def recording_exchange(*args):
+        exchanged.append(exchange_masks(*args))
+        return exchanged[-1]
+    monkeypatch.setattr(trainer, "_exchange_masks", recording_exchange)
+    _counting(monkeypatch, "backprop_half_step", lambda state, *_: seen.setdefault(
+        ("half", state.agent_id), []).append(state.neighbor_avg))
+    for name in ("fine_tune_step", "aggregate_step"):
+        _counting(monkeypatch, name, lambda state, avg, name=name: seen.setdefault(
+            (name, state.agent_id), []).append(avg))
     arch, hyper, graph, train, test, plan = fixture_run_inputs(rounds=3)
     run(arch, hyper, graph, train, test, plan)
-    # the bootstrap masks once, then each round's received masks once:
-    # fine-tuning, aggregation and the next half-step share the average
-    assert len(calls) == graph.n * (hyper.rounds + 1)
+    assert len(exchanged) == hyper.rounds + 1
+    for a in range(graph.n):
+        averages = [per_agent[a] for per_agent in exchanged]
+        assert all(set(avg) == set(arch.param_shapes()) for avg in averages)
+        ids = [id(avg) for avg in averages]      # all alive in ``exchanged``
+        assert len(set(ids)) == len(ids)
+        assert [id(avg) for avg in seen[("half", a)]] == ids[:-1]
+        for name in ("fine_tune_step", "aggregate_step"):
+            assert [id(avg) for avg in seen[(name, a)]] == ids[1:]
+
+
+def test_logged_header_bits_count_an_extra_frame_byte(monkeypatch):
+    # header bits are counted from the frame's bytes: one byte appended to
+    # every frame adds 8 bits per frame sent, the bootstrap exchange
+    # included, and changes nothing else
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(rounds=3)
+    plain = run(arch, hyper, graph, train, test, plan)
+    to_bytes = MaskFrame.to_bytes
+    monkeypatch.setattr(MaskFrame, "to_bytes", lambda frame: to_bytes(frame) + b"\0")
+    padded = run(arch, hyper, graph, train, test, plan)
+    frames = int(graph.degrees.sum())
+    assert len(padded.rows) == len(plain.rows)
+    for got, want in zip(padded.rows, plain.rows):
+        assert got.header_bits - want.header_bits == 8 * frames * (want.round + 1)
+        assert replace(got, header_bits=want.header_bits) == want
 
 
 def test_round_determinism():
@@ -528,7 +608,8 @@ def test_non_finite_score_names_agent_and_round(algorithm):
     w = init_params(arch, 0)
     states = build_states(arch, hyper, graph, train, test, plan, w)
     for s in states:
-        s.neighbor_avg = _average_masks({int(j): s.m for j in graph.neighbors[s.agent_id]})
+        s.neighbor_avg = reference_average({int(j): s.m
+                                            for j in graph.neighbors[s.agent_id]})
     states[2].z[0][0, 0, 0, 0] = np.nan
     with pytest.raises(SimulationError,
                        match=r"^agent 2, round 5, layer 0: \d+ non-finite score"):
