@@ -21,25 +21,20 @@ planes instead of a row-wise ``argmax`` over a strided copy. The bytes
 are the same either way. The offset tables depend only on a layer's
 geometry, so each is built once and cached read-only.
 
-:func:`forward` keeps what the backward reads: conv columns, relu masks
-and pool indices. The lowest parameterized conv needs its columns only for
-its weight gradient; from ``_REGATHER_BYTES`` of columns on it keeps its
-padded input instead, and the backward gathers the columns again with the
-same ``np.take``, into the same gemm. The backward releases each layer's
-cache once it has used it, so the upper conv's columns are freed before
-the lowest conv's are gathered again: a training step holds one set of
-large columns at a time. From ``_SHARED_BYTES`` of columns on (the
-README default shape at batch 128) a step holds none of its own: each
-such conv runs its forward one ``_BLOCK_BYTES`` block of samples at a
-time into a preallocated output, keeps only its padded input, and
-gathers the full columns for its weight gradient into one process-wide
-buffer, which it reads only under that buffer's lock. Steps on several
-threads then share one column set, and a relu writes in place to the
-array the layer below it made. Evaluation (:func:`loss`, the trainer's
-accuracy and bound networks) keeps no cache, and runs the conv, relu and
-pool layers, which work per sample, on chunks of samples. The linear
-layers see the whole batch, since a 2-d gemm rounds differently when its
-row count changes.
+:func:`forward` keeps what the backward reads: relu masks, pool indices
+and each conv's columns where they fit in one ``_BLOCK_BYTES`` block. A
+larger conv runs its forward one block of samples at a time and keeps
+only its padded input; its weight gradient gathers the columns again with
+the same ``np.take``, into the same gemm: into a fresh array, or from
+``_SHARED_BYTES`` on (the README default shape at batch 128) into one
+process-wide buffer, read only under its lock, that steps on several
+threads share. The backward frees each layer's cache once it has used
+it, so a training step holds at most one large column set at a time, and
+a relu writes in place to the array the layer below it made. Evaluation
+(:func:`loss`, the trainer's accuracy and bound networks) keeps no cache,
+and runs the conv, relu and pool layers, which work per sample, on chunks
+of samples. The linear layers see the whole batch, since a 2-d gemm
+rounds differently when its row count changes.
 
 Tensors are plain numpy float64 arrays. A conv output is a channel-last
 array viewed as (n, c, h, w). The max pool's gathered path reads its input
@@ -103,8 +98,12 @@ def conv2d(in_channels, out_channels, kernel, padding=0):
     if min(in_channels, out_channels) < 1:
         raise ValueError(f"conv2d needs positive channel counts, got "
                          f"{in_channels} -> {out_channels}")
+    kernel = _pair(kernel)
+    if min(kernel) < 1 or padding < 0:
+        raise ValueError(f"conv2d needs a positive kernel and padding >= 0, "
+                         f"got kernel {kernel}, padding {padding}")
     return LayerSpec("conv2d", in_channels=int(in_channels),
-                     out_channels=int(out_channels), kernel=_pair(kernel),
+                     out_channels=int(out_channels), kernel=kernel,
                      padding=int(padding))
 
 
@@ -122,7 +121,11 @@ def relu():
 
 
 def maxpool2d(window, stride):
-    return LayerSpec("maxpool2d", window=_pair(window), stride=int(stride))
+    window = _pair(window)
+    if min(window) < 1 or stride < 1:
+        raise ValueError(f"maxpool2d needs a positive window and stride, "
+                         f"got window {window}, stride {stride}")
+    return LayerSpec("maxpool2d", window=window, stride=int(stride))
 
 
 def flatten():
@@ -242,23 +245,16 @@ def init_params(arch, seed):
 
 # ----------------------------------------------------------- layer kernels
 
-# bytes of column gradient _conv_backward handles per sample block, and of
-# columns or pool windows the blocked forwards gather per block: half of a
-# 2 MiB per-core L2 cache
+# bytes of im2col columns a conv keeps for its weight gradient, and of
+# columns, column gradient or pool windows a blocked kernel handles per
+# sample block: half of a 2 MiB per-core L2. The desk convs (0.3 MiB at
+# batch 8) and the harness's upper conv (0.9 MiB at 32) keep theirs; its
+# lower conv (1.2 MiB) and the default shape's (19 MiB at 128) gather again
 _BLOCK_BYTES = 1 << 20
-# bytes of im2col columns from which a conv computes its forward one sample
-# block at a time, keeps only its padded input, and gathers the full
-# columns for its weight gradient into the one shared buffer below: the
-# L2 of both cores. The default shape's 19 MiB per conv at batch 128 shares;
-# the desk shape (0.3 MB at batch 8) and the mask-vs-weight harness (1.2 MB
-# at batch 32) do not, and keep the _REGATHER_BYTES rule.
+# bytes of im2col columns from which a weight gradient gathers them into
+# the shared buffer below, and the trainer threads a round's steps: the L2
+# of both cores. Of the shapes above only the default one reaches it
 _SHARED_BYTES = 1 << 22
-# bytes of im2col columns from which the lowest parameterized conv keeps
-# its padded input instead, and gathers the columns again for the weight
-# gradient. The desk shape's batch of 8 (0.3 MB of columns) stays cached:
-# regathered, its gossip rounds ran about 3% slower. The mask-vs-weight
-# harness's batch of 32 at the same shape (1.2 MB) regathers.
-_REGATHER_BYTES = 1 << 19
 # samples per evaluation chunk: a default training step's batch, so its
 # columns stay below the training peak
 _EVAL_ROWS = 128
@@ -379,11 +375,10 @@ def _shares_columns(arch, batch):
     return _largest_column_bytes(arch, batch) >= _SHARED_BYTES
 
 
-def _conv_forward(x, v, padding, lowest=False):
+def _conv_forward(x, v, padding):
     """The conv output and its backward cache ``(cols, xp, x shape,
-    padding)``. It holds the columns, or the padded input ``xp`` from
-    ``_SHARED_BYTES`` of columns on and, for the ``lowest`` parameterized
-    layer, from ``_REGATHER_BYTES``; the other of the two is None."""
+    padding)``. It holds the columns where they fit in one ``_BLOCK_BYTES``
+    block, else the padded input ``xp``; the other of the two is None."""
     n, c, h, w = x.shape
     o, _, kh, kw = v.shape
     oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
@@ -394,26 +389,21 @@ def _conv_forward(x, v, padding, lowest=False):
     vt = v.reshape(o, -1).T
     # one gemm per (sample, output row); a single 2-d gemm over all rows
     # would round differently
-    if _column_bytes(n * oh * ow, c, kh, kw) >= _SHARED_BYTES:
-        out = np.empty((n, oh, ow, o))
-        blk = max(1, _BLOCK_BYTES // _column_bytes(oh * ow, c, kh, kw))
-        buf = np.empty(min(n, blk) * oh * ow * c * kh * kw)
-        for s in range(0, n, blk):
-            np.matmul(_im2col(xp[s:s + blk], kh, kw, buf), vt, out=out[s:s + blk])
-        cols = None
-    else:
+    if _column_bytes(n * oh * ow, c, kh, kw) <= _BLOCK_BYTES:
         cols = _im2col(xp, kh, kw)
-        out = cols @ vt
-        if lowest and cols.nbytes >= _REGATHER_BYTES:
-            cols = None
-    return out.transpose(0, 3, 1, 2), (cols, xp if cols is None else None, x.shape,
-                                       padding)
+        return (cols @ vt).transpose(0, 3, 1, 2), (cols, None, x.shape, padding)
+    out = np.empty((n, oh, ow, o))
+    blk = max(1, _BLOCK_BYTES // _column_bytes(oh * ow, c, kh, kw))
+    buf = np.empty(blk * oh * ow * c * kh * kw)
+    for s in range(0, n, blk):
+        np.matmul(_im2col(xp[s:s + blk], kh, kw, buf), vt, out=out[s:s + blk])
+    return out.transpose(0, 3, 1, 2), (None, xp, x.shape, padding)
 
 
 def _conv_grad_v(grad_out, v, cache):
-    """The weight gradient: one 2-d gemm over the columns of the whole
-    batch, cached, gathered again or, from ``_SHARED_BYTES`` on, gathered
-    into the shared buffer and multiplied under its lock."""
+    """The weight gradient: one 2-d gemm over the whole batch's columns,
+    cached or gathered again, into a fresh array or, from ``_SHARED_BYTES``
+    on, into the shared buffer under its lock."""
     global _shared_buf
     cols, xp = cache[:2]
     o, c, kh, kw = v.shape
@@ -442,7 +432,7 @@ def _conv_backward(grad_out, v, cache):
     # nor any entry's add order.
     gx = np.zeros((n, h, w, c))
     spans = _col2im_spans(h, w, kh, kw, padding)
-    blk = max(1, _BLOCK_BYTES // (oh * ow * c * kh * kw * 8))
+    blk = max(1, _BLOCK_BYTES // _column_bytes(oh * ow, c, kh, kw))
     for s in range(0, n, blk):
         gc = (g[s:s + blk] @ vm).reshape(-1, oh, ow, c, kh, kw)
         dst = gx[s:s + blk]
@@ -554,9 +544,7 @@ def _layers(arch, v, x, span, caches=None):
     for idx in span:
         layer = arch.layers[idx]
         if layer.kind == "conv2d":
-            lowest = caches is not None and not any(
-                entry[0] in ("conv2d", "linear") for entry in caches)
-            x, kept = _conv_forward(x, v[idx], layer.padding, lowest)
+            x, kept = _conv_forward(x, v[idx], layer.padding)
             kept = (v[idx], kept)
         elif layer.kind == "linear":
             kept = (v[idx], x)

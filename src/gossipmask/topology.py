@@ -22,13 +22,24 @@ class GraphGenerationError(Exception):
     pass
 
 
+def _square(adjacency):
+    """``adjacency`` as a square array of at least one node, else ValueError."""
+    adj = np.asarray(adjacency)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError("adjacency must be square")
+    if adj.shape[0] == 0:
+        raise ValueError("a graph needs at least one node")
+    return adj
+
+
 def is_connected(g):
     """True iff a single component spans all nodes.
 
     Accepts a :class:`Graph` or a raw adjacency matrix (so candidates can
-    be tested before construction).
+    be tested before construction); a matrix that is not square or has no
+    node raises ValueError, as :class:`Graph` does.
     """
-    adj = np.asarray(getattr(g, "adjacency", g))
+    adj = _square(getattr(g, "adjacency", g))
     n = adj.shape[0]
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
@@ -48,11 +59,7 @@ class Graph:
     """Validated, immutable undirected graph with neighbor lists."""
 
     def __init__(self, adjacency):
-        adj = np.asarray(adjacency)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError("adjacency must be square")
-        if adj.shape[0] == 0:
-            raise ValueError("a graph needs at least one node")
+        adj = _square(adjacency)
         if not np.isin(adj, (0, 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         if (adj != adj.T).any():

@@ -1,9 +1,10 @@
-import itertools
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,17 @@ def test_zero_sized_layers_rejected():
         conv2d(3, 0, 5)
     with pytest.raises(ValueError, match="linear needs positive sizes"):
         linear(0, 4)
+    # each of these once failed late in shape_chain or grew the input
+    kernel, window = "conv2d needs a positive kernel", "maxpool2d needs a positive"
+    for make, args, match in [(conv2d, (2, 3, 0), kernel),
+                              (conv2d, (2, 3, (3, 0)), kernel),
+                              (conv2d, (2, 3, 3, -1), "padding >= 0"),
+                              (maxpool2d, (3, 0), window),
+                              (maxpool2d, (0, 1), window),
+                              (maxpool2d, ((2, 0), 1), window),
+                              (maxpool2d, (2, -1), window)]:
+        with pytest.raises(ValueError, match=match):
+            make(*args)
 
 
 def test_desk_arch_names_the_rejected_argument():
@@ -232,12 +244,14 @@ def test_forward_only_loss_peaks_below_a_training_step():
 
 
 def test_training_step_holds_one_set_of_large_columns():
-    # at the README default shape and batch 128 each conv's columns take
-    # about 19 MiB, above _SHARED_BYTES: both convs keep their padded input
-    # and gather their columns for the weight gradient into the one shared
-    # buffer, so the step itself holds none. The desk shape's lowest conv
-    # keeps its padded input at its batch of 32 and gathers its columns
-    # again; at its batch of 8 both convs keep their columns
+    # a conv keeps its columns where they fit in one _BLOCK_BYTES block,
+    # else its padded input. At the README default shape and batch 128 each
+    # conv's columns take about 19 MiB, above _SHARED_BYTES too: the weight
+    # gradients gather them into the one shared buffer, so the step itself
+    # holds none. At batch 8 both convs (1.2 MiB each) keep their padded
+    # input. The desk shape keeps both convs' columns at its batch of 8; at
+    # its batch of 32 the lower conv (1.2 MiB) keeps its padded input and
+    # the upper one (0.9 MiB) its columns
     arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
     rng = np.random.default_rng(0)
     w = init_params(arch, 0)
@@ -257,16 +271,38 @@ def test_training_step_holds_one_set_of_large_columns():
         return [(e[3][0] is not None, e[3][1] is not None)
                 for e in caches if e[0] == "conv2d"]
     assert kept(arch, x) == [(False, True)] * 2
+    assert kept(arch, x[:8]) == [(False, True)] * 2
     desk = desk_arch((3, 8, 8), 6, (16, 32), 32)
     assert kept(desk, rng.standard_normal((8, 3, 8, 8))) == [(True, False)] * 2
     assert kept(desk, rng.standard_normal((32, 3, 8, 8))) == [(False, True), (True, False)]
 
 
+def test_readme_quotes_the_size_bounds_as_nn_sets_them():
+    # every nn._*_BYTES name the README quotes exists in nn, each comes with
+    # its figure, as "4 MiB (`_SHARED_BYTES`)" or "`nn._SHARED_BYTES`
+    # (4 MiB)", and the figure equals the constant
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    name = r"`(?:nn\.)?(_[A-Z_]+_BYTES)`"
+    figure = r"(\d+(?:\.\d+)?)\s+(KiB|MiB)"
+    names = set(re.findall(name, readme))
+    assert names and {n for n in names if not hasattr(nn, n)} == set()
+    quoted = ([(n, f, u) for f, u, n
+               in re.findall(figure + r"\s+\(" + name + r"\)", readme)]
+              + re.findall(name + r"\s+\(" + figure + r"\)", readme))
+    assert {n for n, _, _ in quoted} == names
+    unit = {"KiB": 1 << 10, "MiB": 1 << 20}
+    for n, f, u in quoted:
+        assert float(f) * unit[u] == getattr(nn, n), (n, f, u)
+
+
 def test_loss_and_grad_v_on_three_threads_bitwise_equal_to_serial(monkeypatch):
-    # above _SHARED_BYTES (here from the first byte) every conv's weight
-    # gradient gathers its columns into the one shared buffer; three threads
-    # that switch often contend for it, and each result matches a serial call
+    # above one block and _SHARED_BYTES (here from the first byte) every
+    # conv's weight gradient gathers its columns into the one shared buffer;
+    # three threads that switch often contend for it, and each result
+    # matches a serial call
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(nn, "_SHARED_BYTES", 0)
+    monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
     arch = desk_arch((3, 8, 8), 6, (16, 32), 32)
     rng = np.random.default_rng(5)
     w = init_params(arch, 5)
@@ -295,6 +331,7 @@ def test_loss_and_grad_v_on_three_threads_bitwise_equal_to_serial(monkeypatch):
         sys.setswitchinterval(interval)
     for t in range(3):
         assert got[t] == [want[(k + 2 * t) % len(calls)] for k in range(4 * len(calls))]
+    assert nn._shared_buf.nbytes == nn._largest_column_bytes(arch, 32)
 
 
 def test_duplicated_batch_same_loss_and_grad():
@@ -565,13 +602,13 @@ def _columns(cache, v):
     return nn._im2col(xp, *v.shape[2:]) if cols is None else cols
 
 
+# (_BLOCK_BYTES, _SHARED_BYTES) of the three conv regimes: columns kept;
+# gathered again into a fresh array; gathered again into the shared buffer.
+# The blocked forwards run one sample per block
+_REGIMES = {"keep": (1 << 62, 1 << 62), "fresh": (1, 1 << 62), "shared": (1, 0)}
+
+
 def test_conv_forward_bitwise_equal_to_reference(monkeypatch):
-    # as the lowest parameterized layer, the conv keeps its padded input
-    # from _REGATHER_BYTES of columns on, here from the first byte; every
-    # conv does from _SHARED_BYTES on, and then runs its forward in sample
-    # blocks, here of one sample each
-    monkeypatch.setattr(nn, "_REGATHER_BYTES", 0)
-    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
     cases = 0
     for i, (rng, x_shape, v_shape, pad) in enumerate(_conv_cases()):
         x = _wide_magnitudes(rng, x_shape)
@@ -580,21 +617,22 @@ def test_conv_forward_bitwise_equal_to_reference(monkeypatch):
         v = _wide_magnitudes(rng, v_shape)
         for layout in _layouts(x):
             before = layout.copy()
-            for lowest, shared in itertools.product((False, True), repeat=2):
-                monkeypatch.setattr(nn, "_SHARED_BYTES", 0 if shared else 1 << 62)
+            for regime, (block, shared) in _REGIMES.items():
+                monkeypatch.setattr(nn, "_BLOCK_BYTES", block)
+                monkeypatch.setattr(nn, "_SHARED_BYTES", shared)
                 with np.errstate(invalid="ignore"):  # inf - inf in the products
                     want_out, want_cols = _ref_conv_forward(layout, v, pad)
-                    out, cache = nn._conv_forward(layout, v, pad, lowest)
+                    out, cache = nn._conv_forward(layout, v, pad)
                     cols = _columns(cache, v)
                 assert out.tobytes() == want_out.tobytes(), (x_shape, v_shape, pad)
                 assert out.strides == want_out.strides
                 assert cols.tobytes() == want_cols.tobytes()
-                keeps_xp = lowest or shared
+                keeps_xp = regime != "keep"
                 assert (cache[0] is None, cache[1] is None) == (keeps_xp, not keeps_xp)
                 assert cache[2:] == (x_shape, pad)
                 assert layout.tobytes() == before.tobytes()
                 cases += 1
-    assert cases == 4 * 3 * 48
+    assert cases == 3 * 3 * 48
 
 
 def test_maxpool_forward_bitwise_equal_to_reference():
@@ -623,10 +661,10 @@ def test_maxpool_forward_bitwise_equal_to_reference():
 
 
 def test_conv_backward_bitwise_equal_to_reference(monkeypatch):
-    # the weight gradient of a cache that keeps the padded input (the
-    # lowest conv's from _REGATHER_BYTES of columns on) gathers the columns
-    # again; its bytes match the reference's on the reference's columns
-    monkeypatch.setattr(nn, "_REGATHER_BYTES", 0)
+    # the weight gradient of a cache that keeps the padded input gathers the
+    # columns again; its bytes match the reference's on the reference's
+    # columns. The input gradient runs one sample per block but in "keep"
+    monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
     cases = 0
     for rng, x_shape, v_shape, pad in _conv_cases():
         x = _wide_magnitudes(rng, x_shape)
@@ -634,16 +672,17 @@ def test_conv_backward_bitwise_equal_to_reference(monkeypatch):
         out, want_cols = _ref_conv_forward(x, v, pad)
         for g in _layouts(_wide_magnitudes(rng, out.shape)):
             want_gx, want_gv = _ref_conv_backward(g, v, (want_cols, None, x_shape, pad))
-            # shared: the columns are gathered into the shared buffer
-            for lowest, shared in itertools.product((False, True), repeat=2):
-                monkeypatch.setattr(nn, "_SHARED_BYTES", 0 if shared else 1 << 62)
-                cache = nn._conv_forward(x, v, pad, lowest)[1]
+            for block, shared in _REGIMES.values():
+                monkeypatch.setattr(nn, "_BLOCK_BYTES", block)
+                monkeypatch.setattr(nn, "_SHARED_BYTES", shared)
+                cache = nn._conv_forward(x, v, pad)[1]
                 gx = nn._conv_backward(g, v, cache)
                 assert gx.shape == x_shape
                 assert gx.tobytes() == want_gx.tobytes(), (x_shape, v_shape, pad)
                 assert nn._conv_grad_v(g, v, cache).tobytes() == want_gv.tobytes()
                 cases += 1
-    assert cases == 4 * 3 * 48
+    assert cases == 3 * 3 * 48
+    assert nn._shared_buf.nbytes > 0
 
 
 def test_maxpool_backward_bitwise_equal_to_reference():

@@ -77,6 +77,15 @@ def test_is_connected_cases():
     assert is_connected(ring(7))
 
 
+def test_is_connected_rejects_malformed_matrices_as_graph_does():
+    for adj, message in [(np.zeros((0, 0), dtype=int), "at least one node"),
+                         (np.zeros((2, 3), dtype=int), "must be square"),
+                         (np.zeros(3, dtype=int), "must be square")]:
+        for check in (is_connected, Graph):
+            with pytest.raises(ValueError, match=message):
+                check(adj)
+
+
 def test_graph_invariants_enforced():
     with pytest.raises(ValueError):
         Graph(np.array([[0, 1], [0, 0]]))  # asymmetric

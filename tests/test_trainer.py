@@ -979,10 +979,13 @@ def test_threaded_round_names_the_lower_of_two_diverging_agents(monkeypatch):
 
 
 def test_round_pool_keeps_the_golden_digests(monkeypatch, tmp_path):
-    # every conv past the gate and its weight gradient through the shared
-    # buffer, the rounds and evaluations of all six algorithms and the
-    # harness arms on four threads: every golden CSV digest stays as it is
+    # every conv above one block and past the gate, its weight gradient
+    # through the shared buffer, the rounds and evaluations of all six
+    # algorithms and the harness arms on four threads: every golden CSV
+    # digest stays as it is
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(nn, "_SHARED_BYTES", 0)
+    monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
     monkeypatch.setattr(trainer, "_WORKERS", 4)
     pooled = []
     each = trainer._each
@@ -996,6 +999,8 @@ def test_round_pool_keeps_the_golden_digests(monkeypatch, tmp_path):
     # round-10 evaluation; then one harness call of 3 agents x 4 arms
     run = [("evaluate", 8, 4)] + [("step", 8, 4)] * 10 + [("evaluate", 8, 4)]
     assert pooled == run * 6 + [("train", 3 * 4, 4)]
+    # the harness's batch of 32 at the train.conf shape
+    assert nn._shared_buf.nbytes == 32 * 8 * 8 * 3 * 5 * 5 * 8
 
 
 @pytest.mark.parametrize("name", [None, "train.conf", "mask_vs_weight.conf"])
@@ -1022,15 +1027,19 @@ def test_run_evaluates_on_the_pool_exactly_past_the_gate(name, monkeypatch):
 
 def test_pooled_evaluation_rows_equal_the_plain_loops(monkeypatch):
     # four threads, switching often, against one, with every conv on the
-    # default shape's blocked forward: the same rows, float for float, for
-    # every agent and the mean row
+    # default shape's blocked forward and weight gradients through the
+    # shared buffer: the same rows, float for float, for every agent and
+    # the mean row
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(nn, "_SHARED_BYTES", 0)
+    monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
     arch, hyper, graph, train, test, plan = fixture_run_inputs(
         n=6, r=(0.3, 0.2, 0.4, 0.3, 0.5, 0.1))
     w = init_params(arch, 0)
     states = build_states(arch, hyper, graph, train, test, plan, w)
     for k in (1, 2):
         gossip_mask_round(states, w, arch, graph, hyper, k)
+    assert nn._shared_buf.nbytes == nn._largest_column_bytes(arch, hyper.batch_size)
     ledger = trainer.CommLedger()
     logs = []
     interval = sys.getswitchinterval()
