@@ -6,11 +6,11 @@ retention ratio. A filter-zeroing rule then clears whole output filters
 that retained too few entries, and a group-lasso term (the l2 norm of every
 output-filter slice) drives the scores toward structured sparsity.
 
-Masks are float64 arrays of 0.0/1.0 so they combine directly with
-parameter tensors; the leading axis of every masked tensor indexes output
-filters (conv: ``(O, I, H, W)``, linear: ``(O, I)``). Masks decoded from
-the wire are uint8 bits (``protocol.decode_mask``), which the receiver
-only counts.
+Masks are bool arrays, one byte per entry; ``w * m`` with a bool ``m`` is
+bitwise the product with its 0.0/1.0 float copy. The leading axis of every
+masked tensor indexes output filters (conv: ``(O, I, H, W)``, linear:
+``(O, I)``). Masks decoded from the wire are uint8 bits
+(``protocol.decode_mask``), which the receiver only counts.
 """
 
 import numpy as np
@@ -57,7 +57,7 @@ def threshold_layer(z, r):
         raise ValueError(
             f"{bad} non-finite score(s) in a tensor of shape {z.shape}")
     if k == n:
-        return np.ones(z.shape)
+        return np.ones(z.shape, dtype=bool)
     # everything at or above the k-th largest magnitude; when that keeps
     # more than k, the entries equal to it with the highest flat indices
     # are dropped
@@ -67,21 +67,31 @@ def threshold_layer(z, r):
     if excess:
         ties = np.flatnonzero(a == kth)
         keep[ties[len(ties) - excess:]] = False
-    return keep.astype(np.float64).reshape(z.shape)
+    return keep.reshape(z.shape)
 
 
 def filter_zero(mask, min_nonzero):
-    """Zero every output filter holding fewer than ``min_nonzero`` ones.
+    """Zero every output filter holding fewer than ``min_nonzero`` ones, in
+    a bool copy of ``mask``.
 
     Groups are slices along the leading axis. ``min_nonzero <= 0`` leaves
     the mask unchanged.
     """
-    out = np.array(mask, dtype=np.float64)
-    if min_nonzero <= 0:
-        return out
-    groups = out.reshape(out.shape[0], -1)
-    groups[groups.sum(axis=1) < min_nonzero] = 0.0
+    out = np.array(mask, dtype=bool)
+    if min_nonzero > 0:
+        _clear_thin_filters(out, min_nonzero)
     return out
+
+
+def _clear_thin_filters(mask, min_nonzero):
+    """Clear, in place, every output filter of ``mask`` holding fewer than
+    ``min_nonzero`` ones. Returns the number of filters left with ones."""
+    groups = mask.reshape(mask.shape[0], -1)
+    thin = groups.sum(axis=1) < min_nonzero
+    cleared = np.count_nonzero(thin)
+    if cleared:
+        groups[thin] = False
+    return len(thin) - cleared
 
 
 def check_min_nonzero(min_nonzero, shapes, ratios):
@@ -97,17 +107,17 @@ def check_min_nonzero(min_nonzero, shapes, ratios):
 
 
 def extract(tensors, r, min_nonzero=0):
-    """Per-layer composition of thresholding and filter zeroing. A tensor
-    that thresholding rejects, or a layer that filter zeroing leaves with
-    no ones, raises a LayerError naming its layer."""
+    """Per-layer composition of thresholding and filter zeroing, which
+    clears filters in the thresholded mask itself. A tensor that
+    thresholding rejects, or a layer that filter zeroing leaves with no
+    ones, raises a LayerError naming its layer."""
     masks = {}
     for idx, t in sorted(tensors.items()):
         try:
-            mask = threshold_layer(t, r)
+            masks[idx] = threshold_layer(t, r)
         except ValueError as exc:
             raise LayerError(idx, str(exc)) from None
-        masks[idx] = filter_zero(mask, min_nonzero)
-        if min_nonzero > 0 and not masks[idx].any():
+        if min_nonzero > 0 and not _clear_thin_filters(masks[idx], min_nonzero):
             raise LayerError(idx, f"filter zeroing at min_nonzero {min_nonzero} "
                                   f"left no ones")
     return masks
@@ -134,8 +144,6 @@ def group_lasso_grad(z, lam):
     and the zero tensor for groups of zero norm (subgradient choice)."""
     grads = {}
     for idx, t, norms in _filter_norms(z, lam):
-        scale = np.zeros_like(norms)
-        nz = norms > 0
-        scale[nz] = lam / norms[nz]
+        scale = np.divide(lam, norms, out=np.zeros_like(norms), where=norms > 0)
         grads[idx] = t * scale.reshape((-1,) + (1,) * (t.ndim - 1))
     return grads

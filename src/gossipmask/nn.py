@@ -4,7 +4,8 @@ A model is an ordered list of layer specs (conv2d / relu / maxpool2d /
 flatten / linear). Only conv2d and linear layers own parameters, and no
 layer carries a bias term. A masked layer is evaluated with the effective
 tensor ``v = w * m`` where ``w`` is the real-valued parameter tensor and
-``m`` a binary mask of identical shape; every gradient returned here is
+``m`` a binary mask of identical shape (bool, or floats of 0.0 and 1.0:
+the products are bitwise equal); every gradient returned here is
 taken with respect to ``v``. The backward pass stops at the first
 parameterized layer: nothing below it, its input included, gets a gradient.
 
@@ -662,7 +663,9 @@ def grad_z(grad_v, w, z):
     if grad_v.shape != w.shape or w.shape != z.shape:
         raise ValueError(
             f"shape mismatch: {grad_v.shape} vs {w.shape} vs {z.shape}")
-    return grad_v * w * np.sign(z)
+    g = grad_v * w
+    g *= np.sign(z)
+    return g
 
 
 def finite_diff_check(fn, point, step, num_coords=None, seed=0):

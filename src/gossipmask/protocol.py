@@ -118,8 +118,10 @@ def _check_field(name, value, bits):
 
 def encode_mask(mask_set, sender, round_index):
     """Bit-pack a mask set into a :class:`MaskFrame` (LSB-first, zero
-    padding, segments in ascending layer order). A header field out of its
-    wire range raises ValueError naming the field."""
+    padding, segments in ascending layer order). A bool mask is packed as
+    it is; any other mask must hold only 0 and 1. A header field out of
+    its wire range, or a non-binary entry, raises ValueError naming the
+    field or layer."""
     _check_field("sender", sender, SENDER_BITS)
     _check_field("round index", round_index, 32)
     _check_field("layer count", len(mask_set), 16)
@@ -128,9 +130,11 @@ def encode_mask(mask_set, sender, round_index):
         _check_field("layer index", layer, 16)
         bits = np.asarray(mask_set[layer]).ravel()
         _check_field(f"layer {layer} entry count", bits.size, 32)
-        if not ((bits == 0) | (bits == 1)).all():
-            raise ValueError(f"layer {layer}: mask entries must be 0 or 1")
-        payload = np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
+        if bits.dtype != bool:
+            if not ((bits == 0) | (bits == 1)).all():
+                raise ValueError(f"layer {layer}: mask entries must be 0 or 1")
+            bits = bits.astype(np.uint8)
+        payload = np.packbits(bits, bitorder="little").tobytes()
         segments.append((int(layer), int(bits.size), payload))
     return MaskFrame(int(sender), int(round_index), tuple(segments))
 

@@ -123,8 +123,10 @@ def to_edge_list(g):
 
 
 def from_edge_list(text):
-    """Inverse of :func:`to_edge_list`; node count is the largest index + 1."""
-    edges = []
+    """Inverse of :func:`to_edge_list`; node count is the largest index + 1.
+    A bad line, a self-loop or an edge listed twice (in either order)
+    raises ValueError naming its line."""
+    edges = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -138,10 +140,14 @@ def from_edge_list(text):
             raise ValueError(f"line {lineno}: non-integer node id in '{raw}'") from None
         if i < 0 or j < 0:
             raise ValueError(f"line {lineno}: negative node id")
-        edges.append((i, j))
+        if i == j:
+            raise ValueError(f"line {lineno}: self-loop at node {i}")
+        first = edges.setdefault((min(i, j), max(i, j)), lineno)
+        if first != lineno:
+            raise ValueError(f"line {lineno}: edge {i} {j} repeats line {first}")
     if not edges:
         raise ValueError("empty edge list")
-    n = max(max(i, j) for i, j in edges) + 1
+    n = max(j for _, j in edges) + 1
     adj = np.zeros((n, n), dtype=np.uint8)
     for i, j in edges:
         adj[i, j] = 1

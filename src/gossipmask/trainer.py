@@ -199,11 +199,20 @@ def _aggregation_tensor(z, neighbor_avg):
     repository's reading of the paper's aggregation tensor, not a quoted
     equation (PAPER.md holds only the abstract). Without a neighbor
     average that is the scores themselves, not a copy: ``extract`` only
-    reads them."""
+    reads them. Each layer's terms accumulate in one array of its own, with
+    the operands of the formula's products and sum swapped, so every entry
+    is rounded as the formula rounds it."""
     if neighbor_avg is None:
         return z
-    return {layer: t + np.abs(t).mean() * np.sign(t) * neighbor_avg[layer]
-            for layer, t in z.items()}
+    y = {}
+    for layer, t in z.items():
+        y[layer] = acc = np.abs(t)
+        scale = acc.sum() / acc.size     # acc.mean(), bitwise, for less overhead
+        np.sign(t, out=acc)
+        acc *= scale
+        acc *= neighbor_avg[layer]
+        acc += t
+    return y
 
 
 def backprop_half_step(state, w, arch, batch_x, batch_y):
@@ -224,8 +233,9 @@ def backprop_half_step(state, w, arch, batch_x, batch_y):
     # magnitudes, so no mask or metric sees it
     if state.lam:
         reg = group_lasso_grad(z_prev, state.lam)
-        g = {layer: g[layer] + reg[layer] for layer in z_prev}
-    z_half = {layer: z_prev[layer] - state.eta * g[layer] for layer in z_prev}
+        for layer in z_prev:
+            g[layer] += reg[layer]
+    z_half = {layer: _descend(t, state.eta, g[layer]) for layer, t in z_prev.items()}
     m_half = extract(_aggregation_tensor(z_half, state.neighbor_avg),
                      state.r, state.min_nonzero)
     state.z = z_half
@@ -243,9 +253,18 @@ def fine_tune_step(state, neighbor_avg):
             f"agent {state.agent_id}: fine-tune before the gradient half-step")
     if neighbor_avg is not None:
         g = state.grad_cache
-        state.z = {layer: t - state.eta * g[layer] * neighbor_avg[layer]
+        state.z = {layer: _descend(t, state.eta, g[layer], neighbor_avg[layer])
                    for layer, t in state.z.items()}
     return state.z
+
+
+def _descend(t, eta, g, scale=None):
+    """``t - eta * g * scale``, or ``t - eta * g`` without a scale, rounded
+    as written, in the one array that ``eta * g`` makes."""
+    step = eta * g
+    if scale is not None:
+        step *= scale
+    return np.subtract(t, step, out=step)
 
 
 def aggregate_step(state, neighbor_avg):
@@ -341,10 +360,10 @@ def _weight_step(state, arch, batch_x, batch_y):
     loss, grad = loss_and_grad_v(arch, state.weights, state.m, batch_x, batch_y)
     state.last_loss = loss
     if state.m is None:
-        state.weights = {layer: t - state.eta * grad[layer]
+        state.weights = {layer: _descend(t, state.eta, grad[layer])
                          for layer, t in state.weights.items()}
         return state.weights
-    state.weights = {layer: t - state.eta * grad[layer] * state.m[layer]
+    state.weights = {layer: _descend(t, state.eta, grad[layer], state.m[layer])
                      for layer, t in state.weights.items()}
     state.m = extract(state.weights, state.r)
     return {layer: t * state.m[layer] for layer, t in state.weights.items()}
@@ -384,7 +403,7 @@ def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
             avg = {layer: sum(sent[p][layer] for p in parties) / len(parties)
                    for layer in state.weights}
             if kind == "par_weipru":     # mix only the entries the mask keeps
-                avg = {layer: np.where(state.m[layer] == 1.0, avg[layer], t)
+                avg = {layer: np.where(state.m[layer], avg[layer], t)
                        for layer, t in state.weights.items()}
             with _checked_step(state, round_index):
                 state.weights = avg

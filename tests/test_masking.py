@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipmask import (FieldError, check_min_nonzero, extract, filter_zero,
-                        finite_diff_check, group_lasso_grad,
+from gossipmask import (FieldError, check_min_nonzero, desk_arch, extract,
+                        filter_zero, finite_diff_check, group_lasso_grad,
                         group_lasso_value, masking, retained_count,
                         threshold_layer)
 from gossipmask.cli import parse_config, run_experiment
@@ -188,6 +188,24 @@ def test_extract_without_fil_equals_threshold():
     masks = extract(z, 0.4, 0)
     for idx in z:
         np.testing.assert_array_equal(masks[idx], threshold_layer(z[idx], 0.4))
+
+
+def test_extract_thresholds_each_layer_through_the_module(monkeypatch):
+    # bench/spans.py traces thresholding by swapping masking.threshold_layer,
+    # so extract must look that name up on the module at every call
+    shapes = desk_arch((3, 8, 8), 6, (16, 32), 32).param_shapes()
+    rng = np.random.default_rng(9)
+    z = {layer: rng.standard_normal(shape) for layer, shape in shapes.items()}
+    calls = []
+
+    def counting(t, r):
+        calls.append(t.shape)
+        return threshold_layer(t, r)
+    monkeypatch.setattr(masking, "threshold_layer", counting)
+    masks = extract(z, 0.3, 2)
+    assert calls == list(shapes.values()) and len(calls) == 4
+    assert all(m.dtype == bool and m.shape == shapes[layer]
+               for layer, m in masks.items())
 
 
 def test_extract_fil_only_clears_bits():

@@ -138,6 +138,21 @@ def test_non_binary_mask_rejected():
     np.testing.assert_array_equal(decode_mask(frame, {0: (2,)})[0], [0.0, 1.0])
 
 
+def test_bool_mask_encodes_as_its_float_copy():
+    rng = np.random.default_rng(11)
+    masks = {layer: rng.random(shape) < 0.5
+             for layer, shape in ((0, (4, 3, 3, 3)), (2, (9,)), (5, (2, 13)))}
+    floats = {layer: m.astype(np.float64) for layer, m in masks.items()}
+    assert (encode_mask(masks, 3, 7).to_bytes()
+            == encode_mask(floats, 3, 7).to_bytes())
+    # the bool fast path leaves the float check in place, naming the layer
+    for bad in (0.5, np.nan):
+        layer2 = floats[2].copy()
+        layer2[4] = bad
+        with pytest.raises(ValueError, match="^layer 2: mask entries must be 0 or 1$"):
+            encode_mask({0: masks[0], 2: layer2, 5: masks[5]}, 3, 7)
+
+
 # ------------------------------------------------------------- accounting
 
 def test_account_bits():

@@ -119,3 +119,16 @@ def test_edge_list_rejects_garbage():
         from_edge_list("0 1 2\n")
     with pytest.raises(ValueError, match="line 2"):
         from_edge_list("0 1\nx y\n")
+
+
+def test_edge_list_rejects_a_self_loop_naming_its_line():
+    with pytest.raises(ValueError, match="^line 2: self-loop at node 1$"):
+        from_edge_list("0 1\n1 1\n1 2\n")
+
+
+def test_edge_list_rejects_a_repeated_edge_naming_its_line():
+    with pytest.raises(ValueError, match="^line 3: edge 0 1 repeats line 1$"):
+        from_edge_list("0 1\n1 2\n0 1\n")
+    # the reversed pair is the same undirected edge
+    with pytest.raises(ValueError, match="^line 4: edge 2 1 repeats line 2$"):
+        from_edge_list("0 1\n1 2\n\n2 1\n")

@@ -292,8 +292,9 @@ def test_states_read_the_plan_rows_without_copying_them():
 
 
 def test_build_states_at_the_default_shape_hold_no_sample_copies():
-    # README defaults (20 agents, 3x16x16): the scores and masks take
-    # 15.9 MiB; a copy of each agent's train and test rows would add 14 MiB
+    # README defaults (20 agents, 3x16x16): float64 scores and bool masks
+    # take 9.0 MiB; a copy of each agent's train and test rows would add
+    # 14 MiB, and float64 masks 7 MiB
     cfg = RunConfig()
     train, test = synth_generate(cfg.classes, cfg.dim, cfg.per_class, cfg.noise, seed=0)
     plan = partition(train, test, assign_labels(cfg.n, cfg.classes, cfg.c, 0), 0)
@@ -310,7 +311,7 @@ def test_build_states_at_the_default_shape_hold_no_sample_copies():
     finally:
         tracemalloc.stop()
     assert len(states) == cfg.n
-    assert held < 17 * 2 ** 20
+    assert held < 9.5 * 2 ** 20
 
 
 def test_hyper_config_rejects_bad_ratio_and_min_nonzero():
@@ -355,6 +356,56 @@ def test_shared_params_frozen_under_mask_rounds():
                       3)
     for idx in w:
         assert np.array_equal(w[idx], w_copy[idx])
+
+
+def _held_bytes(states, w):
+    """(array, its bytes) for each array a step may read but not write: the
+    shared parameters and every agent's scores, mask, neighbor average and
+    weights."""
+    held = [(t, t.tobytes()) for t in w.values()]
+    for s in states:
+        for part in (s.z, s.m, s.neighbor_avg, s.weights):
+            held += [(t, t.tobytes()) for t in (part or {}).values()]
+    return held
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_round_writes_only_into_arrays_it_made(algorithm):
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm=algorithm)
+    w = init_params(arch, 5)
+    states = build_states(arch, hyper, graph, train, test, plan, w)
+    if algorithm == "gossip_mask":      # run()'s bootstrap exchange
+        averages = trainer._exchange_masks(graph, {s.agent_id: s.m for s in states},
+                                           0, arch.param_shapes(), None)
+        for s in states:
+            s.neighbor_avg = averages[s.agent_id]
+    for k in (1, 2):
+        held = _held_bytes(states, w)
+        gossip_mask_round(states, w, arch, graph, hyper, k)
+        assert all(t.tobytes() == data for t, data in held)
+
+
+def test_harness_arms_write_only_into_arrays_they_made(monkeypatch):
+    # the weight arms start from the shared parameters themselves
+    original, unchanged = trainer._train_arm, []
+
+    def checking(arch, w, state, batches, eval_interval):
+        held = _held_bytes([state], w)
+        trace = original(arch, w, state, batches, eval_interval)
+        unchanged.append(all(t.tobytes() == data for t, data in held))
+        return trace
+    monkeypatch.setattr(trainer, "_train_arm", checking)
+    arch, shards = _harness_inputs(agents=2)
+    mask_vs_weight_verify(arch, shards, r_values=(0.3, 0.5), steps=3,
+                          eta_weight=0.01, eta_mask=1.0, batch_size=4, seed=3)
+    assert unchanged == [True] * 6
+
+
+def test_aggregation_tensor_without_neighbors_is_the_scores_themselves():
+    z = {0: np.array([[0.9, -0.1]]), 2: np.array([0.3, -0.0])}
+    before = {layer: t.tobytes() for layer, t in z.items()}
+    assert trainer._aggregation_tensor(z, None) is z
+    assert {layer: t.tobytes() for layer, t in z.items()} == before
 
 
 # bench/spans.py and bench/workloads.py trace and time these by rebinding
