@@ -1,10 +1,17 @@
 """Measuring output-gap inequalities between pruned subnetworks.
 
-Take two independently trained reference networks and two prunings of one
-shared random network. Over a probe set, the sup-gap between the pruned
-pair is bounded by the sum of their approximation errors plus the sup-gap
-of the references; the checker measures all quantities and evaluates both
-the upper and the lower inequality per instance.
+Each instance holds four networks on one small conv architecture. f1 and
+f2 are two random, untrained reference networks (uniform [-1, 1]
+parameters, no training). g1 and g2 are two prunings of one further random
+network, with masks drawn from random scores, not fitted to f1 or f2. Over
+a probe set, the sup-gap between the pruned pair is bounded by the sum of
+their approximation errors plus the sup-gap of the references; the checker
+measures all quantities and evaluates both inequalities per instance. The
+upper one is a triangle inequality that only an arithmetic bug can break.
+``lower_holds`` is this repo's reading of the lower inequality,
+inf_gap >= min(|eps1+eps2-alpha_l|, |eps1+eps2-alpha_u|, |alpha_l|);
+acceptance criterion 8 reports how often it holds but asserts only the
+upper inequality.
 """
 
 from gossipmask import bound_check, random_bound_instance

@@ -54,8 +54,9 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree in length")
-        if self.features.size and (self.features.min() < 0.0
-                                   or self.features.max() > 1.0):
+        # written so that a NaN, which compares False, fails it too
+        if self.features.size and not (self.features.min() >= 0.0
+                                       and self.features.max() <= 1.0):
             raise ValueError("feature entries must lie in [0, 1]")
         if self.labels.size and (self.labels.min() < 0
                                  or self.labels.max() >= self.num_classes):

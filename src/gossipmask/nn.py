@@ -14,28 +14,30 @@ zero-padded input with one ``np.take`` of per-sample offsets and
 multiplied with one gemm per sample and output row. Their input gradient
 scatters the column gradient back (col2im) one cache-sized block of
 samples at a time, into the unpadded input only: the adds that would land
-in the padding are skipped. Max pooling takes each window's first
-maximum, as ``argmax`` does. From ``_GATHER_BYTES`` of windows on, the
-pool gathers them like the conv columns, one block of samples at a time,
-and finds its maxima with elementwise reductions over the gathered
-planes instead of a row-wise ``argmax`` over a strided copy. The bytes
-are the same either way. The offset tables depend only on a layer's
-geometry, so each is built once and cached read-only.
+in the padding are skipped. It loops over kernel offsets or, where fewer
+(a small output plane), over output positions, with every entry's adds in
+the same order. Max pooling takes each window's first maximum, as
+``argmax`` does. From ``_GATHER_BYTES`` of windows on, the pool gathers
+them like the conv columns, one block of samples at a time, and finds its
+maxima with elementwise reductions over the gathered planes instead of a
+row-wise ``argmax`` over a strided copy. The bytes are the same either
+way. The offset tables depend only on a layer's geometry, so each is
+built once and cached read-only.
 
 :func:`forward` keeps what the backward reads: relu masks, pool indices
-and each conv's columns where they fit in one ``_BLOCK_BYTES`` block. A
-larger conv runs its forward one block of samples at a time and keeps
-only its padded input; its weight gradient gathers the columns again with
-the same ``np.take``, into the same gemm: into a fresh array, or from
-``_SHARED_BYTES`` on (the README default shape at batch 128) into one
-process-wide buffer, read only under its lock, that steps on several
-threads share. The backward frees each layer's cache once it has used
-it, so a training step holds at most one large column set at a time, and
-a relu writes in place to the array the layer below it made. Evaluation
+and each conv's columns below ``_SHARED_BYTES``. From there on (the README
+default shape at batch 128) a conv runs its forward one ``_BLOCK_BYTES``
+block of samples at a time and keeps only its padded input; its weight
+gradient gathers the columns again with the same ``np.take``, into the
+same gemm, in one process-wide buffer, read only under its lock, that
+steps on several threads share. The backward frees each layer's cache
+once it has used it, a conv's columns before its input gradient, and a
+relu writes in place to the array the layer below it made. Evaluation
 (:func:`loss`, the trainer's accuracy and bound networks) keeps no cache,
-and runs the conv, relu and pool layers, which work per sample, on chunks
-of samples. The linear layers see the whole batch, since a 2-d gemm
-rounds differently when its row count changes.
+runs the conv, relu and pool layers, which work per sample, on chunks of
+samples, and each conv one block at a time. The linear layers see the
+whole batch, since a 2-d gemm rounds differently when its row count
+changes.
 
 Tensors are plain numpy float64 arrays. A conv output is a channel-last
 array viewed as (n, c, h, w). The max pool's gathered path reads its input
@@ -246,15 +248,14 @@ def init_params(arch, seed):
 
 # ----------------------------------------------------------- layer kernels
 
-# bytes of im2col columns a conv keeps for its weight gradient, and of
-# columns, column gradient or pool windows a blocked kernel handles per
-# sample block: half of a 2 MiB per-core L2. The desk convs (0.3 MiB at
-# batch 8) and the harness's upper conv (0.9 MiB at 32) keep theirs; its
-# lower conv (1.2 MiB) and the default shape's (19 MiB at 128) gather again
+# bytes of columns, column gradient or pool windows a blocked kernel
+# handles per sample block: half of a 2 MiB per-core L2
 _BLOCK_BYTES = 1 << 20
-# bytes of im2col columns from which a weight gradient gathers them into
-# the shared buffer below, and the trainer threads a round's steps: the L2
-# of both cores. Of the shapes above only the default one reaches it
+# bytes of im2col columns from which a training step's conv runs blocked
+# and its weight gradient gathers them again into the shared buffer below,
+# and the trainer threads a round's steps: the L2 of both cores. The desk
+# convs (0.3 MiB at batch 8) and the harness's (1.2 and 0.9 MiB at 32)
+# keep their columns; the default shape's (19 MiB at 128) reach it
 _SHARED_BYTES = 1 << 22
 # samples per evaluation chunk: a default training step's batch, so its
 # columns stay below the training peak
@@ -295,25 +296,37 @@ def _conv_offsets(c, hp, wp, kh, kw):
     return _table((corner.transpose(1, 2, 0)[..., None] + cell).ravel())
 
 
+def _runs(outer, inner, e, padding):
+    """Per index u < ``outer``, in ascending order, the run [lo, hi) of
+    indices t < ``inner`` whose input index u + t - padding lies in
+    [0, e), and the slice of those input indices. Empty runs are left
+    out."""
+    runs = []
+    for u in range(outer):
+        lo, hi = max(0, padding - u), min(inner, e + padding - u)
+        if lo < hi:
+            runs.append((u, slice(lo, hi), slice(u + lo - padding, u + hi - padding)))
+    return runs
+
+
 @lru_cache(maxsize=32)
 def _col2im_spans(h, w, kh, kw, padding):
-    """Per kernel offset (a, b), in ascending order, whose window positions
-    reach the unpadded (h, w) input: the index of the channel-last input
-    gradient entries it adds to and of the column gradient entries it adds.
-    Offsets and window positions that land only in the padding are left
-    out."""
+    """The adds of a col2im into the unpadded channel-last (h, w) input:
+    the index of the input gradient entries each adds to and of the
+    (n, out row, out col, kh, kw, c) column gradient entries it adds. They
+    run per kernel offset (a, b) ascending or, where fewer, per output
+    position (i, j) descending: an entry (p, q) gets offset
+    (p + padding - i, q + padding - j) from position (i, j), so either way
+    every entry gets its adds by ascending offset. Offsets and positions
+    whose window cells land only in the padding are left out."""
     oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
-    spans = []
-    for a in range(kh):
-        i0, i1 = max(0, padding - a), min(oh, h + padding - a)
-        for b in range(kw):
-            j0, j1 = max(0, padding - b), min(ow, w + padding - b)
-            if i0 < i1 and j0 < j1:
-                to = (slice(None), slice(i0 + a - padding, i1 + a - padding),
-                      slice(j0 + b - padding, j1 + b - padding))
-                at = (slice(None), slice(i0, i1), slice(j0, j1), slice(None), a, b)
-                spans.append((to, at))
-    return tuple(spans)
+    rows, cols = _runs(kh, oh, h, padding), _runs(kw, ow, w, padding)
+    at_rows, at_cols = _runs(oh, kh, h, padding), _runs(ow, kw, w, padding)
+    if len(rows) * len(cols) <= len(at_rows) * len(at_cols):
+        return tuple(((slice(None), hs, ws), (slice(None), i, j, a, b))
+                     for a, i, hs in rows for b, j, ws in cols)
+    return tuple(((slice(None), hs, ws), (slice(None), i, j, a, b))
+                 for i, a, hs in reversed(at_rows) for j, b, ws in reversed(at_cols))
 
 
 @lru_cache(maxsize=32)
@@ -371,15 +384,17 @@ def _largest_column_bytes(arch, batch):
 
 def _shares_columns(arch, batch):
     """Whether a training step of ``arch`` on ``batch`` samples runs a conv
-    whose columns reach ``_SHARED_BYTES``, and so holds no full column set
-    of its own."""
+    whose columns reach ``_SHARED_BYTES``, and so go through the shared
+    buffer."""
     return _largest_column_bytes(arch, batch) >= _SHARED_BYTES
 
 
-def _conv_forward(x, v, padding):
+def _conv_forward(x, v, padding, keep=True):
     """The conv output and its backward cache ``(cols, xp, x shape,
-    padding)``. It holds the columns where they fit in one ``_BLOCK_BYTES``
-    block, else the padded input ``xp``; the other of the two is None."""
+    padding)``. Where ``keep`` is set and the columns stay below
+    ``_SHARED_BYTES``, it computes them at once and holds them; else it
+    runs one ``_BLOCK_BYTES`` block of samples at a time and holds the
+    padded input ``xp``. The other of the two is None."""
     n, c, h, w = x.shape
     o, _, kh, kw = v.shape
     oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
@@ -390,12 +405,12 @@ def _conv_forward(x, v, padding):
     vt = v.reshape(o, -1).T
     # one gemm per (sample, output row); a single 2-d gemm over all rows
     # would round differently
-    if _column_bytes(n * oh * ow, c, kh, kw) <= _BLOCK_BYTES:
+    if keep and _column_bytes(n * oh * ow, c, kh, kw) < _SHARED_BYTES:
         cols = _im2col(xp, kh, kw)
         return (cols @ vt).transpose(0, 3, 1, 2), (cols, None, x.shape, padding)
     out = np.empty((n, oh, ow, o))
     blk = max(1, _BLOCK_BYTES // _column_bytes(oh * ow, c, kh, kw))
-    buf = np.empty(blk * oh * ow * c * kh * kw)
+    buf = np.empty(min(n, blk) * oh * ow * c * kh * kw)
     for s in range(0, n, blk):
         np.matmul(_im2col(xp[s:s + blk], kh, kw, buf), vt, out=out[s:s + blk])
     return out.transpose(0, 3, 1, 2), (None, xp, x.shape, padding)
@@ -403,16 +418,15 @@ def _conv_forward(x, v, padding):
 
 def _conv_grad_v(grad_out, v, cache):
     """The weight gradient: one 2-d gemm over the whole batch's columns,
-    cached or gathered again, into a fresh array or, from ``_SHARED_BYTES``
-    on, into the shared buffer under its lock."""
+    the cached ones or, where the cache holds the padded input, gathered
+    again into the shared buffer under its lock."""
     global _shared_buf
     cols, xp = cache[:2]
     o, c, kh, kw = v.shape
     g = grad_out.transpose(0, 2, 3, 1).reshape(-1, o)
-    size = _column_bytes(len(g), c, kh, kw)
-    if cols is not None or size < _SHARED_BYTES:
-        cols = _im2col(xp, kh, kw) if cols is None else cols
+    if cols is not None:
         return (g.T @ cols.reshape(-1, cols.shape[-1])).reshape(v.shape)
+    size = _column_bytes(len(g), c, kh, kw)
     with _shared:
         if _shared_buf.nbytes < size:
             _shared_buf = np.empty(size // 8)
@@ -420,8 +434,8 @@ def _conv_grad_v(grad_out, v, cache):
         return (g.T @ cols.reshape(-1, cols.shape[-1])).reshape(v.shape)
 
 
-def _conv_backward(grad_out, v, cache):
-    _, _, (n, c, h, w), padding = cache
+def _conv_backward(grad_out, v, x_shape, padding):
+    n, c, h, w = x_shape
     o, _, kh, kw = v.shape
     oh, ow = grad_out.shape[2:]
     g = grad_out.transpose(0, 2, 3, 1)
@@ -436,6 +450,7 @@ def _conv_backward(grad_out, v, cache):
     blk = max(1, _BLOCK_BYTES // _column_bytes(oh * ow, c, kh, kw))
     for s in range(0, n, blk):
         gc = (g[s:s + blk] @ vm).reshape(-1, oh, ow, c, kh, kw)
+        gc = gc.transpose(0, 1, 2, 4, 5, 3)     # a view, as _col2im_spans indexes it
         dst = gx[s:s + blk]
         for to, at in spans:
             dst[to] += gc[at]
@@ -545,7 +560,7 @@ def _layers(arch, v, x, span, caches=None):
     for idx in span:
         layer = arch.layers[idx]
         if layer.kind == "conv2d":
-            x, kept = _conv_forward(x, v[idx], layer.padding)
+            x, kept = _conv_forward(x, v[idx], layer.padding, caches is not None)
             kept = (v[idx], kept)
         elif layer.kind == "linear":
             kept = (v[idx], x)
@@ -594,7 +609,7 @@ def _logits(arch, w, m, batch):
 def _backward(caches, grad_logits):
     """The v-gradient of every parameterized layer. It pops each layer's
     cache off ``caches`` as it goes, so a used cache is freed before the
-    layer below runs."""
+    layer below runs, and a conv's columns before its input gradient."""
     # nothing below the lowest parameterized layer needs a gradient
     first = next((e[1] for e in caches if e[0] in ("conv2d", "linear")), len(caches))
     g = grad_logits
@@ -606,8 +621,11 @@ def _backward(caches, grad_logits):
             grad_v[idx] = g.T @ xin
             g = g @ v if idx > first else None
         elif kind == "conv2d":
-            grad_v[idx] = _conv_grad_v(g, *rest)
-            g = _conv_backward(g, *rest) if idx > first else None
+            v, cache = rest
+            grad_v[idx] = _conv_grad_v(g, v, cache)
+            x_shape, padding = cache[2:]
+            del rest, cache     # frees the columns before the input gradient
+            g = _conv_backward(g, v, x_shape, padding) if idx > first else None
         elif kind == "relu":
             g = np.multiply(g, rest[0], out=g)     # g is always this pass's own
         elif kind == "maxpool2d":

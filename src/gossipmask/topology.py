@@ -125,7 +125,8 @@ def to_edge_list(g):
 def from_edge_list(text):
     """Inverse of :func:`to_edge_list`; node count is the largest index + 1.
     A bad line, a self-loop or an edge listed twice (in either order)
-    raises ValueError naming its line."""
+    raises ValueError naming its line; fewer edges than a connected graph
+    on that many nodes needs raise one naming both counts."""
     edges = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -148,6 +149,11 @@ def from_edge_list(text):
     if not edges:
         raise ValueError("empty edge list")
     n = max(j for _, j in edges) + 1
+    # a connected graph on n nodes has at least n - 1 edges; checked before
+    # the n x n adjacency is allocated, which a stray large id would blow up
+    if n - 1 > len(edges):
+        raise ValueError(f"{len(edges)} edges cannot connect {n} nodes, "
+                         f"which need at least {n - 1}")
     adj = np.zeros((n, n), dtype=np.uint8)
     for i, j in edges:
         adj[i, j] = 1

@@ -16,6 +16,14 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int), 2)
 
 
+def test_dataset_rejects_nan_features():
+    # a NaN compares False with both bounds, so only a check that asks for
+    # min >= 0 and max <= 1 catches it
+    for bad in ([[0.5, np.nan]], [[np.nan]], [[np.nan, 0.2], [0.1, 0.3]]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            Dataset(np.array(bad), np.zeros(len(bad), dtype=int), 2)
+
+
 def test_synth_zero_noise_reproduces_prototype():
     train, test = synth_generate(3, (2, 4, 4), 10, noise=0.0, seed=5)
     for c in range(3):

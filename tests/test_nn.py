@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -244,14 +245,12 @@ def test_forward_only_loss_peaks_below_a_training_step():
 
 
 def test_training_step_holds_one_set_of_large_columns():
-    # a conv keeps its columns where they fit in one _BLOCK_BYTES block,
-    # else its padded input. At the README default shape and batch 128 each
-    # conv's columns take about 19 MiB, above _SHARED_BYTES too: the weight
-    # gradients gather them into the one shared buffer, so the step itself
-    # holds none. At batch 8 both convs (1.2 MiB each) keep their padded
-    # input. The desk shape keeps both convs' columns at its batch of 8; at
-    # its batch of 32 the lower conv (1.2 MiB) keeps its padded input and
-    # the upper one (0.9 MiB) its columns
+    # a conv keeps its columns below _SHARED_BYTES, else its padded input.
+    # At the README default shape and batch 128 each conv's columns take
+    # about 19 MiB: the weight gradients gather them into the one shared
+    # buffer, so the step itself holds none. At batch 8 both convs (1.2 MiB
+    # each) keep their columns, and so does the desk shape at its batch of
+    # 8 and the harness's batch of 32 (1.2 and 0.9 MiB)
     arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
     rng = np.random.default_rng(0)
     w = init_params(arch, 0)
@@ -271,10 +270,29 @@ def test_training_step_holds_one_set_of_large_columns():
         return [(e[3][0] is not None, e[3][1] is not None)
                 for e in caches if e[0] == "conv2d"]
     assert kept(arch, x) == [(False, True)] * 2
-    assert kept(arch, x[:8]) == [(False, True)] * 2
+    assert kept(arch, x[:8]) == [(True, False)] * 2
     desk = desk_arch((3, 8, 8), 6, (16, 32), 32)
     assert kept(desk, rng.standard_normal((8, 3, 8, 8))) == [(True, False)] * 2
-    assert kept(desk, rng.standard_normal((32, 3, 8, 8))) == [(False, True), (True, False)]
+    assert kept(desk, rng.standard_normal((32, 3, 8, 8))) == [(True, False)] * 2
+
+
+def test_harness_step_peak_holds_its_kept_columns():
+    # a mask-vs-weight harness step (3x8x8, batch 32) keeps both convs'
+    # columns, 1.2 and 0.9 MiB, and peaks near 2.4 MiB. The upper conv's
+    # columns go before its input gradient's 0.9 MiB of column gradient:
+    # held through it, the step peaks near 3.3 MiB
+    arch = desk_arch((3, 8, 8), 4, (16, 32), 32)
+    rng = np.random.default_rng(0)
+    w = init_params(arch, 0)
+    x, y = rng.standard_normal((32, 3, 8, 8)), rng.integers(0, 4, 32)
+    loss_and_grad_v(arch, w, None, x, y)   # builds the tables
+    tracemalloc.start()
+    try:
+        loss_and_grad_v(arch, w, None, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * (1 << 20)
 
 
 def test_readme_quotes_the_size_bounds_as_nn_sets_them():
@@ -513,13 +531,14 @@ def _ref_maxpool_forward(x, window, stride):
 def _ref_conv_backward(grad_out, v, cache):
     """The earlier conv backward: col2im over kernel offsets into an
     (n, c, h, w) buffer with transposed reads, and the weight gradient
-    from the cached columns."""
+    from the cached columns, where the cache holds them."""
     cols, _, x_shape, padding = cache
     n, c, h, w = x_shape
     o, _, kh, kw = v.shape
     oh, ow = grad_out.shape[2], grad_out.shape[3]
     g = grad_out.transpose(0, 2, 3, 1)
-    grad_v = (g.reshape(-1, o).T @ cols.reshape(-1, cols.shape[-1])).reshape(v.shape)
+    grad_v = None if cols is None else (
+        g.reshape(-1, o).T @ cols.reshape(-1, cols.shape[-1])).reshape(v.shape)
     gc = (g @ v.reshape(o, -1)).reshape(n, oh, ow, c, kh, kw)
     gxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
     for a in range(kh):
@@ -595,6 +614,11 @@ def _special_values(rng, x):
     return x
 
 
+def _nan_blind(a):
+    """The bytes of ``a`` with every NaN as the one positive quiet NaN."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
 def _columns(cache, v):
     """A conv cache's columns: the cached ones, or gathered again from the
     cached padded input."""
@@ -602,13 +626,14 @@ def _columns(cache, v):
     return nn._im2col(xp, *v.shape[2:]) if cols is None else cols
 
 
-# (_BLOCK_BYTES, _SHARED_BYTES) of the three conv regimes: columns kept;
-# gathered again into a fresh array; gathered again into the shared buffer.
-# The blocked forwards run one sample per block
-_REGIMES = {"keep": (1 << 62, 1 << 62), "fresh": (1, 1 << 62), "shared": (1, 0)}
+# (_BLOCK_BYTES, _SHARED_BYTES) of the two conv regimes: columns kept, and
+# the input gradient in one block; a blocked forward and the columns
+# gathered again into the shared buffer, one sample per block
+_REGIMES = {"keep": (1 << 62, 1 << 62), "shared": (1, 0)}
 
 
 def test_conv_forward_bitwise_equal_to_reference(monkeypatch):
+    # an evaluation forward (keep False) runs blocked in either regime
     cases = 0
     for i, (rng, x_shape, v_shape, pad) in enumerate(_conv_cases()):
         x = _wide_magnitudes(rng, x_shape)
@@ -617,22 +642,22 @@ def test_conv_forward_bitwise_equal_to_reference(monkeypatch):
         v = _wide_magnitudes(rng, v_shape)
         for layout in _layouts(x):
             before = layout.copy()
-            for regime, (block, shared) in _REGIMES.items():
+            for (regime, (block, shared)), keep in product(_REGIMES.items(), (True, False)):
                 monkeypatch.setattr(nn, "_BLOCK_BYTES", block)
                 monkeypatch.setattr(nn, "_SHARED_BYTES", shared)
                 with np.errstate(invalid="ignore"):  # inf - inf in the products
                     want_out, want_cols = _ref_conv_forward(layout, v, pad)
-                    out, cache = nn._conv_forward(layout, v, pad)
+                    out, cache = nn._conv_forward(layout, v, pad, keep)
                     cols = _columns(cache, v)
                 assert out.tobytes() == want_out.tobytes(), (x_shape, v_shape, pad)
                 assert out.strides == want_out.strides
                 assert cols.tobytes() == want_cols.tobytes()
-                keeps_xp = regime != "keep"
+                keeps_xp = regime != "keep" or not keep
                 assert (cache[0] is None, cache[1] is None) == (keeps_xp, not keeps_xp)
                 assert cache[2:] == (x_shape, pad)
                 assert layout.tobytes() == before.tobytes()
                 cases += 1
-    assert cases == 3 * 3 * 48
+    assert cases == 3 * 2 * 2 * 48
 
 
 def test_maxpool_forward_bitwise_equal_to_reference():
@@ -663,25 +688,40 @@ def test_maxpool_forward_bitwise_equal_to_reference():
 def test_conv_backward_bitwise_equal_to_reference(monkeypatch):
     # the weight gradient of a cache that keeps the padded input gathers the
     # columns again; its bytes match the reference's on the reference's
-    # columns. The input gradient runs one sample per block but in "keep"
+    # columns. The input gradient runs one sample per block but in "keep",
+    # its col2im per kernel offset or, where fewer, per output position;
+    # every other case's output gradient holds NaN, +-inf and -0.0. A NaN
+    # meeting a NaN of the other sign may keep either sign, as numpy's add
+    # loops pick their operand order by layout, so NaN signs are not compared
     monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
-    cases = 0
-    for rng, x_shape, v_shape, pad in _conv_cases():
+    cases, orders = 0, set()
+    for i, (rng, x_shape, v_shape, pad) in enumerate(_conv_cases()):
         x = _wide_magnitudes(rng, x_shape)
         v = _wide_magnitudes(rng, v_shape)
         out, want_cols = _ref_conv_forward(x, v, pad)
-        for g in _layouts(_wide_magnitudes(rng, out.shape)):
-            want_gx, want_gv = _ref_conv_backward(g, v, (want_cols, None, x_shape, pad))
+        g = _wide_magnitudes(rng, out.shape)
+        if i % 2:
+            g = _special_values(rng, g)
+        spans = nn._col2im_spans(*x_shape[2:], *v_shape[2:], pad)
+        orders.add((isinstance(spans[0][1][1], int), i % 2))
+        for layout in _layouts(g):
+            with np.errstate(invalid="ignore"):  # inf - inf in the products
+                want_gx, want_gv = _ref_conv_backward(
+                    layout, v, (want_cols, None, x_shape, pad))
             for block, shared in _REGIMES.values():
                 monkeypatch.setattr(nn, "_BLOCK_BYTES", block)
                 monkeypatch.setattr(nn, "_SHARED_BYTES", shared)
                 cache = nn._conv_forward(x, v, pad)[1]
-                gx = nn._conv_backward(g, v, cache)
+                with np.errstate(invalid="ignore"):
+                    gx = nn._conv_backward(layout, v, *cache[2:])
+                    gv = nn._conv_grad_v(layout, v, cache)
                 assert gx.shape == x_shape
-                assert gx.tobytes() == want_gx.tobytes(), (x_shape, v_shape, pad)
-                assert nn._conv_grad_v(g, v, cache).tobytes() == want_gv.tobytes()
+                assert _nan_blind(gx) == _nan_blind(want_gx), (x_shape, v_shape, pad)
+                assert gv.tobytes() == want_gv.tobytes()
                 cases += 1
-    assert cases == 3 * 3 * 48
+    assert cases == 3 * 2 * 48
+    # both col2im orders, each on finite and on special output gradients
+    assert orders == {(False, 0), (False, 1), (True, 0), (True, 1)}
     assert nn._shared_buf.nbytes > 0
 
 
@@ -724,9 +764,9 @@ def test_backward_skips_input_gradient_of_lowest_conv(monkeypatch):
     conv_calls, pool_calls = [], []
     conv_bw, pool_bw = nn._conv_backward, nn._maxpool_backward
 
-    def conv_spy(g, v, cache):
+    def conv_spy(g, v, x_shape, padding):
         conv_calls.append(v.shape)
-        return conv_bw(g, v, cache)
+        return conv_bw(g, v, x_shape, padding)
 
     def pool_spy(g, cache):
         pool_calls.append(g.shape)
@@ -787,12 +827,12 @@ def _use_reference_kernels(monkeypatch):
     """Run every conv through the in-test reference kernels, which copy
     strided windows and always cache them, and every pool through the
     strided copy."""
-    def conv_forward(x, v, padding, lowest=False):
+    def conv_forward(x, v, padding, keep=True):
         out, cols = _ref_conv_forward(x, v, padding)
         return out, (cols, None, x.shape, padding)
     monkeypatch.setattr(nn, "_conv_forward", conv_forward)
-    monkeypatch.setattr(nn, "_conv_backward",
-                        lambda g, v, cache: _ref_conv_backward(g, v, cache)[0])
+    monkeypatch.setattr(nn, "_conv_backward", lambda g, v, x_shape, padding:
+                        _ref_conv_backward(g, v, (None, None, x_shape, padding))[0])
     monkeypatch.setattr(nn, "_GATHER_BYTES", 1 << 62)
 
 

@@ -132,3 +132,23 @@ def test_edge_list_rejects_a_repeated_edge_naming_its_line():
     # the reversed pair is the same undirected edge
     with pytest.raises(ValueError, match="^line 4: edge 2 1 repeats line 2$"):
         from_edge_list("0 1\n1 2\n\n2 1\n")
+
+
+def test_edge_list_with_too_few_edges_fails_before_the_adjacency(monkeypatch):
+    # a stray id of 500 asks for 501 nodes, which 2 edges cannot connect:
+    # the error names both counts and no 501 x 501 adjacency is allocated
+    shapes = []
+    zeros = np.zeros
+
+    def spy(shape, *args, **kwargs):
+        shapes.append(shape)
+        return zeros(shape, *args, **kwargs)
+    monkeypatch.setattr(np, "zeros", spy)
+    with pytest.raises(ValueError, match="^2 edges cannot connect 501 nodes, "
+                                         "which need at least 500$"):
+        from_edge_list("0 1\n0 500\n")
+    assert shapes == []
+    # enough edges, but two components: the graph itself rejects it
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="connected"):
+        from_edge_list("0 1\n1 2\n0 2\n3 4\n")
