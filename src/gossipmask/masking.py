@@ -125,12 +125,15 @@ def extract(tensors, r, min_nonzero=0):
 
 def _filter_norms(z, lam):
     """Per layer in index order: the layer index, its score tensor and the
-    l2 norm of each output filter. A negative ``lam`` is rejected first."""
-    if lam < 0:
+    l2 norm of each output filter. ``lam`` may hold one lambda per agent of
+    a stack, whose tensors then carry a leading agent axis. A negative
+    ``lam`` is rejected first."""
+    lead = getattr(lam, "ndim", 0) + 1
+    if (lam < 0).any() if lead > 1 else lam < 0:
         raise FieldError("lam", "lambda must be nonnegative")
     for idx in sorted(z):
         t = np.asarray(z[idx], dtype=np.float64)
-        yield idx, t, np.sqrt((t.reshape(t.shape[0], -1) ** 2).sum(axis=1))
+        yield idx, t, np.sqrt((t.reshape(t.shape[:lead] + (-1,)) ** 2).sum(axis=-1))
 
 
 def group_lasso_value(z, lam):
@@ -141,9 +144,10 @@ def group_lasso_value(z, lam):
 
 def group_lasso_grad(z, lam):
     """Gradient of :func:`group_lasso_value`: lam * z_g / ||z_g|| per group,
-    and the zero tensor for groups of zero norm (subgradient choice)."""
-    grads = {}
+    and the zero tensor for groups of zero norm (subgradient choice). With
+    one lambda per agent, each agent's slices get its own."""
+    grads, each = {}, lam if getattr(lam, "ndim", 0) == 0 else np.reshape(lam, (-1, 1))
     for idx, t, norms in _filter_norms(z, lam):
-        scale = np.divide(lam, norms, out=np.zeros_like(norms), where=norms > 0)
-        grads[idx] = t * scale.reshape((-1,) + (1,) * (t.ndim - 1))
+        scale = np.divide(each, norms, out=np.zeros_like(norms), where=norms > 0)
+        grads[idx] = t * scale.reshape(scale.shape + (1,) * (t.ndim - scale.ndim))
     return grads

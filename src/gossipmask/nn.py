@@ -39,6 +39,16 @@ samples, and each conv one block at a time. The linear layers see the
 whole batch, since a 2-d gemm rounds differently when its row count
 changes.
 
+:func:`loss_and_grad_v` also steps a stack of A agents at once: one
+shared network under A masks, their batches stacked. Conv, relu and pool
+run on the A * n samples agent by agent; each conv gemm stays one gemm per
+(agent, sample, output row), a broadcast matmul against that agent's
+filters, and each weight gradient one 2-d gemm per agent over its whole
+batch's columns. A stack's convs run blocked and gather their columns
+again in the shared buffer, whatever their size. The linear layers and
+the cross-entropy work per agent. So every agent's loss and gradients
+are, bit for bit, those of a call of its own.
+
 Tensors are plain numpy float64 arrays. A conv output is a channel-last
 array viewed as (n, c, h, w). The max pool's gathered path reads its input
 channel-last, and its input gradient is channel-last: each pool of
@@ -389,57 +399,115 @@ def _shares_columns(arch, batch):
     return _largest_column_bytes(arch, batch) >= _SHARED_BYTES
 
 
+def _stack_size(arch, batch):
+    """Agents whose training steps on ``batch`` samples each run as one
+    stack: as many as keep the stack's largest conv columns, which its
+    weight gradient gathers into the shared buffer, below
+    ``_SHARED_BYTES``; at least one, which a step whose own columns reach
+    it stays."""
+    return max(1, (_SHARED_BYTES - 1) // max(1, _largest_column_bytes(arch, batch)))
+
+
+def _blocks(agents, n, blk):
+    """Blocks of a stack's ``agents * n`` samples, agent-major, of at most
+    ``blk`` samples each but never fewer than one agent's or one sample:
+    whole agents at a time where ``blk`` holds one, else ``blk`` samples of
+    one agent at a time. Yields (sample slice, agent slice) pairs."""
+    if blk >= n:
+        step = blk // n
+        for a in range(0, agents, step):
+            yield slice(a * n, min(a + step, agents) * n), slice(a, a + step)
+        return
+    for a in range(agents):
+        for s in range(a * n, (a + 1) * n, blk):
+            yield slice(s, min(s + blk, (a + 1) * n)), slice(a, a + 1)
+
+
+def _gemm_operand(v):
+    """A conv's filters as the right operand of its gemms: (K, o) for one
+    bank (o, c, kh, kw), or (A, 1, 1, K, o) for a stack of A banks
+    (A, o, c, kh, kw), to meet one agent's samples in each gemm."""
+    m = v.reshape(v.shape[:-3] + (-1,))
+    return m.T if v.ndim == 4 else m.swapaxes(1, 2)[:, None, None]
+
+
+def _by_agent(a, operand):
+    """``a``'s leading samples axis split into one run per agent of a
+    stacked gemm ``operand`` (from :func:`_gemm_operand`); ``a`` itself
+    against one bank."""
+    return a if operand.ndim == 2 else a.reshape((len(operand), -1) + a.shape[1:])
+
+
 def _conv_forward(x, v, padding, keep=True):
     """The conv output and its backward cache ``(cols, xp, x shape,
-    padding)``. Where ``keep`` is set and the columns stay below
-    ``_SHARED_BYTES``, it computes them at once and holds them; else it
-    runs one ``_BLOCK_BYTES`` block of samples at a time and holds the
-    padded input ``xp``. The other of the two is None."""
+    padding)``. ``v`` is one filter bank or a stack of A, one per agent,
+    whose samples ``x`` holds agent by agent. Where ``keep`` is set, ``v``
+    is one bank and the columns stay below ``_SHARED_BYTES``, it computes
+    them at once and holds them; else it runs one ``_BLOCK_BYTES`` block of
+    samples at a time and holds the padded input ``xp``. The other of the
+    two is None. A stack keeps no columns: they would be all its agents'
+    at once, several MB that glibc, freed every step, hands back to the
+    kernel and faults in again on the next (without the benchmark's
+    ``mallopt``)."""
     n, c, h, w = x.shape
-    o, _, kh, kw = v.shape
+    o, _, kh, kw = v.shape[-4:]
     oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
     # a contiguous padded copy, also at padding 0: columns viewed straight
     # from a strided input could reach the gemm with other strides
     xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
     xp[:, :, padding:padding + h, padding:padding + w] = x
-    vt = v.reshape(o, -1).T
-    # one gemm per (sample, output row); a single 2-d gemm over all rows
-    # would round differently
-    if keep and _column_bytes(n * oh * ow, c, kh, kw) < _SHARED_BYTES:
+    vt = _gemm_operand(v)
+    # one gemm per (sample, output row), against its agent's filters; a
+    # single 2-d gemm over all rows would round differently
+    if keep and v.ndim == 4 and _column_bytes(n * oh * ow, c, kh, kw) < _SHARED_BYTES:
         cols = _im2col(xp, kh, kw)
-        return (cols @ vt).transpose(0, 3, 1, 2), (cols, None, x.shape, padding)
+        out = (_by_agent(cols, vt) @ vt).reshape(n, oh, ow, o)
+        return out.transpose(0, 3, 1, 2), (cols, None, x.shape, padding)
     out = np.empty((n, oh, ow, o))
     blk = max(1, _BLOCK_BYTES // _column_bytes(oh * ow, c, kh, kw))
     buf = np.empty(min(n, blk) * oh * ow * c * kh * kw)
-    for s in range(0, n, blk):
-        np.matmul(_im2col(xp[s:s + blk], kh, kw, buf), vt, out=out[s:s + blk])
+    agents = 1 if v.ndim == 4 else len(v)
+    for rows, who in _blocks(agents, n // agents, blk):
+        part = vt if v.ndim == 4 else vt[who]
+        np.matmul(_by_agent(_im2col(xp[rows], kh, kw, buf), part), part,
+                  out=_by_agent(out[rows], part))
     return out.transpose(0, 3, 1, 2), (None, xp, x.shape, padding)
 
 
 def _conv_grad_v(grad_out, v, cache):
-    """The weight gradient: one 2-d gemm over the whole batch's columns,
-    the cached ones or, where the cache holds the padded input, gathered
-    again into the shared buffer under its lock."""
+    """The weight gradient, shaped like ``v``: one 2-d gemm per agent over
+    its whole batch's columns, the cached ones or, where the cache holds
+    the padded input, gathered again into the shared buffer under its
+    lock."""
     global _shared_buf
     cols, xp = cache[:2]
-    o, c, kh, kw = v.shape
+    o, c, kh, kw = v.shape[-4:]
     g = grad_out.transpose(0, 2, 3, 1).reshape(-1, o)
     if cols is not None:
-        return (g.T @ cols.reshape(-1, cols.shape[-1])).reshape(v.shape)
+        return _weight_gemm(g, cols, v)
     size = _column_bytes(len(g), c, kh, kw)
     with _shared:
         if _shared_buf.nbytes < size:
             _shared_buf = np.empty(size // 8)
-        cols = _im2col(xp, kh, kw, _shared_buf)
+        return _weight_gemm(g, _im2col(xp, kh, kw, _shared_buf), v)
+
+
+def _weight_gemm(g, cols, v):
+    """``g.T @ cols`` shaped like ``v``: one 2-d gemm over all rows, or per
+    agent over its own for a stack of filter banks."""
+    if v.ndim == 4:
         return (g.T @ cols.reshape(-1, cols.shape[-1])).reshape(v.shape)
+    return (g.reshape(len(v), -1, g.shape[1]).swapaxes(1, 2)
+            @ cols.reshape(len(v), -1, cols.shape[-1])).reshape(v.shape)
 
 
 def _conv_backward(grad_out, v, x_shape, padding):
     n, c, h, w = x_shape
-    o, _, kh, kw = v.shape
+    o, _, kh, kw = v.shape[-4:]
     oh, ow = grad_out.shape[2:]
     g = grad_out.transpose(0, 2, 3, 1)
-    vm = v.reshape(o, -1)
+    vm = v.reshape(v.shape[:-3] + (-1,))
+    vm = vm if v.ndim == 4 else vm[:, None, None]
     # channel-last col2im into the unpadded input: each entry gets the
     # (n, c, h, w) layout's adds in the same order, and the adds that would
     # land in the padding are skipped. It runs over blocks of samples whose
@@ -448,10 +516,12 @@ def _conv_backward(grad_out, v, x_shape, padding):
     gx = np.zeros((n, h, w, c))
     spans = _col2im_spans(h, w, kh, kw, padding)
     blk = max(1, _BLOCK_BYTES // _column_bytes(oh * ow, c, kh, kw))
-    for s in range(0, n, blk):
-        gc = (g[s:s + blk] @ vm).reshape(-1, oh, ow, c, kh, kw)
+    agents = 1 if v.ndim == 4 else len(v)
+    for rows, who in _blocks(agents, n // agents, blk):
+        part = vm if v.ndim == 4 else vm[who]
+        gc = (_by_agent(g[rows], part) @ part).reshape(-1, oh, ow, c, kh, kw)
         gc = gc.transpose(0, 1, 2, 4, 5, 3)     # a view, as _col2im_spans indexes it
-        dst = gx[s:s + blk]
+        dst = gx[rows]
         for to, at in spans:
             dst[to] += gc[at]
     return gx.transpose(0, 3, 1, 2)
@@ -517,45 +587,66 @@ def _maxpool_backward(grad_out, cache):
     return gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
-def _cross_entropy(logits, labels):
-    """Mean softmax cross-entropy over the rows, and the log-probabilities."""
+def _cross_entropy(logits, labels, agents=None):
+    """The mean softmax cross-entropy over the rows, or per agent over
+    each of ``agents`` equal runs of rows, and the log-probabilities."""
     shift = logits - logits.max(axis=1, keepdims=True)
     logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
-    return -logp[np.arange(logits.shape[0]), labels].mean(), logp
+    picked = logp[np.arange(logits.shape[0]), labels]
+    if agents is None:
+        return -picked.mean(), logp
+    return -picked.reshape(agents, -1).mean(axis=1), logp
 
 
-def _softmax_cross_entropy(logits, labels):
+def _softmax_cross_entropy(logits, labels, agents):
     n = logits.shape[0]
-    loss, logp = _cross_entropy(logits, labels)
+    loss, logp = _cross_entropy(logits, labels, agents)
     grad = np.exp(logp)
     grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    return loss, grad / (n // (agents or 1))
 
 
 # ------------------------------------------------------------- public ops
 
+def _agentwise(a, b):
+    """``a @ b`` for a stack of agents: one 2-d gemm per agent of ``b``
+    (A, k, m) on its equal run of ``a``'s rows."""
+    return (a.reshape(len(b), -1, a.shape[1]) @ b).reshape(len(a), -1)
+
+
 def _operands(arch, w, m, batch):
-    """The checked float64 batch, and the effective tensor ``w * m`` of
-    each parameterized layer (``w`` itself where ``m`` is None)."""
+    """The checked float64 batch as one run of samples, its agent count A
+    (None for a batch of one agent, unstacked) and the effective tensor
+    ``w * m`` of each parameterized layer (``w`` itself where ``m`` is
+    None). A stack's batch is (A, n, ...), its masks (A, *shape) and each
+    ``w`` shared or (A, *shape); the effective tensors then carry the
+    agent axis."""
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != len(arch.input_shape) + 1 or x.shape[1:] != arch.input_shape:
+    d = len(arch.input_shape)
+    if x.ndim not in (d + 1, d + 2) or x.shape[x.ndim - d:] != arch.input_shape:
         raise ValueError(
             f"batch shape {x.shape} does not match input {arch.input_shape}")
+    agents = len(x) if x.ndim == d + 2 else None
+    lead = () if agents is None else (agents,)
     v = {}
     for idx, shape in arch.param_shapes().items():
-        if w[idx].shape != shape:
+        each = lead + shape
+        if w[idx].shape not in (shape, each):
             raise ValueError(f"layer {idx}: parameter shape {w[idx].shape} != {shape}")
-        if m is not None and (idx not in m or m[idx].shape != shape):
+        if m is not None and (idx not in m or m[idx].shape != each):
             raise ValueError(f"layer {idx}: mask missing or shape mismatch")
-        v[idx] = w[idx] if m is None else w[idx] * m[idx]
-    return x, v
+        t = w[idx] if m is None else w[idx] * m[idx]
+        # a shared w without masks
+        v[idx] = t if t.shape == each else np.broadcast_to(t, each)
+    return x if agents is None else x.reshape((-1,) + arch.input_shape), v, agents
 
 
-def _layers(arch, v, x, span, caches=None):
-    """Run the layers at the indices ``span`` on ``x``. Each layer's
-    backward cache goes to ``caches`` where it is given; else the next
-    layer drops it. A relu writes in place to an array an earlier layer of
-    this call made, never to ``x`` itself."""
+def _layers(arch, v, x, span, caches=None, agents=None):
+    """Run the layers at the indices ``span`` on ``x``, the samples of
+    ``agents`` agents (None: one) agent by agent. Each layer's backward
+    cache goes to ``caches`` where it is given; else the next layer drops
+    it. A relu writes in place to an array an earlier layer of this call
+    made, never to ``x`` itself."""
     made = False
     for idx in span:
         layer = arch.layers[idx]
@@ -564,7 +655,7 @@ def _layers(arch, v, x, span, caches=None):
             kept = (v[idx], kept)
         elif layer.kind == "linear":
             kept = (v[idx], x)
-            x = x @ v[idx].T
+            x = x @ v[idx].T if agents is None else _agentwise(x, v[idx].swapaxes(1, 2))
         elif layer.kind == "relu":
             kept = (x > 0,) if caches is not None else ()
             x = np.maximum(x, 0.0, out=x if made else None)
@@ -586,16 +677,16 @@ def forward(arch, w, m, batch):
     ``m`` may be None for an unmasked evaluation. Returns the (N, classes)
     logits and the cache consumed by the internal backward pass.
     """
-    x, v = _operands(arch, w, m, batch)
+    x, v, agents = _operands(arch, w, m, batch)
     caches = []
-    return _layers(arch, v, x, range(len(arch.layers)), caches), caches
+    return _layers(arch, v, x, range(len(arch.layers)), caches, agents), caches
 
 
 def _logits(arch, w, m, batch):
     """:func:`forward`'s logits, bitwise, keeping no cache. The layers
     below the first flatten or linear one run on ``_EVAL_ROWS`` samples at
     a time, the rest on the whole batch."""
-    x, v = _operands(arch, w, m, batch)
+    x, v, _ = _operands(arch, w, m, batch)
     cut = next((idx for idx, layer in enumerate(arch.layers)
                 if layer.kind in ("flatten", "linear")), len(arch.layers))
     if cut and len(x) > _EVAL_ROWS:
@@ -606,10 +697,11 @@ def _logits(arch, w, m, batch):
     return _layers(arch, v, x, range(cut, len(arch.layers)))
 
 
-def _backward(caches, grad_logits):
-    """The v-gradient of every parameterized layer. It pops each layer's
-    cache off ``caches`` as it goes, so a used cache is freed before the
-    layer below runs, and a conv's columns before its input gradient."""
+def _backward(caches, grad_logits, agents=None):
+    """The v-gradient of every parameterized layer, shaped like ``v``:
+    (A, *shape) for a stack of ``agents``. It pops each layer's cache off
+    ``caches`` as it goes, so a used cache is freed before the layer below
+    runs, and a conv's columns before its input gradient."""
     # nothing below the lowest parameterized layer needs a gradient
     first = next((e[1] for e in caches if e[0] in ("conv2d", "linear")), len(caches))
     g = grad_logits
@@ -618,8 +710,13 @@ def _backward(caches, grad_logits):
         kind, idx, *rest = caches.pop()
         if kind == "linear":
             v, xin = rest
-            grad_v[idx] = g.T @ xin
-            g = g @ v if idx > first else None
+            if agents is None:
+                grad_v[idx] = g.T @ xin
+                g = g @ v if idx > first else None
+            else:
+                grad_v[idx] = (g.reshape(agents, -1, g.shape[1]).swapaxes(1, 2)
+                               @ xin.reshape(agents, -1, xin.shape[1]))
+                g = _agentwise(g, v) if idx > first else None
         elif kind == "conv2d":
             v, cache = rest
             grad_v[idx] = _conv_grad_v(g, v, cache)
@@ -636,11 +733,14 @@ def _backward(caches, grad_logits):
 
 
 def _labelled_batch(arch, batch, labels):
+    """The float64 batch and the labels, checked against each other: a
+    stack's (A, n, ...) batch takes (A, n) labels."""
     y = np.asarray(labels)
     x = np.asarray(batch, dtype=np.float64)
-    if x.shape[0] == 0:
+    lead = x.shape[:1 + (x.ndim == len(arch.input_shape) + 2)]
+    if 0 in lead:
         raise ValueError("empty batch")
-    if y.shape[0] != x.shape[0]:
+    if y.shape[:len(lead)] != lead:
         raise ValueError("batch and labels disagree in length")
     if y.size and (y.min() < 0 or y.max() >= arch.num_classes):
         raise ValueError(f"labels must lie in [0, {arch.num_classes})")
@@ -664,11 +764,18 @@ def loss_and_grad_v(arch, w, m, batch, labels):
 
     The gradient is taken with respect to the effective parameters
     ``v = w * m`` of each parameterized layer, one tensor per layer.
+
+    It also steps a stack of A agents at once: an (A, n, ...) batch with
+    (A, n) labels, (A, *shape) masks per layer (or None) and each ``w``
+    shared or (A, *shape). It then returns the A losses and (A, *shape)
+    gradients, each agent's bit for bit its own call's.
     """
     x, y = _labelled_batch(arch, batch, labels)
-    logits, caches = forward(arch, w, m, x)
-    value, grad_logits = _softmax_cross_entropy(logits, y)
-    return value, _backward(caches, grad_logits)
+    x, v, agents = _operands(arch, w, m, x)
+    caches = []
+    logits = _layers(arch, v, x, range(len(arch.layers)), caches, agents)
+    value, grad_logits = _softmax_cross_entropy(logits, y.reshape(-1), agents)
+    return value, _backward(caches, grad_logits, agents)
 
 
 def grad_z(grad_v, w, z):
@@ -676,9 +783,10 @@ def grad_z(grad_v, w, z):
 
     ``v = w * m`` makes dv/dm equal to ``w`` element-wise; the step from the
     binary mask to the score tensor is approximated by ``sign(z)``, with
-    sign(0) = 0.
+    sign(0) = 0. ``grad_v`` and ``z`` may carry a leading agent axis that
+    a shared ``w`` lacks.
     """
-    if grad_v.shape != w.shape or w.shape != z.shape:
+    if grad_v.shape != z.shape or w.shape != z.shape[z.ndim - w.ndim:]:
         raise ValueError(
             f"shape mismatch: {grad_v.shape} vs {w.shape} vs {z.shape}")
     g = grad_v * w

@@ -35,8 +35,17 @@ Algorithms
 
 Within a round agents are processed in ascending id and all reductions
 over neighbors iterate in ascending sender id, so results do not depend
-on scheduling. Three kinds of work are independent per item and run
-through :func:`_each`: a round's local steps, the per-agent evaluation
+on scheduling. Every agent's model is the shared parameters under its own
+mask, so a round steps the mask agents in stacks of consecutive agents
+(:func:`_stack_size`): one masked forward and backward per stack, then
+the score chain, group-lasso term, descent, aggregation tensor and
+fine-tuning as (A, ...) array operations per layer, and per agent only the
+thresholding. A stack holds as many agents as keep its conv columns below
+``nn._SHARED_BYTES``: all 8 of configs/train.conf, while a step of the
+README default shape, whose own columns reach it, stays a stack of one.
+Every agent's bytes are those of a step of its own. Three kinds of work
+are independent per item and run through :func:`_each`: the local steps
+of stacks of one and of the weight baselines, the per-agent evaluation
 (test accuracy and logged loss) and the mask-vs-weight harness's arms.
 The harness arms use up to two cores. The steps and the evaluation do
 where a step's conv columns reach ``nn._SHARED_BYTES`` (the README
@@ -60,8 +69,9 @@ from .data import Rows
 from .errors import FieldError, LayerError
 from .masking import (extract, group_lasso_grad, retained_count,
                       threshold_layer)  # noqa: F401 (bench/spans.py traces it)
-from .nn import (ModelArch, _logits, _shares_columns, conv2d, flatten, grad_z,
-                 init_params, linear, loss as batch_loss, loss_and_grad_v, relu)
+from .nn import (ModelArch, _logits, _shares_columns, _stack_size, conv2d,
+                 flatten, grad_z, init_params, linear, loss as batch_loss,
+                 loss_and_grad_v, relu)
 from .protocol import (CommLedger, SimulationError, account_real_bits,
                        decode_mask, encode_mask, exchange)
 from .seeds import seed_key, substream
@@ -193,26 +203,136 @@ def sample_batch(seed, agent, round_index, n, batch_size):
     return rng.integers(0, n, size=batch_size)
 
 
-def _aggregation_tensor(z, neighbor_avg):
+def _agent_values(stack, field):
+    """The agents' ``field``: one float where they all agree, else an (A,)
+    array."""
+    first = getattr(stack[0], field)
+    if all(getattr(s, field) == first for s in stack):
+        return first
+    return np.array([getattr(s, field) for s in stack], dtype=np.float64)
+
+
+def _column(values, like):
+    """Per-agent ``values`` from :func:`_agent_values`, shaped to broadcast
+    over a stack like ``like``."""
+    if not isinstance(values, np.ndarray):
+        return values
+    return values.reshape((-1,) + (1,) * (like.ndim - 1))
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def _stacked(arrays):
+    """``np.stack(arrays)``, without the copy where the arrays are, in
+    order, consecutive rows of one array: the stack an earlier step made."""
+    first, base = arrays[0], arrays[0].base
+    if (isinstance(base, np.ndarray) and base.flags.c_contiguous
+            and base.shape[1:] == first.shape and first.nbytes
+            and all(a.base is base and a.shape == first.shape
+                    and a.flags.c_contiguous for a in arrays)):
+        start, off = divmod(_address(first) - _address(base), first.nbytes)
+        at = _address(first)
+        if not off and all(_address(a) == at + i * first.nbytes
+                           for i, a in enumerate(arrays)):
+            return base[start:start + len(arrays)]
+    return np.stack(arrays)
+
+
+def _stack_layers(sets):
+    """Per layer, the stack of the agents' tensors in ``sets`` (each a
+    layer -> tensor dict, or None where all are). A stack of one runs
+    unstacked: its one set comes back as it is."""
+    if len(sets) == 1 or all(t is None for t in sets):
+        return sets[0]
+    if any(t is None for t in sets):
+        raise ValueError("a stack mixes agents with and without a tensor set")
+    return {layer: _stacked([t[layer] for t in sets]) for layer in sets[0]}
+
+
+def _split(stacks, count):
+    """Each of ``count`` agents' tensors of per-layer stacks, as views."""
+    if count == 1:
+        return [stacks]
+    return [{layer: t[i] for layer, t in stacks.items()} for i in range(count)]
+
+
+def _aggregation_tensor(z, neighbor_avg, stacked=False):
     """Blend neighbor mask information into the scores: per layer
-    y = z + mean(|z|) * sign(z) * neighbor_average. That formula is this
+    y = z + mean(|z|) * sign(z) * neighbor_average, per agent where the
+    tensors are ``stacked`` with a leading agent axis. That formula is this
     repository's reading of the paper's aggregation tensor, not a quoted
-    equation (PAPER.md holds only the abstract). Without a neighbor
-    average that is the scores themselves, not a copy: ``extract`` only
-    reads them. Each layer's terms accumulate in one array of its own, with
-    the operands of the formula's products and sum swapped, so every entry
-    is rounded as the formula rounds it."""
+    equation (PAPER.md holds only the abstract). Without a neighbor average
+    that is the scores themselves, not a copy: ``extract`` only reads them.
+    Each layer's terms accumulate in one array of its own, with the
+    operands of the formula's products and sum swapped, so every entry is
+    rounded as the formula rounds it."""
     if neighbor_avg is None:
         return z
     y = {}
     for layer, t in z.items():
         y[layer] = acc = np.abs(t)
-        scale = acc.sum() / acc.size     # acc.mean(), bitwise, for less overhead
+        # each agent's acc.mean(), bitwise, for less overhead
+        each = acc.reshape(acc.shape[:stacked] + (-1,))
+        scale = each.sum(axis=-1) / each.shape[-1]
         np.sign(t, out=acc)
-        acc *= scale
+        acc *= _column(scale, acc) if stacked else scale
         acc *= neighbor_avg[layer]
         acc += t
     return y
+
+
+def _half_steps(stack, w, arch, batches):
+    """The gradient half-steps of the agents of ``stack`` on their
+    ``batches`` ((samples, labels) each): one :func:`loss_and_grad_v` on
+    the stacked batches, then per layer the score gradient (data chain plus
+    group-lasso term), the step and the aggregation tensor against each
+    agent's previous neighbor average as (A, ...) array operations, then
+    each agent's intermediate mask. A stack of one runs unstacked. Writes
+    no state; returns the agents' losses, the half-stepped scores and the
+    cached gradient as per-layer stacks, and each agent's intermediate
+    mask set."""
+    count = len(stack)
+    x, y = batches[0] if count == 1 else (np.stack(b) for b in zip(*batches))
+    z = _stack_layers([s.z for s in stack])
+    losses, grad_v = loss_and_grad_v(arch, w, _stack_layers([s.m for s in stack]), x, y)
+    g = {layer: grad_z(grad_v.pop(layer), w[layer], t) for layer, t in z.items()}
+    # at lam = 0 the group-lasso term is +-0 everywhere. Since gz + (+-0) == gz
+    # and z - (+-0) == z for nonzero gz and z, skipping it can change only
+    # the sign of a zero gradient or score entry; thresholding compares
+    # magnitudes, so no mask or metric sees it
+    lam = _agent_values(stack, "lam")
+    if isinstance(lam, np.ndarray) or lam:     # an array holds a nonzero lam
+        reg = group_lasso_grad(z, lam if count == 1 else np.broadcast_to(lam, count))
+        for layer, t in g.items():
+            np.add(t, reg.pop(layer), out=t, where=_column(lam != 0, t))
+    eta = _agent_values(stack, "eta")
+    z_half = {layer: _descend(t, _column(eta, t), g[layer]) for layer, t in z.items()}
+    agg = _aggregation_tensor(z_half, _stack_layers([s.neighbor_avg for s in stack]),
+                              count > 1)
+    return (losses if count > 1 else [losses], z_half, g,
+            [extract(ys, s.r, s.min_nonzero) for s, ys in zip(stack, _split(agg, count))])
+
+
+def _fine_tuned(stack, avg, z, g):
+    """The stacked scores ``z`` of ``stack``'s agents with their stacked
+    cached gradients ``g`` re-applied, scaled entry-wise by the stacked
+    neighbor average ``avg`` (None, for no neighbors, changes nothing);
+    unstacked for a stack of one."""
+    if avg is None:
+        return z
+    eta = _agent_values(stack, "eta")
+    return {layer: _descend(t, _column(eta, t), g[layer], avg[layer])
+            for layer, t in z.items()}
+
+
+def _aggregated(stack, z, avg):
+    """Per agent of ``stack``: its aggregation tensor on the stacked scores
+    ``z`` and neighbor average ``avg`` (None: no neighbors), and the mask
+    extracted from it."""
+    return [(ys, extract(ys, s.r, s.min_nonzero)) for s, ys in zip(
+        stack, _split(_aggregation_tensor(z, avg, len(stack) > 1), len(stack)))]
 
 
 def backprop_half_step(state, w, arch, batch_x, batch_y):
@@ -221,26 +341,11 @@ def backprop_half_step(state, w, arch, batch_x, batch_y):
     Computes the score gradient (data chain plus group-lasso term), steps
     the scores, builds the aggregation tensor against the average of the
     masks received in the previous round and extracts the intermediate mask
-    to transmit.
+    to transmit: :func:`_half_steps` on a stack of one.
     Returns (half-stepped scores, cached gradient, intermediate mask set).
     """
-    z_prev = state.z
-    loss, grad_v = loss_and_grad_v(arch, w, state.m, batch_x, batch_y)
-    g = {layer: grad_z(grad_v[layer], w[layer], z_prev[layer]) for layer in z_prev}
-    # at lam = 0 the group-lasso term is +-0 everywhere. Since gz + (+-0) == gz
-    # and z - (+-0) == z for nonzero gz and z, skipping it can change only
-    # the sign of a zero gradient or score entry; thresholding compares
-    # magnitudes, so no mask or metric sees it
-    if state.lam:
-        reg = group_lasso_grad(z_prev, state.lam)
-        for layer in z_prev:
-            g[layer] += reg[layer]
-    z_half = {layer: _descend(t, state.eta, g[layer]) for layer, t in z_prev.items()}
-    m_half = extract(_aggregation_tensor(z_half, state.neighbor_avg),
-                     state.r, state.min_nonzero)
-    state.z = z_half
-    state.grad_cache = g
-    state.last_loss = loss
+    (loss,), z_half, g, (m_half,) = _half_steps([state], w, arch, [(batch_x, batch_y)])
+    state.z, state.grad_cache, state.last_loss = z_half, g, loss
     return z_half, g, m_half
 
 
@@ -251,10 +356,7 @@ def fine_tune_step(state, neighbor_avg):
     if state.grad_cache is None:
         raise SimulationError(
             f"agent {state.agent_id}: fine-tune before the gradient half-step")
-    if neighbor_avg is not None:
-        g = state.grad_cache
-        state.z = {layer: _descend(t, state.eta, g[layer], neighbor_avg[layer])
-                   for layer, t in state.z.items()}
+    state.z = _fine_tuned([state], neighbor_avg, state.z, state.grad_cache)
     return state.z
 
 
@@ -272,8 +374,7 @@ def aggregate_step(state, neighbor_avg):
     built on the fine-tuned scores, re-extract the agent's mask and keep the
     average for the next half-step. Returns (aggregation tensors, new mask
     set)."""
-    y = _aggregation_tensor(state.z, neighbor_avg)
-    m = extract(y, state.r, state.min_nonzero)
+    (y, m), = _aggregated([state], state.z, neighbor_avg)
     state.m = m
     state.neighbor_avg = neighbor_avg
     state.grad_cache = None
@@ -326,30 +427,83 @@ def _local_step(state, w, arch, batch_x, batch_y, step):
         return _weight_step(state, arch, batch_x, batch_y)
 
 
+# What a stacked step raises where one of its agents' steps would fail: a
+# rejected input or tensor, floating-point errors under np.errstate, and
+# numpy's warnings where a filter raises them. The stack is then replayed
+# one agent at a time, which raises what the plain loop raises.
+_STACK_FAILURES = (ValueError, ArithmeticError, Warning)
+
+
+def _stack_half_steps(stack, w, arch, hyper, round_index):
+    """The half-steps of ``stack``'s agents as one :func:`_half_steps`,
+    committed in ascending id with each agent's loss checked. Returns the
+    stacked scores and cached gradient that fine-tuning reads, or None
+    where the stacked step failed and was replayed one agent at a time."""
+    batches = [_local_batch(s, hyper, round_index) for s in stack]
+    try:
+        losses, z, g, masks = _half_steps(stack, w, arch, batches)
+    except _STACK_FAILURES:
+        for s, (bx, by) in zip(stack, batches):
+            _local_step(s, w, arch, bx, by, round_index)
+        return None
+    for state, loss, zs, gs, m in zip(stack, losses, _split(z, len(stack)),
+                                      _split(g, len(stack)), masks):
+        with _checked_step(state, round_index):
+            state.z, state.grad_cache, state.last_loss, state.m = zs, gs, loss, m
+    return z, g
+
+
+def _stack_fuse(stack, averages, round_index, held):
+    """Fine-tuning and aggregation of ``stack``'s agents on their fresh
+    neighbor averages: stacked on the ``held`` stacks of their half-step,
+    else, or where that fails, one agent at a time through
+    :func:`fine_tune_step` and :func:`aggregate_step`."""
+    if held is not None:
+        try:
+            avg = _stack_layers(averages)
+            z = _fine_tuned(stack, avg, *held)
+            done = _aggregated(stack, z, avg)
+        except _STACK_FAILURES:
+            pass
+        else:
+            for state, mine, zs, (_, m) in zip(stack, averages,
+                                                _split(z, len(stack)), done):
+                state.z, state.m, state.neighbor_avg = zs, m, mine
+                state.grad_cache = None
+            return
+    for state, avg in zip(stack, averages):
+        with _checked_step(state, round_index):
+            fine_tune_step(state, avg)
+            aggregate_step(state, avg)
+
+
 def _exchange_masks(graph, masks, round_index, shapes, ledger):
     """Send every agent's mask set (``masks`` maps agent -> mask set) to its
     neighbors: one frame per agent through :func:`exchange`, each frame
     decoded once to uint8 bits. Returns agent -> the entry-wise average of
     the masks it received (None without neighbors, which acts as a zero
-    tensor): per layer the received bits counted in int32 (wide enough
-    for every sender id ``encode_mask`` admits), in ascending sender order,
-    and divided once by the sender count. The counts are exact, so that is
-    a float64 sum-then-divide bit for bit. The decoded bits are dropped on
-    return."""
+    tensor). Per layer, a float64 matrix of who heard whom times every
+    sender's bits counts each agent's received ones, exactly, and one
+    divide by its sender count then gives the float64 sum-then-divide bit
+    for bit. Each agent's average is its row of one array per layer, so a
+    stack of consecutive agents reads them without a copy. The decoded bits
+    are dropped on return."""
     outbox = {a: encode_mask(m, a, round_index) for a, m in masks.items()}
     inbox = exchange(graph, outbox, ledger)
-    decoded = {sender: decode_mask(frame, shapes) for sender, frame in outbox.items()}
-
-    def average(frames):
-        if not frames:
-            return None
-        first, *rest = (decoded[f.sender] for f in frames)
-        counts = {layer: bits.astype(np.int32) for layer, bits in first.items()}
-        for bits in rest:
-            for layer, count in counts.items():
-                count += bits[layer]
-        return {layer: count / len(frames) for layer, count in counts.items()}
-    return {a: average(inbox[a]) for a in outbox}
+    heard = np.zeros((len(outbox), len(outbox)))
+    for a, frames in inbox.items():
+        heard[a, [f.sender for f in frames]] = 1.0
+    senders = heard.sum(axis=1)[:, None]
+    decoded = [decode_mask(outbox[a], shapes) for a in range(len(outbox))]
+    average = {}
+    for layer in sorted(shapes):
+        average[layer] = np.empty((len(outbox),) + tuple(shapes[layer]))
+        total = average[layer].reshape(len(outbox), -1)
+        np.matmul(heard, np.stack([d[layer].reshape(-1) for d in decoded],
+                                  dtype=np.float64), out=total)
+        np.divide(total, senders, out=total, where=senders > 0)
+    return {a: {layer: t[a] for layer, t in average.items()} if senders[a, 0] else None
+            for a in range(len(outbox))}
 
 
 def _weight_step(state, arch, batch_x, batch_y):
@@ -375,24 +529,34 @@ def _weight_step(state, arch, batch_x, batch_y):
 def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
     """One synchronous round of ``hyper.algorithm`` (see the module
     docstring): one local step per agent, collected in ascending id, then
-    the algorithm's mixing rule. The steps run through :func:`_each` on
-    :func:`_agent_workers` threads; a diverging step raises what the plain
-    loop would, naming the lowest failing agent."""
+    the algorithm's mixing rule. A mask algorithm steps stacks of
+    :func:`_stack_size` consecutive agents; stacks of one, and the weight
+    steps, run through :func:`_each` on :func:`_agent_workers` threads. A
+    diverging step raises what the plain loop would, naming the lowest
+    failing agent."""
     kind = hyper.algorithm
     if kind not in ALGORITHMS:
         raise ValueError(f"unknown algorithm '{kind}'")
+    size = _stack_size(arch, hyper.batch_size) if kind in _MASK_ALGORITHMS else 1
+    stacks = [states[i:i + size] for i in range(0, len(states), size)]
+
     def step(state):
         return _local_step(state, w, arch, *_local_batch(state, hyper, round_index),
                            round_index)
-    sent = dict(zip([s.agent_id for s in states],
-                    _each(step, states, _agent_workers(arch, hyper.batch_size))))
+    if size == 1:
+        sent = _each(step, states, _agent_workers(arch, hyper.batch_size))
+        held = [None] * len(stacks)
+    else:
+        held = [_stack_half_steps(stack, w, arch, hyper, round_index)
+                for stack in stacks]
+        sent = [s.m for s in states]
+    sent = dict(zip([s.agent_id for s in states], sent))
     if kind == "gossip_mask":
         averages = _exchange_masks(graph, sent, round_index, arch.param_shapes(),
                                    ledger)
-        for state in states:
-            with _checked_step(state, round_index):
-                fine_tune_step(state, averages[state.agent_id])
-                aggregate_step(state, averages[state.agent_id])
+        for stack, kept in zip(stacks, held):
+            _stack_fuse(stack, [averages[s.agent_id] for s in stack], round_index,
+                        kept)
     elif kind not in ("ind_mask", "ind_weipru"):
         for state in states:
             neighbors = graph.neighbors[state.agent_id]

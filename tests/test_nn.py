@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gossipmask import (FieldError, ModelArch, conv2d, desk_arch,
+from gossipmask import (FieldError, ModelArch, conv2d, desk_arch, extract,
                         finite_diff_check, flatten, forward, grad_z,
                         init_params, linear, loss_and_grad_v,
                         maxpool2d, relu, shape_chain)
 from gossipmask import nn
-from gossipmask.cli import RunConfig, run_experiment
+from gossipmask.cli import RunConfig, parse_config, run_experiment
 from gossipmask.nn import _maxpool_backward, _maxpool_forward, loss
 
 
@@ -295,6 +295,42 @@ def test_harness_step_peak_holds_its_kept_columns():
     assert peak < 2.6 * (1 << 20)
 
 
+def test_desk_gossip_round_peak_holds_one_stack():
+    # a gossip_mask round at configs/train.conf's shape (8 agents, batch 8)
+    # steps all 8 agents as one stack, holding their effective tensors,
+    # gradients and score stacks at once. Rounds 2 to 5 peak near 6.4 MiB
+    # beside the shared column buffer (2.3 MiB, the stack's lower conv),
+    # which round 1 allocates; one agent at a time they peaked near 4.2 MiB,
+    # and 8.6 MiB when a stack kept its columns
+    import gossipmask as gm
+    from gossipmask import trainer
+    cfg = parse_config((Path(__file__).resolve().parent.parent / "configs"
+                        / "train.conf").read_text())
+    train, test = gm.synth_generate(cfg.classes, cfg.dim, cfg.per_class, cfg.noise, seed=0)
+    plan = gm.partition(train, test, gm.assign_labels(cfg.n, cfg.classes, cfg.c, 0), 0)
+    graph = gm.erdos_renyi(cfg.n, cfg.p, 0)
+    arch = desk_arch(cfg.dim, cfg.classes, cfg.conv_channels, cfg.hidden)
+    hyper = gm.HyperConfig("gossip_mask", 5, cfg.batch_size, cfg.eta_mask, cfg.lam, 0,
+                           (0.1, 0.2, 0.3, 0.4) * 2, cfg.min_nonzero)
+    assert nn._stack_size(arch, hyper.batch_size) >= cfg.n
+    w = init_params(arch, 0)
+    states = trainer.build_states(arch, hyper, graph, train, test, plan, w)
+    averages = trainer._exchange_masks(graph, {s.agent_id: s.m for s in states}, 0,
+                                       arch.param_shapes(), None)
+    for s in states:
+        s.neighbor_avg = averages[s.agent_id]
+    trainer.gossip_mask_round(states, w, arch, graph, hyper, 1)
+    tracemalloc.start()
+    try:
+        for k in range(2, 6):
+            trainer.gossip_mask_round(states, w, arch, graph, hyper, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.9 * (1 << 20)
+    assert nn._shared_buf.nbytes >= 8 * nn._largest_column_bytes(arch, hyper.batch_size)
+
+
 def test_readme_quotes_the_size_bounds_as_nn_sets_them():
     # every nn._*_BYTES name the README quotes exists in nn, each comes with
     # its figure, as "4 MiB (`_SHARED_BYTES`)" or "`nn._SHARED_BYTES`
@@ -350,6 +386,97 @@ def test_loss_and_grad_v_on_three_threads_bitwise_equal_to_serial(monkeypatch):
     for t in range(3):
         assert got[t] == [want[(k + 2 * t) % len(calls)] for k in range(4 * len(calls))]
     assert nn._shared_buf.nbytes == nn._largest_column_bytes(arch, 32)
+
+
+# ------------------------------------------------------------ agent stacks
+
+def _stack_masks(arch, rng, agents):
+    """Per agent a bool mask set at a retention ratio in [0.1, 0.4], with
+    one output filter of the first layer cleared."""
+    sets = []
+    for _ in range(agents):
+        z = {idx: rng.standard_normal(shape)
+             for idx, shape in arch.param_shapes().items()}
+        m = extract(z, float(rng.uniform(0.1, 0.4)))
+        m[min(m)][int(rng.integers(len(m[min(m)])))] = False
+        sets.append(m)
+    return sets
+
+
+def _stack_cases():
+    """(name, arch, batch, agents): the desk and harness shapes, a 1x1
+    conv whose columns are a strided view (``_conv_offsets`` is None) and
+    the README default shape."""
+    yield "desk", desk_arch((3, 8, 8), 6, (16, 32), 32), 8, 3
+    yield "desk", desk_arch((3, 8, 8), 6, (16, 32), 32), 8, 8
+    yield "harness", desk_arch((3, 8, 8), 4, (16, 32), 32), 32, 4
+    yield "view", ModelArch((conv2d(2, 3, 1), relu(), maxpool2d(2, 2), flatten(),
+                             linear(27, 4)), (2, 6, 6), 4), 5, 3
+    yield "default", desk_arch((3, 16, 16), 10, (16, 32), 128), 3, 2
+
+
+# (_BLOCK_BYTES, _SHARED_BYTES): a stack runs blocked and gathers its
+# weight gradients' columns in the shared buffer, with whole agents per
+# block where one fits (three of the desk shape's), while the one-agent
+# calls keep their columns or share them too; and one sample per block
+_STACK_REGIMES = ((1 << 20, 1 << 62), (1 << 20, 0), (1, 0))
+
+
+@pytest.mark.parametrize("regime", _STACK_REGIMES)
+def test_stacked_loss_and_grad_v_equals_per_agent_calls(monkeypatch, regime):
+    # every agent's loss and gradients in a stack, bit for bit its own
+    # call's: shared and per-agent weights, masked and dense
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", regime[0])
+    monkeypatch.setattr(nn, "_SHARED_BYTES", regime[1])
+    for k, (name, arch, n, agents) in enumerate(_stack_cases()):
+        rng = np.random.default_rng(k)
+        x = rng.random((agents, n) + arch.input_shape)
+        y = rng.integers(0, arch.num_classes, (agents, n))
+        masks = _stack_masks(arch, rng, agents)
+        own = [init_params(arch, [k, a]) for a in range(agents)]
+        shared = init_params(arch, k)
+        for w, m in ((shared, masks), (own, masks), (shared, None), (own, None)):
+            ws = w if isinstance(w, dict) else {
+                idx: np.stack([p[idx] for p in w]) for idx in w[0]}
+            ms = None if m is None else {idx: np.stack([s[idx] for s in m])
+                                         for idx in m[0]}
+            values, grads = loss_and_grad_v(arch, ws, ms, x, y)
+            assert values.shape == (agents,)
+            for a in range(agents):
+                wa = w if isinstance(w, dict) else w[a]
+                ma = None if m is None else m[a]
+                value, grad = loss_and_grad_v(arch, wa, ma, x[a], y[a])
+                assert np.float64(values[a]).tobytes() == np.float64(value).tobytes(), name
+                assert values[a] == loss(arch, wa, ma, x[a], y[a])
+                assert sorted(grads) == sorted(grad)
+                for idx, g in grad.items():
+                    assert grads[idx][a].tobytes() == g.tobytes(), (name, idx)
+
+
+def test_a_stack_of_one_equals_the_unstacked_call():
+    arch = desk_arch((3, 8, 8), 6, (16, 32), 32)
+    rng = np.random.default_rng(3)
+    w = init_params(arch, 3)
+    m = _stack_masks(arch, rng, 1)[0]
+    x, y = rng.random((8, 3, 8, 8)), rng.integers(0, 6, 8)
+    value, grad = loss_and_grad_v(arch, w, m, x, y)
+    values, grads = loss_and_grad_v(arch, w, {i: t[None] for i, t in m.items()},
+                                    x[None], y[None])
+    assert values.shape == (1,) and values[0] == value
+    for idx, g in grad.items():
+        assert grads[idx].shape == (1,) + g.shape
+        assert grads[idx][0].tobytes() == g.tobytes()
+
+
+def test_stacked_call_rejects_mismatched_agents():
+    arch = small_arch()
+    w = init_params(arch, 0)
+    x, y = np.zeros((3, 2, 2, 6, 6)), np.zeros((3, 2), dtype=int)
+    with pytest.raises(ValueError, match="disagree"):
+        loss_and_grad_v(arch, w, None, x, y[:2])
+    masks = {idx: np.ones((2,) + shape) for idx, shape in arch.param_shapes().items()}
+    with pytest.raises(ValueError, match="mask missing or shape mismatch"):
+        loss_and_grad_v(arch, w, masks, x, y)
 
 
 def test_duplicated_batch_same_loss_and_grad():

@@ -23,7 +23,7 @@ from gossipmask import (ALGORITHMS, AgentState, FieldError, Graph, HyperConfig,
                         random_bound_instance, retained_count, run,
                         sample_batch, substream, synth_generate)
 from gossipmask import nn, trainer
-from gossipmask.cli import RunConfig, parse_config
+from gossipmask.cli import RunConfig, parse_config, run_experiment
 from gossipmask.protocol import MaskFrame
 
 import test_golden
@@ -448,27 +448,48 @@ def test_only_mask_runs_draw_scores(monkeypatch, algorithm):
     assert keys.count("batch") == graph.n * hyper.rounds
 
 
+def _stacks_of_two(monkeypatch, arch, batch_size):
+    """Budget the fixture's round into stacks of two agents: the stacks'
+    columns stay below ``nn._SHARED_BYTES``, and each step's own too."""
+    monkeypatch.setattr(nn, "_SHARED_BYTES",
+                        2 * nn._largest_column_bytes(arch, batch_size) + 1)
+    assert nn._stack_size(arch, batch_size) == 2
+
+
 def test_gossip_round_steps_through_module_bindings(monkeypatch):
+    # per stack of consecutive agents, in ascending order: one gradient of
+    # the stacked masks and batches, then fine-tuning and aggregation. Each
+    # step is looked up on the module at call time
     arch, hyper, graph, train, test, plan = fixture_run_inputs()
+    _stacks_of_two(monkeypatch, arch, hyper.batch_size)
     w = init_params(arch, 0)
     states = build_states(arch, hyper, graph, train, test, plan, w)
     for s in states:
         s.neighbor_avg = reference_average({int(j): s.m
                                             for j in graph.neighbors[s.agent_id]})
-    owner = {id(s.m): s.agent_id for s in states}
-    calls = []
-    _counting(monkeypatch, "backprop_half_step",
-              lambda state, *_: calls.append(("half", state.agent_id)))
-    _counting(monkeypatch, "loss_and_grad_v",
-              lambda arch, w, m, *_: calls.append(("grad", owner[id(m)])))
-    for name in ("fine_tune_step", "aggregate_step"):
+    calls, stepping = [], []
+
+    def agents(stack, *_):
+        return [s.agent_id for s in stack]
+
+    def half(stack, *_):
+        stepping[:] = stack
+        calls.append(("half", agents(stack)))
+    _counting(monkeypatch, "_half_steps", half)
+
+    def grad(arch, w, m, x, y):
+        # each agent's own mask, at its place in the stack
+        assert all(np.array_equal(m[layer][i], s.m[layer])
+                   for layer in m for i, s in enumerate(stepping))
+        calls.append(("grad", len(x)))
+    _counting(monkeypatch, "loss_and_grad_v", grad)
+    for name in ("_fine_tuned", "_aggregated"):
         _counting(monkeypatch, name,
-                  lambda state, _, name=name: calls.append((name, state.agent_id)))
+                  lambda stack, *_, name=name: calls.append((name, agents(stack))))
     gossip_mask_round(states, w, arch, graph, hyper, 1)
-    agents = range(graph.n)
-    assert calls == ([c for a in agents for c in (("half", a), ("grad", a))]
-                     + [c for a in agents for c in (("fine_tune_step", a),
-                                                    ("aggregate_step", a))])
+    assert calls == [("half", [0, 1]), ("grad", 2), ("half", [2, 3]), ("grad", 2),
+                     ("_fine_tuned", [0, 1]), ("_aggregated", [0, 1]),
+                     ("_fine_tuned", [2, 3]), ("_aggregated", [2, 3])]
 
 
 def test_each_frame_decoded_once(monkeypatch):
@@ -508,10 +529,17 @@ def test_decoded_masks_do_not_outlive_the_round(monkeypatch):
         assert set(s.neighbor_avg) == set(arch.param_shapes())
 
 
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
 def test_received_masks_averaged_once_per_round(monkeypatch):
-    # one exchange per round, the bootstrap included; each agent's average
-    # from it is the one object that fine-tuning, aggregation and the next
-    # round's half-step read
+    # one exchange per round, the bootstrap included. Each agent gets one
+    # average from it, which its fine-tuning and aggregation read in that
+    # round and its half-step in the next: the stacks they read are views
+    # of that one average, not copies
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(rounds=3)
+    _stacks_of_two(monkeypatch, arch, hyper.batch_size)
     exchanged, seen = [], {}
     exchange_masks = trainer._exchange_masks
 
@@ -519,12 +547,21 @@ def test_received_masks_averaged_once_per_round(monkeypatch):
         exchanged.append(exchange_masks(*args))
         return exchanged[-1]
     monkeypatch.setattr(trainer, "_exchange_masks", recording_exchange)
-    _counting(monkeypatch, "backprop_half_step", lambda state, *_: seen.setdefault(
-        ("half", state.agent_id), []).append(state.neighbor_avg))
-    for name in ("fine_tune_step", "aggregate_step"):
-        _counting(monkeypatch, name, lambda state, avg, name=name: seen.setdefault(
-            (name, state.agent_id), []).append(avg))
-    arch, hyper, graph, train, test, plan = fixture_run_inputs(rounds=3)
+
+    def reading(name, stack, avg):
+        for i, s in enumerate(stack):
+            seen.setdefault((name, s.agent_id), []).append(
+                {layer: _address(t[i]) for layer, t in avg.items()})
+    _counting(monkeypatch, "_half_steps", lambda stack, *_: reading(
+        "half", stack, trainer._stack_layers([s.neighbor_avg for s in stack])))
+    _counting(monkeypatch, "_fine_tuned",
+              lambda stack, avg, *_: reading("_fine_tuned", stack, avg))
+    _counting(monkeypatch, "_aggregated",
+              lambda stack, z, avg: reading("_aggregated", stack, avg))
+    states = []
+    build = trainer.build_states
+    monkeypatch.setattr(trainer, "build_states",
+                        lambda *args: states.extend(build(*args)) or states)
     run(arch, hyper, graph, train, test, plan)
     assert len(exchanged) == hyper.rounds + 1
     for a in range(graph.n):
@@ -532,9 +569,70 @@ def test_received_masks_averaged_once_per_round(monkeypatch):
         assert all(set(avg) == set(arch.param_shapes()) for avg in averages)
         ids = [id(avg) for avg in averages]      # all alive in ``exchanged``
         assert len(set(ids)) == len(ids)
-        assert [id(avg) for avg in seen[("half", a)]] == ids[:-1]
-        for name in ("fine_tune_step", "aggregate_step"):
-            assert [id(avg) for avg in seen[(name, a)]] == ids[1:]
+        where = [{layer: _address(t) for layer, t in avg.items()} for avg in averages]
+        assert seen[("half", a)] == where[:-1]
+        for name in ("_fine_tuned", "_aggregated"):
+            assert seen[(name, a)] == where[1:]
+        assert states[a].neighbor_avg is averages[-1]
+
+
+@pytest.mark.parametrize("algorithm", ["gossip_mask", "ind_mask"])
+def test_run_csv_bytes_do_not_depend_on_the_stacking(algorithm, monkeypatch, tmp_path):
+    # configs/train.conf's 8 agents stepped one at a time, in stacks of 3
+    # (3, 3 and 2) and in one stack of 8: the same CSV bytes
+    cfg = replace(parse_config((CONFIGS / "train.conf").read_text()),
+                  algorithm=(algorithm,), rounds=6, eval_interval=3)
+    arch = _config_arch(cfg)
+    cols = nn._largest_column_bytes(arch, cfg.batch_size)
+    outputs = []
+    for size in (1, 3, 8):
+        monkeypatch.setattr(nn, "_SHARED_BYTES", size * cols + 1)
+        assert nn._stack_size(arch, cfg.batch_size) == size
+        out = tmp_path / str(size)
+        assert run_experiment(replace(cfg, out=str(out)), quiet=True) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("algorithm", ["gossip_mask", "ind_mask"])
+def test_stacked_round_keeps_each_agents_own_settings(algorithm, monkeypatch):
+    # agents of one stack with their own eta, lam (one of them 0) and
+    # min_nonzero, beside their own retention ratios: every score, cached
+    # gradient, mask and average ends as the one-agent steps leave it
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm=algorithm)
+    w = init_params(arch, 0)
+    ends = []
+    for size in (1, graph.n):
+        monkeypatch.setattr(nn, "_SHARED_BYTES",
+                            size * nn._largest_column_bytes(arch, hyper.batch_size) + 1)
+        states = build_states(arch, hyper, graph, train, test, plan, w)
+        for s, eta, lam, least in zip(states, (1.0, 0.5, 2.0, 1.0),
+                                      (0.001, 0.0, 0.01, 0.001), (2, 0, 1, 3)):
+            s.eta, s.lam, s.min_nonzero = eta, lam, least
+        averages = trainer._exchange_masks(graph, {s.agent_id: s.m for s in states},
+                                           0, arch.param_shapes(), None)
+        for s in states:
+            s.neighbor_avg = averages[s.agent_id]
+        for k in (1, 2):
+            gossip_mask_round(states, w, arch, graph, hyper, k)
+        ends.append(pickle.dumps([(s.z, s.m, s.grad_cache, s.neighbor_avg, s.last_loss)
+                                  for s in states]))
+    assert ends[0] == ends[1]
+
+
+def test_one_agent_gossip_run_equals_its_independent_run():
+    # a lone agent hears nobody: it sends nothing, and fine-tuning and
+    # aggregation without a neighbor average change nothing
+    train, test = synth_generate(4, (2, 5, 5), 40, noise=0.2, seed=0)
+    plan = partition(train, test, assign_labels(1, 4, 4, 0), 0)
+    arch = fixture_run_inputs()[0]
+    hyper = HyperConfig("gossip_mask", rounds=4, batch_size=8, eta=1.0, lam=0.001,
+                        seed=0, retention=(0.3,), min_nonzero=2, eval_interval=2)
+    logs = [run(arch, replace(hyper, algorithm=algorithm),
+                Graph(np.zeros((1, 1), dtype=int)), train, test, plan)
+            for algorithm in ("gossip_mask", "ind_mask")]
+    assert len(logs[0].rows) == 3 * 2
+    assert pickle.dumps(logs[0]) == pickle.dumps(logs[1])
 
 
 def test_logged_header_bits_count_an_extra_frame_byte(monkeypatch):
