@@ -24,20 +24,32 @@ row-wise ``argmax`` over a strided copy. The bytes are the same either
 way. The offset tables depend only on a layer's geometry, so each is
 built once and cached read-only.
 
-:func:`forward` keeps what the backward reads: relu masks, pool indices
-and each conv's columns below ``_SHARED_BYTES``. From there on (the README
-default shape at batch 128) a conv runs its forward one ``_BLOCK_BYTES``
-block of samples at a time and keeps only its padded input; its weight
-gradient gathers the columns again with the same ``np.take``, into the
-same gemm, in one process-wide buffer, read only under its lock, that
-steps on several threads share. The backward frees each layer's cache
-once it has used it, a conv's columns before its input gradient, and a
-relu writes in place to the array the layer below it made. Evaluation
-(:func:`loss`, the trainer's accuracy and bound networks) keeps no cache,
-runs the conv, relu and pool layers, which work per sample, on chunks of
-samples, and each conv one block at a time. The linear layers see the
-whole batch, since a 2-d gemm rounds differently when its row count
-changes.
+Each conv runs as one stage with the relu right after it and the max pool
+after that, where present. The stage computes about ``_BLOCK_BYTES`` of
+conv output at a time, a chunk of samples (whole agents or samples of one
+in a stack): it pads the chunk's input, gathers its columns and multiplies
+them in ``_BLOCK_BYTES`` blocks of samples, applies the relu in place and
+pools the chunk. Conv, relu and pool work per sample, so the bytes do not
+depend on the chunks. So the whole batch's conv output exists only where
+a conv has no pool after it, and its padded input only where the conv
+keeps its columns (below).
+
+:func:`forward` keeps what the backward reads: the relu masks and the pool
+indices (one byte per entry), written chunk by chunk into whole-batch
+arrays, and each conv's columns below ``_SHARED_BYTES``. From there on
+(the README default shape at batch 128) a conv keeps only its unpadded
+input; its weight gradient pads it and gathers the columns again with the
+same ``np.take``, into the same gemm, in one process-wide buffer, read
+only under its lock, that steps on several threads share. The backward
+frees each layer's cache once it has used it, a conv's columns before its
+input gradient, and a relu writes in place to the array the layer below
+it made. A pool scatters its input gradient in the memory order of the
+gradient it gets, so it copies none. Evaluation (:func:`loss`, the
+trainer's accuracy and bound networks) keeps no cache and runs the layers
+below the first flatten or linear one on ``_EVAL_ROWS`` samples at a time;
+the whole batch's first pool output would otherwise stay alive. The
+linear layers see the whole batch, since a 2-d gemm rounds differently
+when its row count changes.
 
 :func:`loss_and_grad_v` also steps a stack of A agents at once: one
 shared network under A masks, their batches stacked. Conv, relu and pool
@@ -258,17 +270,17 @@ def init_params(arch, seed):
 
 # ----------------------------------------------------------- layer kernels
 
-# bytes of columns, column gradient or pool windows a blocked kernel
-# handles per sample block: half of a 2 MiB per-core L2
+# bytes of columns, column gradient, pool windows or conv output a blocked
+# kernel handles per sample block or chunk: half of a 2 MiB per-core L2
 _BLOCK_BYTES = 1 << 20
-# bytes of im2col columns from which a training step's conv runs blocked
-# and its weight gradient gathers them again into the shared buffer below,
+# bytes of im2col columns from which a training step's conv keeps only its
+# input and its weight gradient gathers them again into the shared buffer,
 # and the trainer threads a round's steps: the L2 of both cores. The desk
 # convs (0.3 MiB at batch 8) and the harness's (1.2 and 0.9 MiB at 32)
 # keep their columns; the default shape's (19 MiB at 128) reach it
 _SHARED_BYTES = 1 << 22
-# samples per evaluation chunk: a default training step's batch, so its
-# columns stay below the training peak
+# samples per evaluation chunk of the conv stages: a default training
+# step's batch, so evaluation peaks below a training step
 _EVAL_ROWS = 128
 # bytes of pool windows from which _maxpool_forward gathers them with one
 # np.take and reduces elementwise; below it the strided copy and row-wise
@@ -438,49 +450,111 @@ def _by_agent(a, operand):
     return a if operand.ndim == 2 else a.reshape((len(operand), -1) + a.shape[1:])
 
 
+def _padded(x, padding):
+    """A contiguous zero-padded copy of (n, c, h, w) ``x``, also at padding
+    0: columns viewed straight from a strided input could reach the gemm
+    with other strides."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    return xp
+
+
 def _conv_forward(x, v, padding, keep=True):
-    """The conv output and its backward cache ``(cols, xp, x shape,
-    padding)``. ``v`` is one filter bank or a stack of A, one per agent,
-    whose samples ``x`` holds agent by agent. Where ``keep`` is set, ``v``
-    is one bank and the columns stay below ``_SHARED_BYTES``, it computes
-    them at once and holds them; else it runs one ``_BLOCK_BYTES`` block of
-    samples at a time and holds the padded input ``xp``. The other of the
-    two is None. A stack keeps no columns: they would be all its agents'
-    at once, several MB that glibc, freed every step, hands back to the
-    kernel and faults in again on the next (without the benchmark's
-    ``mallopt``)."""
+    """The conv output one chunk of about ``_BLOCK_BYTES`` of it at a time,
+    as an iterator of (sample slice, channel-last (k, oh, ow, o) output)
+    pairs, and the backward cache ``(cols, x, x shape, padding)``. ``v`` is
+    one filter bank or a stack of A, one per agent, whose samples ``x``
+    holds agent by agent; a chunk, like a gemm block within it, holds whole
+    agents or samples of one (:func:`_blocks`). Where ``keep`` is set, ``v``
+    is one bank and the columns stay below ``_SHARED_BYTES``, it gathers
+    them at once and holds them; else it pads each chunk's input, gathers
+    one ``_BLOCK_BYTES`` block of samples at a time and holds the unpadded
+    input ``x``. The other of the two is None. A stack keeps no columns:
+    they would be all its agents' at once, several MB that glibc, freed
+    every step, hands back to the kernel and faults in again on the next
+    (without the benchmark's ``mallopt``)."""
     n, c, h, w = x.shape
     o, _, kh, kw = v.shape[-4:]
     oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
-    # a contiguous padded copy, also at padding 0: columns viewed straight
-    # from a strided input could reach the gemm with other strides
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-    xp[:, :, padding:padding + h, padding:padding + w] = x
+    agents = 1 if v.ndim == 4 else len(v)
+    chunks = _blocks(agents, n // agents, max(1, _BLOCK_BYTES // (oh * ow * o * 8)))
     vt = _gemm_operand(v)
     # one gemm per (sample, output row), against its agent's filters; a
     # single 2-d gemm over all rows would round differently
     if keep and v.ndim == 4 and _column_bytes(n * oh * ow, c, kh, kw) < _SHARED_BYTES:
-        cols = _im2col(xp, kh, kw)
-        out = (_by_agent(cols, vt) @ vt).reshape(n, oh, ow, o)
-        return out.transpose(0, 3, 1, 2), (cols, None, x.shape, padding)
-    out = np.empty((n, oh, ow, o))
-    blk = max(1, _BLOCK_BYTES // _column_bytes(oh * ow, c, kh, kw))
-    buf = np.empty(min(n, blk) * oh * ow * c * kh * kw)
-    agents = 1 if v.ndim == 4 else len(v)
-    for rows, who in _blocks(agents, n // agents, blk):
-        part = vt if v.ndim == 4 else vt[who]
-        np.matmul(_by_agent(_im2col(xp[rows], kh, kw, buf), part), part,
-                  out=_by_agent(out[rows], part))
-    return out.transpose(0, 3, 1, 2), (None, xp, x.shape, padding)
+        cols = _im2col(_padded(x, padding), kh, kw)
+        return (((rows, cols[rows] @ vt) for rows, _ in chunks),
+                (cols, None, x.shape, padding))
+
+    def gathered():
+        blk = max(1, _BLOCK_BYTES // _column_bytes(oh * ow, c, kh, kw))
+        for rows, who in chunks:
+            part = vt if v.ndim == 4 else vt[who]
+            k = 1 if v.ndim == 4 else len(part)
+            xp = _padded(x[rows], padding)
+            buf = np.empty(min(len(xp), blk) * oh * ow * c * kh * kw)
+            y = np.empty((len(xp), oh, ow, o))
+            for block, a in _blocks(k, len(xp) // k, blk):
+                p = part if v.ndim == 4 else part[a]
+                np.matmul(_by_agent(_im2col(xp[block], kh, kw, buf), p), p,
+                          out=_by_agent(y[block], p))
+            # freed before the stage pools the chunk, so that the pool's
+            # buffers can take their place
+            del xp, buf
+            yield rows, y
+    return gathered(), (None, x, x.shape, padding)
+
+
+def _into(whole, n, rows, part):
+    """``whole`` with ``part`` written at sample ``rows``: an array of
+    ``n`` samples shaped like ``part``'s, made on first use, or ``part``
+    itself where it holds them all."""
+    if whole is None:
+        if len(part) == n:
+            return part
+        whole = np.empty((n,) + part.shape[1:], part.dtype)
+    whole[rows] = part
+    return whole
+
+
+def _conv_stage(x, v, padding, relu, pool, keep):
+    """A conv run together with the relu right after it where ``relu`` is
+    set and the max-pool layer ``pool`` after that where given, one chunk
+    of :func:`_conv_forward`'s output at a time: the relu in place on the
+    chunk, then the pool. Returns the stage's output and, where ``keep`` is
+    set, its layers' backward caches in layer order: the conv's, the relu
+    mask and the pool's, the mask and the pool's argmax written chunk by
+    chunk into whole-batch arrays. So the whole-batch conv output exists
+    only in a stage without a pool."""
+    chunks, cache = _conv_forward(x, v, padding, keep)
+    n, out, mask, idx = len(x), None, None, None
+    for rows, y in chunks:
+        if relu:
+            if keep:
+                mask = _into(mask, n, rows, y > 0)
+            np.maximum(y, 0.0, out=y)
+        if pool:
+            y, (part, shape, *_) = _maxpool_forward(y.transpose(0, 3, 1, 2),
+                                                     pool.window, pool.stride)
+            if keep:
+                idx = _into(idx, n, rows, part)
+        out = _into(out, n, rows, y)
+    kept = [(v, cache)] if keep else []
+    if relu and keep:
+        kept.append((mask.transpose(0, 3, 1, 2),))
+    if pool and keep:
+        kept.append(((idx, (n,) + shape[1:], pool.window, pool.stride),))
+    return (out if pool else out.transpose(0, 3, 1, 2)), kept
 
 
 def _conv_grad_v(grad_out, v, cache):
     """The weight gradient, shaped like ``v``: one 2-d gemm per agent over
     its whole batch's columns, the cached ones or, where the cache holds
-    the padded input, gathered again into the shared buffer under its
-    lock."""
+    the unpadded input, gathered again from it, padded, into the shared
+    buffer under its lock."""
     global _shared_buf
-    cols, xp = cache[:2]
+    cols, x = cache[:2]
     o, c, kh, kw = v.shape[-4:]
     g = grad_out.transpose(0, 2, 3, 1).reshape(-1, o)
     if cols is not None:
@@ -489,7 +563,7 @@ def _conv_grad_v(grad_out, v, cache):
     with _shared:
         if _shared_buf.nbytes < size:
             _shared_buf = np.empty(size // 8)
-        return _weight_gemm(g, _im2col(xp, kh, kw, _shared_buf), v)
+        return _weight_gemm(g, _im2col(_padded(x, cache[3]), kh, kw, _shared_buf), v)
 
 
 def _weight_gemm(g, cols, v):
@@ -533,7 +607,9 @@ def _maxpool_forward(x, window, stride):
     oh, ow = (h - wh) // stride + 1, (w - ww) // stride + 1
     k, m = wh * ww, c * oh * ow
     # idx is the first maximum, i.e. the lowest flat index in the window,
-    # as argmax takes it (a NaN counts as the maximum)
+    # as argmax takes it (a NaN counts as the maximum), in one byte where
+    # the window allows
+    kind = np.uint8 if k < 256 else np.intp
     if n * m * k * x.itemsize < _GATHER_BYTES:
         sn, sc, sh, sw = x.strides
         flat = as_strided(x, (n, c, oh, ow, wh, ww),
@@ -541,14 +617,14 @@ def _maxpool_forward(x, window, stride):
                           writeable=False).reshape(-1, k)
         idx = flat.argmax(axis=1)
         out = flat[np.arange(len(flat)), idx].reshape(n, c, oh, ow)
-        return out, (idx.reshape(n, c, oh, ow), x.shape, window, stride)
+        return out, (idx.astype(kind).reshape(n, c, oh, ow), x.shape, window, stride)
     # above it: gather each sample's cells as (cell, window) planes, reduce
     # the planes with elementwise maxima and take each window's first hit,
     # one block of samples at a time. The rows are a view of a channel-last
     # x, such as a conv output.
     rows = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n, -1)
     off = _pool_offsets(x.shape[1:], window, stride)[2]
-    out, idx = np.empty((n, m), dtype=x.dtype), np.empty((n, m), dtype=np.intp)
+    out, idx = np.empty((n, m), dtype=x.dtype), np.empty((n, m), dtype=kind)
     blk = max(1, _BLOCK_BYTES // (m * k * x.itemsize))
     buf = np.empty((min(n, blk), k * m), dtype=x.dtype)
     for s in range(0, n, blk):
@@ -560,12 +636,12 @@ def _maxpool_forward(x, window, stride):
         if np.isnan(top).any():
             miss &= cells == cells     # a NaN is the maximum of its window
         # the first hit's index is the number of misses before it
-        first = np.zeros((len(cells), m), dtype=np.uint8 if k < 256 else np.intp)
+        first = idx[s:s + blk]
+        first.fill(0)
         left = miss[:, 0].copy()
         for j in range(1, k):
             first += left
             left &= miss[:, j]
-        idx[s:s + blk] = first
         # the values are gathered, not taken from top, so a zero keeps its
         # sign
         np.take(cells, (np.arange(len(cells))[:, None] * k + first) * m
@@ -578,9 +654,16 @@ def _maxpool_backward(grad_out, cache):
     idx, x_shape, window, stride = cache
     n, c, h, w = x_shape
     corner, cell, _ = _pool_offsets(x_shape[1:], window, stride)
-    # channel-last index of each window's maximum; overlapping windows may
-    # share one, and bincount adds their shares in ascending window order
-    src = cell[idx]
+    # channel-last index of each window's maximum, listed in the order of
+    # the gradient's memory: channel-last, as a conv's input gradient is,
+    # or else (n, c, oh, ow), so only the one-byte idx is copied. Windows
+    # may share a maximum, and all of a cell's shares come from windows of
+    # its channel, so either way bincount adds them in ascending window
+    # order
+    last = grad_out.transpose(0, 2, 3, 1).flags.c_contiguous
+    if last:
+        corner, grad_out = corner.transpose(1, 2, 0), grad_out.transpose(0, 2, 3, 1)
+    src = cell[np.ascontiguousarray(idx.transpose(0, 2, 3, 1)) if last else idx]
     src += corner
     src += (np.arange(n) * (c * h * w))[:, None, None, None]
     gx = np.bincount(src.ravel(), grad_out.ravel(), n * c * h * w)
@@ -642,31 +725,37 @@ def _operands(arch, w, m, batch):
 
 
 def _layers(arch, v, x, span, caches=None, agents=None):
-    """Run the layers at the indices ``span`` on ``x``, the samples of
-    ``agents`` agents (None: one) agent by agent. Each layer's backward
-    cache goes to ``caches`` where it is given; else the next layer drops
-    it. A relu writes in place to an array an earlier layer of this call
-    made, never to ``x`` itself."""
-    made = False
-    for idx in span:
-        layer = arch.layers[idx]
+    """Run the layers on ``x``, the samples of ``agents`` agents (None:
+    one) agent by agent, each conv as one stage with the relu right after
+    it and the max pool after that, where present (:func:`_conv_stage`).
+    Each layer's backward cache goes to ``caches`` where it is given; else
+    the next layer drops it. A relu writes in place to an array an earlier
+    layer of this call made, never to ``x`` itself."""
+    made, pos, layers = False, span.start, arch.layers
+    while pos < span.stop:
+        idx, layer = pos, layers[pos]
+        pos += 1
         if layer.kind == "conv2d":
-            x, kept = _conv_forward(x, v[idx], layer.padding, caches is not None)
-            kept = (v[idx], kept)
+            relu = pos < span.stop and layers[pos].kind == "relu"
+            pos += relu
+            pool = pos < span.stop and layers[pos].kind == "maxpool2d"
+            pos += pool
+            x, kept = _conv_stage(x, v[idx], layer.padding, relu,
+                                  layers[pos - 1] if pool else None, caches is not None)
         elif layer.kind == "linear":
-            kept = (v[idx], x)
+            kept = [(v[idx], x)]
             x = x @ v[idx].T if agents is None else _agentwise(x, v[idx].swapaxes(1, 2))
         elif layer.kind == "relu":
-            kept = (x > 0,) if caches is not None else ()
+            kept = [(x > 0,) if caches is not None else ()]
             x = np.maximum(x, 0.0, out=x if made else None)
         elif layer.kind == "maxpool2d":
             x, kept = _maxpool_forward(x, layer.window, layer.stride)
-            kept = (kept,)
+            kept = [(kept,)]
         elif layer.kind == "flatten":
-            kept = (x.shape,)
+            kept = [(x.shape,)]
             x = x.reshape(x.shape[0], -1)
         if caches is not None:
-            caches.append((layer.kind, idx) + kept)
+            caches += [(layers[i].kind, i) + k for i, k in zip(range(idx, pos), kept)]
         made = made or layer.kind != "flatten"
     return x
 
@@ -751,10 +840,10 @@ def loss(arch, w, m, batch, labels):
     """Mean softmax cross-entropy over the batch, forward pass only; the
     same float :func:`loss_and_grad_v` returns.
 
-    It keeps no backward cache and runs the conv, relu and pool layers on
-    ``_EVAL_ROWS`` samples at a time, so one chunk's im2col columns bound
-    its memory. The linear layers see the whole batch: their gemms round
-    differently when the row count changes."""
+    It keeps no backward cache and runs the conv stages on ``_EVAL_ROWS``
+    samples at a time, each one chunk of conv output at a time, so its
+    peak stays below a training step's. The linear layers see the whole
+    batch: their gemms round differently when the row count changes."""
     x, y = _labelled_batch(arch, batch, labels)
     return _cross_entropy(_logits(arch, w, m, x), y)[0]
 

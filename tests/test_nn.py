@@ -223,9 +223,13 @@ def test_forward_only_loss_bitwise_equal(masked):
 
 
 def test_forward_only_loss_peaks_below_a_training_step():
-    # the logged loss over 256 README-default samples keeps no cache and
-    # holds one 128-sample chunk's columns at a time, so the peak does not
-    # grow with the batch (512 samples: an accuracy chunk)
+    # the logged loss over 256 README-default samples keeps no cache, runs
+    # the conv stages on 128 samples at a time and each stage one chunk of
+    # conv output at a time, so the peak barely grows with the batch (512
+    # samples: an accuracy chunk). It peaks near 4.6 MiB at 256 samples
+    # (7.3 MiB with whole-chunk conv outputs); without the 128-sample loop
+    # the whole batch's first pool output stays alive, and it peaked near
+    # 6.4 MiB at 256 samples and 8.5 MiB at 512, above a training step
     arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
     rng = np.random.default_rng(0)
     w = init_params(arch, 0)
@@ -242,15 +246,19 @@ def test_forward_only_loss_peaks_below_a_training_step():
     step = peak(loss_and_grad_v, x[:128], y[:128])
     for n in (256, 512):
         assert peak(loss, x[:n], y[:n]) < step
+    assert peak(loss, x[:256], y[:256]) < 5 << 20
 
 
 def test_training_step_holds_one_set_of_large_columns():
-    # a conv keeps its columns below _SHARED_BYTES, else its padded input.
+    # a conv keeps its columns below _SHARED_BYTES, else its unpadded input.
     # At the README default shape and batch 128 each conv's columns take
     # about 19 MiB: the weight gradients gather them into the one shared
-    # buffer, so the step itself holds none. At batch 8 both convs (1.2 MiB
-    # each) keep their columns, and so does the desk shape at its batch of
-    # 8 and the harness's batch of 32 (1.2 and 0.9 MiB)
+    # buffer, so the step itself holds none. Its conv stages hold one chunk
+    # of conv output and padded input at a time, and the step peaks near
+    # 6.8 MiB, in the first pool's input gradient (9.4 MiB with whole-batch
+    # conv outputs and padded inputs). At batch 8 both convs (1.2 MiB each)
+    # keep their columns, and so does the desk shape at its batch of 8 and
+    # the harness's batch of 32 (1.2 and 0.9 MiB)
     arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
     rng = np.random.default_rng(0)
     w = init_params(arch, 0)
@@ -262,7 +270,7 @@ def test_training_step_holds_one_set_of_large_columns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 << 20
+    assert peak < 7 << 20
     assert nn._shared_buf.nbytes >= 128 * 7 * 7 * 16 * 25 * 8
 
     def kept(arch, batch):
@@ -451,6 +459,61 @@ def test_stacked_loss_and_grad_v_equals_per_agent_calls(monkeypatch, regime):
                 assert sorted(grads) == sorted(grad)
                 for idx, g in grad.items():
                     assert grads[idx][a].tobytes() == g.tobytes(), (name, idx)
+
+
+def _stage_caches(caches):
+    """The bytes of every relu mask and pool index in a forward's caches."""
+    return [(kind, idx, (rest[0] if kind == "relu" else rest[0][0]).tobytes())
+            for kind, idx, *rest in caches if kind in ("relu", "maxpool2d")]
+
+
+@pytest.mark.parametrize("case", ["default-128", "default-131", "desk-stack-8"])
+def test_stages_are_chunk_invariant(monkeypatch, case):
+    # a conv stage runs its conv, relu and pool one _BLOCK_BYTES chunk of
+    # conv output at a time. One sample per chunk, five samples of the
+    # first conv's output (a ragged last chunk at 128 and 131; five and
+    # three of each agent's 8) and the whole batch give the same logits,
+    # loss, gradients, relu masks and pool indices, bit for bit
+    monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
+    name, n = case.rsplit("-", 1)
+    rng = np.random.default_rng(int(n))
+    if name == "default":
+        arch = desk_arch((3, 16, 16), 10, (16, 32), 128)
+        x, y = rng.standard_normal((int(n), 3, 16, 16)), rng.integers(0, 10, int(n))
+        m = random_masks(arch, rng)
+    else:   # configs/train.conf's shape, its 8 agents as one stack
+        arch = desk_arch((3, 8, 8), 6, (16, 32), 32)
+        x, y = rng.standard_normal((8, 8, 3, 8, 8)), rng.integers(0, 6, (8, 8))
+        masks = _stack_masks(arch, rng, 8)
+        m = {idx: np.stack([s[idx] for s in masks]) for idx in masks[0]}
+    w = init_params(arch, int(n))
+    sizes = {}
+    conv_forward = nn._conv_forward
+
+    def spy(x, v, padding, keep=True):
+        chunks, cache = conv_forward(x, v, padding, keep)
+        runs = sizes.setdefault(v.shape[-3], [])   # by input channels
+        return ((runs.append(rows.stop - rows.start) or (rows, y))
+                for rows, y in chunks), cache
+    monkeypatch.setattr(nn, "_conv_forward", spy)
+
+    def outputs():
+        logits, caches = forward(arch, w, m, x)
+        value, grads = loss_and_grad_v(arch, w, m, x, y)
+        return (logits.tobytes(), _stage_caches(caches), np.asarray(value).tobytes(),
+                {idx: g.tobytes() for idx, g in grads.items()},
+                nn._logits(arch, w, m, x).tobytes() if name == "default" else None)
+    first = int(np.prod(shape_chain(arch.layers, arch.input_shape)[1])) * 8
+    results, total = [], len(y.reshape(-1))
+    for budget, most in ((1, 1), (5 * first, 5), (1 << 62, total)):
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
+        sizes.clear()
+        results.append(outputs())
+        assert max(sizes[arch.input_shape[0]]) == most
+    # both stages' masks and indices, and the hidden relu's mask
+    assert len(_stage_caches(forward(arch, w, m, x)[1])) == 5
+    assert results[1] == results[0]
+    assert results[2] == results[0]
 
 
 def test_a_stack_of_one_equals_the_unstacked_call():
@@ -748,9 +811,17 @@ def _nan_blind(a):
 
 def _columns(cache, v):
     """A conv cache's columns: the cached ones, or gathered again from the
-    cached padded input."""
-    cols, xp = cache[:2]
-    return nn._im2col(xp, *v.shape[2:]) if cols is None else cols
+    cached input, padded."""
+    cols, x = cache[:2]
+    return nn._im2col(nn._padded(x, cache[3]), *v.shape[2:]) if cols is None else cols
+
+
+def _conv_output(chunks):
+    """The whole conv output from :func:`nn._conv_forward`'s chunks, as
+    (n, o, oh, ow) over a channel-last array, and the chunks' sample
+    slices."""
+    slices, parts = zip(*chunks)
+    return np.concatenate(parts).transpose(0, 3, 1, 2), slices
 
 
 # (_BLOCK_BYTES, _SHARED_BYTES) of the two conv regimes: columns kept, and
@@ -774,10 +845,15 @@ def test_conv_forward_bitwise_equal_to_reference(monkeypatch):
                 monkeypatch.setattr(nn, "_SHARED_BYTES", shared)
                 with np.errstate(invalid="ignore"):  # inf - inf in the products
                     want_out, want_cols = _ref_conv_forward(layout, v, pad)
-                    out, cache = nn._conv_forward(layout, v, pad, keep)
+                    chunks, cache = nn._conv_forward(layout, v, pad, keep)
+                    out, slices = _conv_output(chunks)
                     cols = _columns(cache, v)
                 assert out.tobytes() == want_out.tobytes(), (x_shape, v_shape, pad)
                 assert out.strides == want_out.strides
+                # consecutive chunks, one sample each where the block is a byte
+                assert [(s.start, s.stop) for s in slices] == (
+                    [(k, k + 1) for k in range(x_shape[0])] if block == 1
+                    else [(0, x_shape[0])])
                 assert cols.tobytes() == want_cols.tobytes()
                 keeps_xp = regime != "keep" or not keep
                 assert (cache[0] is None, cache[1] is None) == (keeps_xp, not keeps_xp)
@@ -807,7 +883,10 @@ def test_maxpool_forward_bitwise_equal_to_reference():
                 layout, (wh, ww), stride)
             assert out.tobytes() == want_out.tobytes(), (trial, (wh, ww), stride)
             assert out.strides == want_out.strides
-            assert idx.tobytes() == want_idx.tobytes() and idx.shape == want_idx.shape
+            # the window's cell, in one byte below 256 cells
+            assert idx.dtype == np.uint8
+            assert idx.astype(np.intp).tobytes() == want_idx.tobytes()
+            assert idx.shape == want_idx.shape
             assert (x_shape, window, s) == (x.shape, (wh, ww), stride)
             assert layout.tobytes() == before.tobytes()
 
@@ -953,10 +1032,11 @@ def test_gathered_kernels_bitwise_equal_to_reference(monkeypatch):
 def _use_reference_kernels(monkeypatch):
     """Run every conv through the in-test reference kernels, which copy
     strided windows and always cache them, and every pool through the
-    strided copy."""
+    strided copy. The conv stages call ``nn._conv_forward``, which then
+    hands them the reference output as one chunk."""
     def conv_forward(x, v, padding, keep=True):
         out, cols = _ref_conv_forward(x, v, padding)
-        return out, (cols, None, x.shape, padding)
+        return [(slice(None), out.transpose(0, 2, 3, 1))], (cols, None, x.shape, padding)
     monkeypatch.setattr(nn, "_conv_forward", conv_forward)
     monkeypatch.setattr(nn, "_conv_backward", lambda g, v, x_shape, padding:
                         _ref_conv_backward(g, v, (None, None, x_shape, padding))[0])
