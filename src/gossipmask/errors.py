@@ -11,6 +11,9 @@ class FieldError(ValueError):
         super().__init__(message)
         self.field = field
 
+    def __reduce__(self):   # pickle rebuilds it from both arguments
+        return type(self), (self.field, str(self)), self.__dict__
+
 
 @contextmanager
 def blame(field):
@@ -29,3 +32,7 @@ class LayerError(ValueError):
     def __init__(self, layer, message):
         super().__init__(f"layer {layer}: {message}")
         self.layer = layer
+
+    def __reduce__(self):   # pickle rebuilds it from both arguments
+        message = str(self).removeprefix(f"layer {self.layer}: ")
+        return type(self), (self.layer, message), self.__dict__

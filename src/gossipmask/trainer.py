@@ -44,21 +44,24 @@ thresholding. A stack holds as many agents as keep its conv columns below
 ``nn._SHARED_BYTES``: all 8 of configs/train.conf, while a step of the
 README default shape, whose own columns reach it, stays a stack of one.
 Every agent's bytes are those of a step of its own. Three kinds of work
-are independent per item and run through :func:`_each`: the local steps
-of stacks of one and of the weight baselines, the per-agent evaluation
-(test accuracy and logged loss) and the mask-vs-weight harness's arms.
-The harness arms use up to two cores. The steps and the evaluation do
-where a step's conv columns reach ``nn._SHARED_BYTES`` (the README
-default shape, not the desk or harness shapes; a fixed property of the
-architecture and batch size), else one worker, which is a plain loop.
-Results, the exchange, the mixing and the evaluation rows stay in
-ascending agent order. The shared parameter set is never written by the
-mask-based algorithms.
+are independent per item. The local steps of stacks of one and of the
+weight baselines, and the per-agent evaluation (test accuracy and logged
+loss), run through :func:`_each` on up to two threads where a step's conv
+columns reach ``nn._SHARED_BYTES`` (the README default shape, not the
+desk or harness shapes; a fixed property of the architecture and batch
+size), else in a plain loop. The mask-vs-weight harness's arms share
+nothing they write, and run through :func:`_forked` on the calling
+process and a child forked per further core, up to two in all (a plain
+loop where ``os.fork`` is missing). Results, the exchange, the mixing and
+the evaluation rows stay in ascending agent order. The shared parameter
+set is never written by the mask-based algorithms.
 """
 
 import math
 import os
+import pickle
 import queue
+import signal
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -729,11 +732,16 @@ def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
     regularizer and no filter zeroing), from the same fixed random
     initialization. Accuracy is recorded at step 0 and every
     ``eval_interval`` steps. Arguments are checked by
-    :func:`check_harness` first. The arms are independent: they run
-    through :func:`_each` on up to two of the cores the process may use,
-    and the traces are those of a plain loop over them."""
+    :func:`check_harness` first. The arms are independent: on POSIX they
+    run through :func:`_forked` on the calling process and a forked child
+    per further core (up to two in all), elsewhere in a plain loop. The
+    traces, and the failure raised, are those of a plain loop over them.
+    The shared parameters are made read-only first, so an arm that wrote
+    them would fail in whichever process ran it."""
     check_harness(r_values, steps, eval_interval)
     w0 = init_params(arch, seed_key(seed, "params"))
+    for t in w0.values():
+        t.flags.writeable = False
     batches = [[sample_batch(seed, a, k, len(ty), batch_size)
                 for k in range(1, steps + 1)]
                for a, (_, ty, _, _) in enumerate(shards)]
@@ -749,7 +757,7 @@ def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
         return _train_arm(arch, w0, state, batches[a], eval_interval)
 
     arms = [(a, ri) for a in range(len(shards)) for ri in (None, *range(len(r_values)))]
-    traces = dict(zip(arms, _each(train, arms, _WORKERS)))
+    traces = dict(zip(arms, _forked(train, arms, _WORKERS)))
     return MaskVsWeightTraces(
         {a: t for (a, ri), t in traces.items() if ri is None},
         {(a, r_values[ri]): t for (a, ri), t in traces.items() if ri is not None})
@@ -771,10 +779,12 @@ def _train_arm(arch, w, state, batches, eval_interval):
     return trace
 
 
-# Threads that run independent work items: the calling thread and helpers,
-# one per core the process may use, at most two. Each thread adds a few MB
-# of peak memory (its own malloc arena), and more than two were never
-# measured against the benchmark's memory bound.
+# Workers that run independent work items, one per core the process may
+# use, at most two: the calling thread and helper threads in _each, the
+# calling process and forked children in _forked. Each thread adds a few
+# MB of peak memory (its own malloc arena), and a harness child peaks at
+# about 34 MB of RSS of its own, pages it shares with the caller included.
+# More than two were never measured against the benchmark's memory bound.
 try:
     _WORKERS = min(2, len(os.sched_getaffinity(0)))
 except AttributeError:      # no affinity masks outside Linux
@@ -851,6 +861,90 @@ def _each(fn, items, workers):
     if failures:
         raise failures[min(failures)]
     return results
+
+
+def _forked(fn, items, workers):
+    """``[fn(item) for item in items]``, computed by the calling process and
+    up to ``workers - 1`` children it forks, which inherit its memory,
+    ``np.errstate`` and module state. Of ``p`` processes, process ``k``
+    runs items ``k, k + p, ...`` in a plain loop up to its first failure;
+    a child pickles its results or failure into a pipe and leaves through
+    ``os._exit``. The lowest item's failure is raised, as a plain loop
+    would raise it, and a child that exits without sending raises a
+    RuntimeError naming its status or signal. Every child is reaped, and
+    killed first where the caller raises. One worker, or no ``os.fork``,
+    is a plain loop. ``fn`` must write nothing shared, since a child's
+    writes stay in the child, and start no thread: a child holds only the
+    forking thread, so ``_each`` there needs one worker. Python 3.12 and
+    later warn (DeprecationWarning) where ``os.fork`` runs beside other
+    threads, such as ``_each``'s helpers."""
+    items = list(items)
+    count = min(workers, len(items)) if hasattr(os, "fork") else 1
+    if count <= 1:
+        return [fn(item) for item in items]
+    shares = [range(k, len(items), count) for k in range(count)]
+    running, pipes = {}, []       # child pid -> read end of its pipe
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_share(fn, items, share, write)
+            finally:
+                os.close(write)
+            running[pid] = read
+        results, failures = _run_share(fn, items, shares[0])
+        for (pid, read), share in zip(list(running.items()), shares[1:]):
+            data = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[pid]
+            if code == 0:
+                done, failed = pickle.loads(data)
+                results.update(done)
+                failures.update(failed)
+            else:
+                how = (f"status {code}" if code > 0 else
+                       f"signal {signal.Signals(-code).name}")
+                failures[share[0]] = RuntimeError(
+                    f"a forked worker exited with {how} before sending its results")
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read in pipes:
+            os.close(read)
+    if failures:
+        raise failures[min(failures)]
+    return [results[i] for i in range(len(items))]
+
+
+def _run_share(fn, items, share):
+    """``fn`` over the items at the indices of ``share``, in order, up to
+    the first that raises an Exception. Returns index -> result and
+    index -> failure (empty, or that first failure)."""
+    results = {}
+    for i in share:
+        try:
+            results[i] = fn(items[i])
+        except Exception as exc:  # noqa: BLE001 - raised by _forked
+            return results, {i: exc}
+    return results, {}
+
+
+def _send_share(fn, items, share, write):
+    """A forked child's whole life: its share of the items, pickled into the
+    pipe end ``write``, then ``os._exit``, with status 0 only once all of it
+    was written. It never returns into the caller's code."""
+    code = 1
+    try:
+        data = pickle.dumps(_run_share(fn, items, share))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # ----------------------------------------------------- output-gap bounds

@@ -1,7 +1,9 @@
 import copy
 import math
+import os
 import pickle
 import re
+import signal
 import sys
 import threading
 import time
@@ -24,6 +26,7 @@ from gossipmask import (ALGORITHMS, AgentState, FieldError, Graph, HyperConfig,
                         sample_batch, substream, synth_generate)
 from gossipmask import nn, trainer
 from gossipmask.cli import RunConfig, parse_config, run_experiment
+from gossipmask.errors import LayerError
 from gossipmask.protocol import MaskFrame
 
 import test_golden
@@ -386,19 +389,42 @@ def test_a_round_writes_only_into_arrays_it_made(algorithm):
 
 
 def test_harness_arms_write_only_into_arrays_they_made(monkeypatch):
-    # the weight arms start from the shared parameters themselves
-    original, unchanged = trainer._train_arm, []
+    # the weight arms start from the shared parameters themselves. Each arm
+    # checks itself, since a write in the child's copy of an array would
+    # stay there, and marks its trace with the process that ran it
+    monkeypatch.setattr(trainer, "_WORKERS", 2)
+    original = trainer._train_arm
 
     def checking(arch, w, state, batches, eval_interval):
         held = _held_bytes([state], w)
         trace = original(arch, w, state, batches, eval_interval)
-        unchanged.append(all(t.tobytes() == data for t, data in held))
-        return trace
+        assert all(t.tobytes() == data for t, data in held)
+        return trace + [os.getpid()]
     monkeypatch.setattr(trainer, "_train_arm", checking)
     arch, shards = _harness_inputs(agents=2)
-    mask_vs_weight_verify(arch, shards, r_values=(0.3, 0.5), steps=3,
-                          eta_weight=0.01, eta_mask=1.0, batch_size=4, seed=3)
-    assert unchanged == [True] * 6
+    traces = mask_vs_weight_verify(arch, shards, r_values=(0.3, 0.5), steps=3,
+                                   eta_weight=0.01, eta_mask=1.0, batch_size=4,
+                                   seed=3)
+    pids = [t[-1] for t in (*traces.weight.values(), *traces.mask.values())]
+    assert len(pids) == 6 and os.getpid() in pids and len(set(pids)) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_harness_arms_cannot_write_the_shared_parameters(workers, monkeypatch):
+    # arm 1, agent 0's mask arm at r = 0.3, runs in the child at two workers
+    monkeypatch.setattr(trainer, "_WORKERS", workers)
+    original = trainer._train_arm
+
+    def writing(arch, w, state, batches, eval_interval):
+        if state.weights is None and state.r == 0.3 and state.agent_id == 0:
+            w[min(w)][...] = 0.0
+        return original(arch, w, state, batches, eval_interval)
+    monkeypatch.setattr(trainer, "_train_arm", writing)
+    arch, shards = _harness_inputs(agents=2)
+    with pytest.raises(ValueError, match="read-only"):
+        mask_vs_weight_verify(arch, shards, r_values=(0.3, 0.5), steps=3,
+                              eta_weight=0.01, eta_mask=1.0, batch_size=4, seed=3)
+    _assert_no_child_left()
 
 
 def test_aggregation_tensor_without_neighbors_is_the_scores_themselves():
@@ -1016,44 +1042,132 @@ def _harness_inputs(agents=1):
     return arch, [(train.features, train.labels, test.features, test.labels)] * agents
 
 
-def test_harness_arms_run_under_the_callers_errstate(monkeypatch):
-    # each of the three arms waits for the other two at its first gradient,
-    # so each runs on its own thread, two of them helpers
-    monkeypatch.setattr(trainer, "_WORKERS", 3)
-    arrived = threading.Barrier(3, timeout=10)
-    seen = {}
-    original = trainer.loss_and_grad_v
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    def spy(*args):
-        if threading.get_ident() not in seen:
-            seen[threading.get_ident()] = np.geterr()["over"]
-            arrived.wait()
+
+def _acting(monkeypatch, child=None, caller=None):
+    """Rebind ``trainer._train_arm`` so that each arm first calls ``child()``
+    where a forked child runs it and ``caller()`` where the calling process
+    does (None: nothing). Two workers."""
+    monkeypatch.setattr(trainer, "_WORKERS", 2)
+    pid, original = os.getpid(), trainer._train_arm
+
+    def arm(*args):
+        act = caller if os.getpid() == pid else child
+        if act is not None:
+            act()
         return original(*args)
-    monkeypatch.setattr(trainer, "loss_and_grad_v", spy)
-    arch, shards = _harness_inputs()
-    with np.errstate(over="raise"):
-        mask_vs_weight_verify(arch, shards, r_values=(0.3, 0.5), steps=2,
-                              eta_weight=0.01, eta_mask=1.0, batch_size=4, seed=3)
-    assert list(seen.values()) == ["raise"] * 3
-    assert threading.get_ident() in seen
+    monkeypatch.setattr(trainer, "_train_arm", arm)
+
+
+def _verify_small_harness():
+    arch, shards = _harness_inputs(agents=2)
+    return mask_vs_weight_verify(arch, shards, r_values=(0.3, 0.5), steps=2,
+                                 eta_weight=0.01, eta_mask=1.0, batch_size=4,
+                                 seed=3)
+
+
+def test_harness_arms_run_under_the_callers_errstate(monkeypatch):
+    # the child's arms overflow: under the caller's np.errstate that raises
+    # FloatingPointError in the child, which the caller re-raises, and
+    # nothing where the caller ignores overflows
+    _acting(monkeypatch, child=lambda: np.float64(1e308) * 10.0)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError,
+                                                  match="overflow"):
+        _verify_small_harness()
+    with np.errstate(over="ignore"):
+        _verify_small_harness()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("leave, message", [
+    (lambda: os._exit(3), "exited with status 3 before sending its results"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     "exited with signal SIGKILL before sending its results"),
+])
+def test_a_harness_child_that_dies_names_its_exit(leave, message, monkeypatch):
+    _acting(monkeypatch, child=leave)
+    with pytest.raises(RuntimeError, match=f"^a forked worker {message}$"):
+        _verify_small_harness()
+    _assert_no_child_left()
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("exc, child", [
+    (ValueError("caller"), None),
+    (KeyboardInterrupt(), lambda: time.sleep(60)),
+])
+def test_harness_reaps_its_child_when_the_callers_arm_raises(exc, child,
+                                                            monkeypatch):
+    # an Exception in the caller's arms waits for the child, whose arms
+    # might hold a lower failure; a KeyboardInterrupt kills it at once
+    _acting(monkeypatch, child=child, caller=lambda: _raise(exc))
+    start = time.perf_counter()
+    with pytest.raises(type(exc)):
+        _verify_small_harness()
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
+
+
+def test_harness_names_the_lower_of_two_diverging_arms(monkeypatch):
+    # 2 agents x (weight arm + 1 mask arm): arm 1 (agent 0's mask arm, in
+    # the child) diverges at step 3, arm 2 (agent 1's weight arm, in the
+    # caller) at step 1. The error names arm 1, as the plain loop's does
+    step = trainer._local_step
+
+    def diverging(state, w, arch, batch_x, batch_y, k):
+        if (state.agent_id, state.weights is None, k) in ((0, True, 3), (1, False, 1)):
+            batch_x = np.full_like(batch_x, np.nan)
+        return step(state, w, arch, batch_x, batch_y, k)
+    monkeypatch.setattr(trainer, "_local_step", diverging)
+    arch, shards = _harness_inputs(agents=2)
+    messages = []
+    for workers in (1, 2):
+        monkeypatch.setattr(trainer, "_WORKERS", workers)
+        with np.errstate(invalid="ignore"), pytest.raises(SimulationError) as err:
+            mask_vs_weight_verify(arch, shards, r_values=(0.5,), steps=6,
+                                  eta_weight=0.01, eta_mask=1.0, batch_size=4,
+                                  seed=3)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("agent 0, round 3")
+    _assert_no_child_left()
 
 
 def test_harness_traces_do_not_depend_on_the_worker_count(monkeypatch):
-    # 2 agents x (weight arm + 2 mask arms): 6 arms on 6 threads, more
-    # than the cores, switching often, against a plain loop
+    # 2 agents x (weight arm + 2 mask arms): 6 arms on 1, 2 and 4
+    # processes, also with every conv blocked and its weight gradient
+    # through the shared buffer, as the golden test's pool run has them
     arch, shards = _harness_inputs(agents=2)
     traces = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for workers in (1, 6):
+    for block, shared in ((nn._BLOCK_BYTES, nn._SHARED_BYTES), (1, 0)):
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(nn, "_SHARED_BYTES", shared)
+        monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
+        for workers in (1, 2, 4):
             monkeypatch.setattr(trainer, "_WORKERS", workers)
             traces.append(pickle.dumps(mask_vs_weight_verify(
                 arch, shards, r_values=(0.3, 0.5), steps=12, eta_weight=0.01,
                 eta_mask=1.0, batch_size=4, seed=3)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert traces[0] == traces[1]
+    assert len(set(traces)) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [
+    FieldError("steps", "steps must be at least 1"),
+    LayerError(3, "non-finite score"),
+    SimulationError("agent 0, round 2: non-finite loss nan"),
+])
+def test_library_errors_survive_pickling(error):
+    # a forked harness arm sends its failure back pickled
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error) and str(back) == str(error)
+    assert vars(back) == vars(error)
 
 
 # -------------------------------------------------------------- round pool
@@ -1130,8 +1244,8 @@ def test_threaded_round_names_the_lower_of_two_diverging_agents(monkeypatch):
 def test_round_pool_keeps_the_golden_digests(monkeypatch, tmp_path):
     # every conv above one block and past the gate, its weight gradient
     # through the shared buffer, the rounds and evaluations of all six
-    # algorithms and the harness arms on four threads: every golden CSV
-    # digest stays as it is
+    # algorithms on four threads and the harness arms on four processes:
+    # every golden CSV digest stays as it is
     monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(nn, "_SHARED_BYTES", 0)
     monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
@@ -1145,10 +1259,11 @@ def test_round_pool_keeps_the_golden_digests(monkeypatch, tmp_path):
     monkeypatch.setattr(trainer, "_each", spy)
     test_golden.test_golden_trajectory(tmp_path)
     # per algorithm: the round-0 evaluation, 10 rounds of 8 agents and the
-    # round-10 evaluation; then one harness call of 3 agents x 4 arms
+    # round-10 evaluation; the harness arms do not go through _each
     run = [("evaluate", 8, 4)] + [("step", 8, 4)] * 10 + [("evaluate", 8, 4)]
-    assert pooled == run * 6 + [("train", 3 * 4, 4)]
-    # the harness's batch of 32 at the train.conf shape
+    assert pooled == run * 6
+    # the harness's batch of 32 at the train.conf shape, from the arms the
+    # caller ran
     assert nn._shared_buf.nbytes == 32 * 8 * 8 * 3 * 5 * 5 * 8
 
 
