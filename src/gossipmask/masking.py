@@ -106,17 +106,22 @@ def check_min_nonzero(min_nonzero, shapes, ratios):
                              f"filter of layer {layer} keeps at most {most} ones")
 
 
-def extract(tensors, r, min_nonzero=0):
+def extract(tensors, r, min_nonzero=0, out=None):
     """Per-layer composition of thresholding and filter zeroing, which
     clears filters in the thresholded mask itself. A tensor that
     thresholding rejects, or a layer that filter zeroing leaves with no
-    ones, raises a LayerError naming its layer."""
+    ones, raises a LayerError naming its layer. With ``out`` (layer ->
+    bool tensor of the layer's shape) each layer's mask is written there,
+    and the masks returned are those tensors."""
     masks = {}
     for idx, t in sorted(tensors.items()):
         try:
             masks[idx] = threshold_layer(t, r)
         except ValueError as exc:
             raise LayerError(idx, str(exc)) from None
+        if out is not None:
+            out[idx][...] = masks[idx]
+            masks[idx] = out[idx]
         if min_nonzero > 0 and not _clear_thin_filters(masks[idx], min_nonzero):
             raise LayerError(idx, f"filter zeroing at min_nonzero {min_nonzero} "
                                   f"left no ones")

@@ -36,25 +36,30 @@ Algorithms
 Within a round agents are processed in ascending id and all reductions
 over neighbors iterate in ascending sender id, so results do not depend
 on scheduling. Every agent's model is the shared parameters under its own
-mask, so a round steps the mask agents in stacks of consecutive agents
-(:func:`_stack_size`): one masked forward and backward per stack, then
-the score chain, group-lasso term, descent, aggregation tensor and
-fine-tuning as (A, ...) array operations per layer, and per agent only the
-thresholding. A stack holds as many agents as keep its conv columns below
-``nn._SHARED_BYTES``: all 8 of configs/train.conf, while a step of the
-README default shape, whose own columns reach it, stays a stack of one.
+mask, so the mask agents' scores, masks, cached gradients and neighbor
+averages live in one :class:`AgentStore`: per layer an (A, *shape) array
+with a row per agent. A round steps them in stacks of consecutive agents
+(:func:`_stack_size`), each a slice of the store: one masked forward and
+backward per stack, then the score chain, group-lasso term, descent,
+aggregation tensor and fine-tuning as (A, ...) array operations per layer,
+and per agent only the thresholding. The results are written to the
+stack's rows once the whole stack succeeded; a stack that fails leaves
+them as they were and steps one agent at a time. A stack holds as many
+agents as keep its conv columns below ``nn._SHARED_BYTES``: all 8 of
+configs/train.conf, while a step of the README default shape, whose own
+columns reach it, stays a stack of one, which reads its rows unstacked.
 Every agent's bytes are those of a step of its own. Three kinds of work
-are independent per item. The local steps of stacks of one and of the
-weight baselines, and the per-agent evaluation (test accuracy and logged
-loss), run through :func:`_each` on up to two threads where a step's conv
-columns reach ``nn._SHARED_BYTES`` (the README default shape, not the
-desk or harness shapes; a fixed property of the architecture and batch
-size), else in a plain loop. The mask-vs-weight harness's arms share
-nothing they write, and run through :func:`_forked` on the calling
-process and a child forked per further core, up to two in all (a plain
-loop where ``os.fork`` is missing). Results, the exchange, the mixing and
-the evaluation rows stay in ascending agent order. The shared parameter
-set is never written by the mask-based algorithms.
+are independent per item. The local steps (stacks, or weight steps) and
+the per-agent evaluation (test accuracy and logged loss) run through
+:func:`_each` on up to two threads where a step's conv columns reach
+``nn._SHARED_BYTES`` (the README default shape, not the desk or harness
+shapes; a fixed property of the architecture and batch size), else in a
+plain loop. The mask-vs-weight harness's arms share nothing they write,
+and run through :func:`_forked` on the calling process and a child forked
+per further core, up to two in all (a plain loop where ``os.fork`` is
+missing). Results, the exchange, the mixing and the evaluation rows stay
+in ascending agent order. The shared parameter set is never written by
+the mask-based algorithms.
 """
 
 import math
@@ -63,6 +68,7 @@ import pickle
 import queue
 import signal
 import threading
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -142,12 +148,57 @@ class HyperConfig:
             raise FieldError("eval_interval", "eval interval must be at least 1")
 
 
+_STORED = ("z", "m", "grad_cache", "neighbor_avg")
+_Rows = namedtuple("_Rows", _STORED)
+
+
+class AgentStore:
+    """The learnable state of a run's mask agents, one row per agent. Per
+    layer it holds one (A, *shape) array each of scores ``z``, bool masks
+    ``m`` and cached score gradients ``grad_cache`` (from the first round
+    on), and the neighbor averages ``neighbor_avg`` of the last exchange
+    (None before it, and where nobody heard anyone). ``store[i:j]`` views
+    the rows of agents i to j - 1 as a stack, ``store[i]`` agent i's
+    unstacked."""
+
+    def __init__(self, shapes, count):
+        self.shapes, self.count = shapes, count
+        self.z, self.m = self.zeros(), self.zeros(bool)
+        self.grad_cache = self.neighbor_avg = None
+        # (first agent of a stack, step) -> the masks the stack's last such
+        # step made, kept until its next one. They are the step's last large
+        # arrays, and outside bench/run.py's mallopt glibc would otherwise
+        # trim the heap that the step's other arrays freed below them and
+        # fault it in again on the next step
+        self.held = {}
+
+    def zeros(self, dtype=np.float64):
+        return {layer: np.zeros((self.count,) + tuple(shape), dtype)
+                for layer, shape in self.shapes.items()}
+
+    def __getitem__(self, key):
+        return _Rows(*(self.rows(name, key) for name in _STORED))
+
+    def rows(self, name, key):
+        """Per layer, the rows of ``name`` at ``key`` (None before the store
+        holds that field)."""
+        whole = getattr(self, name)
+        return None if whole is None else {layer: t[key] for layer, t in whole.items()}
+
+
 @dataclass(slots=True)
 class AgentState:
     """One agent's state between rounds. It reads its train and test
     samples through shared rows (:class:`~gossipmask.data.Rows` in a run,
     or plain arrays) and owns the rest: its mask ``m`` comes from its
-    scores ``z`` or, in a weight baseline, its ``weights``, at ratio ``r``."""
+    scores ``z`` or, in a weight baseline, its ``weights``, at ratio ``r``.
+
+    A run's mask agents keep ``z``, ``m``, ``grad_cache`` and
+    ``neighbor_avg`` in row ``agent_id`` of its :class:`AgentStore`
+    (``store``): each of those fields is a dict of views of the agent's
+    rows, and binding a dict to one copies it into them (None copies
+    nothing). A state without a store (a harness arm's, or one built by
+    hand) owns its dicts, and binding one replaces it."""
 
     agent_id: int
     r: float
@@ -164,6 +215,18 @@ class AgentState:
     neighbor_avg: dict = None         # mean of the last received masks
     weights: dict = None              # per-agent weights (weight baselines)
     last_loss: float = math.nan
+    store: AgentStore = None          # holds z, m, grad_cache, neighbor_avg
+
+    def __setattr__(self, name, value):
+        store = getattr(self, "store", None) if name in _STORED else None
+        if store is not None and value is not None and value is not getattr(self, name):
+            if getattr(store, name) is None:
+                setattr(store, name, store.zeros())
+            rows = store.rows(name, self.agent_id)
+            for layer, t in rows.items():
+                t[...] = value[layer]
+            value = rows
+        object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -206,59 +269,14 @@ def sample_batch(seed, agent, round_index, n, batch_size):
     return rng.integers(0, n, size=batch_size)
 
 
-def _agent_values(stack, field):
-    """The agents' ``field``: one float where they all agree, else an (A,)
-    array."""
-    first = getattr(stack[0], field)
-    if all(getattr(s, field) == first for s in stack):
-        return first
-    return np.array([getattr(s, field) for s in stack], dtype=np.float64)
-
-
-def _column(values, like):
-    """Per-agent ``values`` from :func:`_agent_values`, shaped to broadcast
-    over a stack like ``like``."""
-    if not isinstance(values, np.ndarray):
-        return values
-    return values.reshape((-1,) + (1,) * (like.ndim - 1))
-
-
-def _address(a):
-    return a.__array_interface__["data"][0]
-
-
-def _stacked(arrays):
-    """``np.stack(arrays)``, without the copy where the arrays are, in
-    order, consecutive rows of one array: the stack an earlier step made."""
-    first, base = arrays[0], arrays[0].base
-    if (isinstance(base, np.ndarray) and base.flags.c_contiguous
-            and base.shape[1:] == first.shape and first.nbytes
-            and all(a.base is base and a.shape == first.shape
-                    and a.flags.c_contiguous for a in arrays)):
-        start, off = divmod(_address(first) - _address(base), first.nbytes)
-        at = _address(first)
-        if not off and all(_address(a) == at + i * first.nbytes
-                           for i, a in enumerate(arrays)):
-            return base[start:start + len(arrays)]
-    return np.stack(arrays)
-
-
-def _stack_layers(sets):
-    """Per layer, the stack of the agents' tensors in ``sets`` (each a
-    layer -> tensor dict, or None where all are). A stack of one runs
-    unstacked: its one set comes back as it is."""
-    if len(sets) == 1 or all(t is None for t in sets):
-        return sets[0]
-    if any(t is None for t in sets):
-        raise ValueError("a stack mixes agents with and without a tensor set")
-    return {layer: _stacked([t[layer] for t in sets]) for layer in sets[0]}
-
-
-def _split(stacks, count):
-    """Each of ``count`` agents' tensors of per-layer stacks, as views."""
-    if count == 1:
-        return [stacks]
-    return [{layer: t[i] for layer, t in stacks.items()} for i in range(count)]
+def _setting(stack, name, ndim=1):
+    """The agents' ``name`` as their states hold it now: one value where
+    they all agree, else one per agent, shaped (A, 1, ...) to broadcast
+    over ``ndim``-dimensional stacks."""
+    values = [getattr(s, name) for s in stack]
+    if values.count(values[0]) == len(values):
+        return values[0]
+    return np.array(values, dtype=np.float64).reshape((-1,) + (1,) * (ndim - 1))
 
 
 def _aggregation_tensor(z, neighbor_avg, stacked=False):
@@ -276,66 +294,77 @@ def _aggregation_tensor(z, neighbor_avg, stacked=False):
     y = {}
     for layer, t in z.items():
         y[layer] = acc = np.abs(t)
-        # each agent's acc.mean(), bitwise, for less overhead
+        # each agent's acc.mean(), bitwise, for less overhead, scaling the
+        # agent's run of entries
         each = acc.reshape(acc.shape[:stacked] + (-1,))
-        scale = each.sum(axis=-1) / each.shape[-1]
+        scale = each.sum(axis=-1, keepdims=True) / each.shape[-1]
         np.sign(t, out=acc)
-        acc *= _column(scale, acc) if stacked else scale
+        each *= scale
         acc *= neighbor_avg[layer]
         acc += t
     return y
 
 
-def _half_steps(stack, w, arch, batches):
+def _extracted(stack, y):
+    """The masks of ``stack``'s agents, each extracted from its aggregation
+    tensors in ``y`` (per-layer stacks, or one agent's own tensors) into a
+    new bool tensor set of the same layout."""
+    if len(stack) == 1:
+        return extract(y, stack[0].r, stack[0].min_nonzero)
+    masks = {layer: np.empty(t.shape, dtype=bool) for layer, t in y.items()}
+    for a, s in enumerate(stack):
+        extract({layer: t[a] for layer, t in y.items()}, s.r, s.min_nonzero,
+                out={layer: t[a] for layer, t in masks.items()})
+    return masks
+
+
+def _half_steps(stack, rows, w, arch, batches):
     """The gradient half-steps of the agents of ``stack`` on their
-    ``batches`` ((samples, labels) each): one :func:`loss_and_grad_v` on
-    the stacked batches, then per layer the score gradient (data chain plus
-    group-lasso term), the step and the aggregation tensor against each
-    agent's previous neighbor average as (A, ...) array operations, then
-    each agent's intermediate mask. A stack of one runs unstacked. Writes
-    no state; returns the agents' losses, the half-stepped scores and the
-    cached gradient as per-layer stacks, and each agent's intermediate
-    mask set."""
+    ``batches`` ((samples, labels) each), from their scores, masks and
+    previous neighbor average in ``rows`` (per-layer stacks, such as a
+    stack's store rows, or one agent's own tensors): one
+    :func:`loss_and_grad_v` on the stacked batches, then per layer the
+    score gradient (data chain plus group-lasso term), the step and the
+    aggregation tensor as (A, ...) array operations, then each agent's
+    intermediate mask. Writes nothing; returns the agents' losses, and the
+    half-stepped scores, the cached gradient and the intermediate masks in
+    the layout of ``rows``."""
     count = len(stack)
     x, y = batches[0] if count == 1 else (np.stack(b) for b in zip(*batches))
-    z = _stack_layers([s.z for s in stack])
-    losses, grad_v = loss_and_grad_v(arch, w, _stack_layers([s.m for s in stack]), x, y)
-    g = {layer: grad_z(grad_v.pop(layer), w[layer], t) for layer, t in z.items()}
+    losses, grad_v = loss_and_grad_v(arch, w, rows.m, x, y)
+    g = {layer: grad_z(grad_v.pop(layer), w[layer], t) for layer, t in rows.z.items()}
     # at lam = 0 the group-lasso term is +-0 everywhere. Since gz + (+-0) == gz
     # and z - (+-0) == z for nonzero gz and z, skipping it can change only
     # the sign of a zero gradient or score entry; thresholding compares
     # magnitudes, so no mask or metric sees it
-    lam = _agent_values(stack, "lam")
-    if isinstance(lam, np.ndarray) or lam:     # an array holds a nonzero lam
-        reg = group_lasso_grad(z, lam if count == 1 else np.broadcast_to(lam, count))
+    lam = _setting(stack, "lam")
+    if np.any(lam):
+        reg = group_lasso_grad(rows.z, lam if count == 1 else np.broadcast_to(lam, count))
         for layer, t in g.items():
-            np.add(t, reg.pop(layer), out=t, where=_column(lam != 0, t))
-    eta = _agent_values(stack, "eta")
-    z_half = {layer: _descend(t, _column(eta, t), g[layer]) for layer, t in z.items()}
-    agg = _aggregation_tensor(z_half, _stack_layers([s.neighbor_avg for s in stack]),
-                              count > 1)
-    return (losses if count > 1 else [losses], z_half, g,
-            [extract(ys, s.r, s.min_nonzero) for s, ys in zip(stack, _split(agg, count))])
+            np.add(t, reg.pop(layer), out=t, where=_setting(stack, "lam", t.ndim) != 0)
+    z_half = {layer: _descend(t, _setting(stack, "eta", t.ndim), g[layer])
+              for layer, t in rows.z.items()}
+    agg = _aggregation_tensor(z_half, rows.neighbor_avg, count > 1)
+    return losses if count > 1 else [losses], z_half, g, _extracted(stack, agg)
 
 
 def _fine_tuned(stack, avg, z, g):
-    """The stacked scores ``z`` of ``stack``'s agents with their stacked
-    cached gradients ``g`` re-applied, scaled entry-wise by the stacked
-    neighbor average ``avg`` (None, for no neighbors, changes nothing);
-    unstacked for a stack of one."""
+    """The scores ``z`` of ``stack``'s agents with their cached gradients
+    ``g`` re-applied, scaled entry-wise by their neighbor average ``avg``
+    (None, for no neighbors, changes nothing): per-layer stacks, or one
+    agent's own tensors."""
     if avg is None:
         return z
-    eta = _agent_values(stack, "eta")
-    return {layer: _descend(t, _column(eta, t), g[layer], avg[layer])
+    return {layer: _descend(t, _setting(stack, "eta", t.ndim), g[layer], avg[layer])
             for layer, t in z.items()}
 
 
 def _aggregated(stack, z, avg):
-    """Per agent of ``stack``: its aggregation tensor on the stacked scores
-    ``z`` and neighbor average ``avg`` (None: no neighbors), and the mask
-    extracted from it."""
-    return [(ys, extract(ys, s.r, s.min_nonzero)) for s, ys in zip(
-        stack, _split(_aggregation_tensor(z, avg, len(stack) > 1), len(stack)))]
+    """The aggregation tensors of ``stack``'s agents on their scores ``z``
+    and neighbor average ``avg`` (None: no neighbors), and the masks
+    extracted from them, in the layout of ``z``."""
+    y = _aggregation_tensor(z, avg, len(stack) > 1)
+    return y, _extracted(stack, y)
 
 
 def backprop_half_step(state, w, arch, batch_x, batch_y):
@@ -347,7 +376,8 @@ def backprop_half_step(state, w, arch, batch_x, batch_y):
     to transmit: :func:`_half_steps` on a stack of one.
     Returns (half-stepped scores, cached gradient, intermediate mask set).
     """
-    (loss,), z_half, g, (m_half,) = _half_steps([state], w, arch, [(batch_x, batch_y)])
+    (loss,), z_half, g, m_half = _half_steps([state], state, w, arch,
+                                             [(batch_x, batch_y)])
     state.z, state.grad_cache, state.last_loss = z_half, g, loss
     return z_half, g, m_half
 
@@ -377,7 +407,7 @@ def aggregate_step(state, neighbor_avg):
     built on the fine-tuned scores, re-extract the agent's mask and keep the
     average for the next half-step. Returns (aggregation tensors, new mask
     set)."""
-    (y, m), = _aggregated([state], state.z, neighbor_avg)
+    y, m = _aggregated([state], state.z, neighbor_avg)
     state.m = m
     state.neighbor_avg = neighbor_avg
     state.grad_cache = None
@@ -432,71 +462,96 @@ def _local_step(state, w, arch, batch_x, batch_y, step):
 
 # What a stacked step raises where one of its agents' steps would fail: a
 # rejected input or tensor, floating-point errors under np.errstate, and
-# numpy's warnings where a filter raises them. The stack is then replayed
-# one agent at a time, which raises what the plain loop raises.
+# numpy's warnings where a filter raises them.
 _STACK_FAILURES = (ValueError, ArithmeticError, Warning)
 
 
-def _stack_half_steps(stack, w, arch, hyper, round_index):
-    """The half-steps of ``stack``'s agents as one :func:`_half_steps`,
-    committed in ascending id with each agent's loss checked. Returns the
-    stacked scores and cached gradient that fine-tuning reads, or None
-    where the stacked step failed and was replayed one agent at a time."""
-    batches = [_local_batch(s, hyper, round_index) for s in stack]
-    try:
-        losses, z, g, masks = _half_steps(stack, w, arch, batches)
-    except _STACK_FAILURES:
-        for s, (bx, by) in zip(stack, batches):
-            _local_step(s, w, arch, bx, by, round_index)
-        return None
-    for state, loss, zs, gs, m in zip(stack, losses, _split(z, len(stack)),
-                                      _split(g, len(stack)), masks):
-        with _checked_step(state, round_index):
-            state.z, state.grad_cache, state.last_loss, state.m = zs, gs, loss, m
-    return z, g
-
-
-def _stack_fuse(stack, averages, round_index, held):
-    """Fine-tuning and aggregation of ``stack``'s agents on their fresh
-    neighbor averages: stacked on the ``held`` stacks of their half-step,
-    else, or where that fails, one agent at a time through
-    :func:`fine_tune_step` and :func:`aggregate_step`."""
-    if held is not None:
+def _in_stacks(step, stack, round_index, *args):
+    """``step(stack, *args)`` on the consecutive agents of ``stack`` at
+    once. Where that raises one of ``_STACK_FAILURES`` or returns False, it
+    runs on each agent alone instead, checked (:func:`_checked_step`), which
+    raises what the plain loop raises. A step writes the store only once its
+    whole stack succeeded, so a failed stack leaves every row as it was."""
+    if len(stack) > 1:
         try:
-            avg = _stack_layers(averages)
-            z = _fine_tuned(stack, avg, *held)
-            done = _aggregated(stack, z, avg)
+            if step(stack, *args):
+                return
         except _STACK_FAILURES:
             pass
-        else:
-            for state, mine, zs, (_, m) in zip(stack, averages,
-                                                _split(z, len(stack)), done):
-                state.z, state.m, state.neighbor_avg = zs, m, mine
-                state.grad_cache = None
-            return
-    for state, avg in zip(stack, averages):
+    for state in stack:
         with _checked_step(state, round_index):
-            fine_tune_step(state, avg)
-            aggregate_step(state, avg)
+            step([state], *args)
+
+
+def _stack_rows(stack):
+    """The store rows of ``stack``'s consecutive agents: a slice, or the
+    one agent's rows unstacked."""
+    first = stack[0].agent_id
+    return stack[0].store[first if len(stack) == 1 else slice(first, first + len(stack))]
+
+
+def _commit(rows, **fields):
+    for name, tensors in fields.items():
+        for layer, t in getattr(rows, name).items():
+            t[...] = tensors[layer]
+
+
+def _bind(states, name):
+    """Point each state's ``name`` at its own store rows, without the copy
+    that binding a dict to the field makes."""
+    for s in states:
+        object.__setattr__(s, name, s.store.rows(name, s.agent_id))
+
+
+def _stack_half_steps(stack, w, arch, hyper, round_index):
+    """The half-steps of ``stack``'s agents as one :func:`_half_steps` on
+    their store rows. Sets each agent's loss; writes the rows and returns
+    True only where every loss is finite."""
+    rows = _stack_rows(stack)
+    losses, z, g, m = _half_steps(stack, rows, w, arch, [
+        _local_batch(s, hyper, round_index) for s in stack])
+    for state, loss in zip(stack, losses):
+        state.last_loss = loss
+    if not np.isfinite(losses).all():
+        return False
+    _commit(rows, z=z, grad_cache=g, m=m)
+    stack[0].store.held[stack[0].agent_id, "half"] = m
+    _bind(stack, "grad_cache")
+    return True
+
+
+def _stack_fuse(stack):
+    """Fine-tuning and aggregation of ``stack``'s agents on their store rows
+    and fresh neighbor averages, written there once all succeeded."""
+    rows = _stack_rows(stack)
+    z = _fine_tuned(stack, rows.neighbor_avg, rows.z, rows.grad_cache)
+    m = _aggregated(stack, z, rows.neighbor_avg)[1]
+    _commit(rows, z=z, m=m)
+    stack[0].store.held[stack[0].agent_id, "fuse"] = m
+    for state in stack:
+        state.grad_cache = None
+    return True
 
 
 def _exchange_masks(graph, masks, round_index, shapes, ledger):
     """Send every agent's mask set (``masks`` maps agent -> mask set) to its
     neighbors: one frame per agent through :func:`exchange`, each frame
-    decoded once to uint8 bits. Returns agent -> the entry-wise average of
-    the masks it received (None without neighbors, which acts as a zero
-    tensor). Per layer, a float64 matrix of who heard whom times every
-    sender's bits counts each agent's received ones, exactly, and one
+    decoded once to uint8 bits. Returns the entry-wise average of the masks
+    each agent received, per layer as one float64 (A, *shape) array whose
+    row a is agent a's; None where nobody heard anyone, as in a run of one
+    agent (a :class:`Graph` is connected, so in a larger one every agent
+    hears someone). Per layer, a float64 matrix of who heard whom times
+    every sender's bits counts each agent's received ones, exactly, and one
     divide by its sender count then gives the float64 sum-then-divide bit
-    for bit. Each agent's average is its row of one array per layer, so a
-    stack of consecutive agents reads them without a copy. The decoded bits
-    are dropped on return."""
+    for bit. The decoded bits are dropped on return."""
     outbox = {a: encode_mask(m, a, round_index) for a, m in masks.items()}
     inbox = exchange(graph, outbox, ledger)
     heard = np.zeros((len(outbox), len(outbox)))
     for a, frames in inbox.items():
         heard[a, [f.sender for f in frames]] = 1.0
     senders = heard.sum(axis=1)[:, None]
+    if not senders.any():
+        return None
     decoded = [decode_mask(outbox[a], shapes) for a in range(len(outbox))]
     average = {}
     for layer in sorted(shapes):
@@ -505,8 +560,16 @@ def _exchange_masks(graph, masks, round_index, shapes, ledger):
         np.matmul(heard, np.stack([d[layer].reshape(-1) for d in decoded],
                                   dtype=np.float64), out=total)
         np.divide(total, senders, out=total, where=senders > 0)
-    return {a: {layer: t[a] for layer, t in average.items()} if senders[a, 0] else None
-            for a in range(len(outbox))}
+    return average
+
+
+def _share_masks(states, graph, round_index, shapes, ledger):
+    """Exchange the masks of ``states`` (:func:`_exchange_masks`). Their
+    agent store takes the averages, and each state's ``neighbor_avg`` views
+    its row."""
+    states[0].store.neighbor_avg = _exchange_masks(
+        graph, {s.agent_id: s.m for s in states}, round_index, shapes, ledger)
+    _bind(states, "neighbor_avg")
 
 
 def _weight_step(state, arch, batch_x, batch_y):
@@ -533,34 +596,33 @@ def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
     """One synchronous round of ``hyper.algorithm`` (see the module
     docstring): one local step per agent, collected in ascending id, then
     the algorithm's mixing rule. A mask algorithm steps stacks of
-    :func:`_stack_size` consecutive agents; stacks of one, and the weight
-    steps, run through :func:`_each` on :func:`_agent_workers` threads. A
-    diverging step raises what the plain loop would, naming the lowest
-    failing agent."""
+    :func:`_stack_size` consecutive agents on their store rows; the stacks,
+    or the weight steps, run through :func:`_each` on
+    :func:`_agent_workers` threads. A diverging step raises what the plain
+    loop would, naming the lowest failing agent."""
     kind = hyper.algorithm
     if kind not in ALGORITHMS:
         raise ValueError(f"unknown algorithm '{kind}'")
-    size = _stack_size(arch, hyper.batch_size) if kind in _MASK_ALGORITHMS else 1
+    masked = kind in _MASK_ALGORITHMS
+    size = _stack_size(arch, hyper.batch_size) if masked else 1
     stacks = [states[i:i + size] for i in range(0, len(states), size)]
+    if masked and states[0].store.grad_cache is None:    # before any thread
+        states[0].store.grad_cache = states[0].store.zeros()
 
-    def step(state):
+    def step(stack):
+        if masked:
+            return _in_stacks(_stack_half_steps, stack, round_index, w, arch, hyper,
+                              round_index)
+        state, = stack
         return _local_step(state, w, arch, *_local_batch(state, hyper, round_index),
                            round_index)
-    if size == 1:
-        sent = _each(step, states, _agent_workers(arch, hyper.batch_size))
-        held = [None] * len(stacks)
-    else:
-        held = [_stack_half_steps(stack, w, arch, hyper, round_index)
-                for stack in stacks]
-        sent = [s.m for s in states]
-    sent = dict(zip([s.agent_id for s in states], sent))
+    sent = _each(step, stacks, _agent_workers(arch, hyper.batch_size))
     if kind == "gossip_mask":
-        averages = _exchange_masks(graph, sent, round_index, arch.param_shapes(),
-                                   ledger)
-        for stack, kept in zip(stacks, held):
-            _stack_fuse(stack, [averages[s.agent_id] for s in stack], round_index,
-                        kept)
-    elif kind not in ("ind_mask", "ind_weipru"):
+        _share_masks(states, graph, round_index, arch.param_shapes(), ledger)
+        for stack in stacks:
+            _in_stacks(_stack_fuse, stack, round_index)
+    elif not masked and kind != "ind_weipru":
+        sent = dict(zip([s.agent_id for s in states], sent))
         for state in states:
             neighbors = graph.neighbors[state.agent_id]
             if ledger is not None:
@@ -637,13 +699,15 @@ def build_states(arch, hyper, graph, train, test, plan, w):
     """Per-agent states for :func:`run`, ready for round 1: a data shard each,
     read through :class:`~gossipmask.data.Rows` at the plan's indices (no
     copy of a sample), and scores from the z substream with their mask
-    (mask algorithms) or a copy of ``w`` with its pruning mask (weight
-    baselines; dsgd is unmasked)."""
+    (mask algorithms, held in one :class:`AgentStore`) or a copy of ``w``
+    with its pruning mask (weight baselines; dsgd is unmasked)."""
     if len(hyper.retention) != graph.n:
         raise ValueError(
             f"retention list has {len(hyper.retention)} entries for {graph.n} agents")
     if len(plan.train_indices) != graph.n:
         raise ValueError("partition plan does not match the agent count")
+    masked = hyper.algorithm in _MASK_ALGORITHMS
+    store = AgentStore(arch.param_shapes(), graph.n) if masked else None
     states = []
     for i in range(graph.n):
         tr, te = plan.train_indices[i], plan.test_indices[i]
@@ -651,8 +715,8 @@ def build_states(arch, hyper, graph, train, test, plan, w):
             raise ValueError(f"agent {i} has an empty training shard")
         state = AgentState(i, hyper.retention[i], Rows(train.features, tr),
                            Rows(train.labels, tr), Rows(test.features, te),
-                           Rows(test.labels, te), hyper.eta, hyper.lam)
-        if hyper.algorithm in _MASK_ALGORITHMS:
+                           Rows(test.labels, te), hyper.eta, hyper.lam, store=store)
+        if masked:
             state.z = _scores(arch, hyper.seed, i)
             state.min_nonzero = hyper.min_nonzero
             with _blamed(state, 0):
@@ -682,10 +746,7 @@ def run(arch, hyper, graph, train, test, plan):
     states = build_states(arch, hyper, graph, train, test, plan, w)
     ledger = CommLedger()
     if hyper.algorithm == "gossip_mask":
-        averages = _exchange_masks(graph, {s.agent_id: s.m for s in states},
-                                   0, arch.param_shapes(), ledger)
-        for state in states:
-            state.neighbor_avg = averages[state.agent_id]
+        _share_masks(states, graph, 0, arch.param_shapes(), ledger)
 
     log = MetricsLog()
     _evaluate_round(log, 0, states, w, arch, ledger, workers)

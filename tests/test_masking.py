@@ -116,11 +116,13 @@ def test_threshold_rejects_non_finite_scores(r, bad):
 
 
 def test_extract_names_the_rejected_layer():
+    # also where the masks are written into ``out``
     z = {0: np.ones((2, 3)), 4: np.array([[0.5, np.inf], [np.nan, 0.1]])}
-    with pytest.raises(LayerError, match=r"^layer 4: 2 non-finite score\(s\) "
-                                         r"in a tensor of shape \(2, 2\)$") as caught:
-        extract(z, 0.5)
-    assert caught.value.layer == 4
+    for out in (None, {idx: np.empty(t.shape, dtype=bool) for idx, t in z.items()}):
+        with pytest.raises(LayerError, match=r"^layer 4: 2 non-finite score\(s\) "
+                                             r"in a tensor of shape \(2, 2\)$") as caught:
+            extract(z, 0.5, out=out)
+        assert caught.value.layer == 4
 
 
 def test_threshold_scale_invariance():
@@ -188,6 +190,14 @@ def test_extract_without_fil_equals_threshold():
     masks = extract(z, 0.4, 0)
     for idx in z:
         np.testing.assert_array_equal(masks[idx], threshold_layer(z[idx], 0.4))
+    # the same bools written into row 1 of a stack of masks, and returned
+    # as those rows; the other rows stay as they were
+    stack = {idx: np.zeros((3,) + t.shape, dtype=bool) for idx, t in z.items()}
+    rows = extract(z, 0.4, 0, out={idx: t[1] for idx, t in stack.items()})
+    for idx, t in stack.items():
+        assert np.shares_memory(rows[idx], t[1]) and rows[idx].shape == t[1].shape
+        assert t[1].tobytes() == masks[idx].tobytes()
+        assert not t[0].any() and not t[2].any()
 
 
 def test_extract_thresholds_each_layer_through_the_module(monkeypatch):

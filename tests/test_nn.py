@@ -306,10 +306,12 @@ def test_harness_step_peak_holds_its_kept_columns():
 def test_desk_gossip_round_peak_holds_one_stack():
     # a gossip_mask round at configs/train.conf's shape (8 agents, batch 8)
     # steps all 8 agents as one stack, holding their effective tensors,
-    # gradients and score stacks at once. Rounds 2 to 5 peak near 6.4 MiB
-    # beside the shared column buffer (2.3 MiB, the stack's lower conv),
-    # which round 1 allocates; one agent at a time they peaked near 4.2 MiB,
-    # and 8.6 MiB when a stack kept its columns
+    # gradients and new score stacks at once. Rounds 2 to 5 peak near 5.0
+    # MiB beside the shared column buffer (2.3 MiB, the stack's lower conv)
+    # and the agent store, which round 1 allocates; with a fresh copy of
+    # every agent's state per round and no store they peaked near 6.2 MiB,
+    # one agent at a time near 4.2 MiB, and 8.6 MiB when a stack kept its
+    # columns
     import gossipmask as gm
     from gossipmask import trainer
     cfg = parse_config((Path(__file__).resolve().parent.parent / "configs"
@@ -323,10 +325,7 @@ def test_desk_gossip_round_peak_holds_one_stack():
     assert nn._stack_size(arch, hyper.batch_size) >= cfg.n
     w = init_params(arch, 0)
     states = trainer.build_states(arch, hyper, graph, train, test, plan, w)
-    averages = trainer._exchange_masks(graph, {s.agent_id: s.m for s in states}, 0,
-                                       arch.param_shapes(), None)
-    for s in states:
-        s.neighbor_avg = averages[s.agent_id]
+    trainer._share_masks(states, graph, 0, arch.param_shapes(), None)
     trainer.gossip_mask_round(states, w, arch, graph, hyper, 1)
     tracemalloc.start()
     try:

@@ -198,13 +198,13 @@ def test_exchange_masks_ascending_and_empty():
     masks = {0: {0: np.array([0.0, 1.0])}, 1: {0: np.array([1.0, 1.0])},
              2: {0: np.array([1.0, 0.0])}}
     averages = trainer._exchange_masks(path, masks, 0, {0: (2,)}, None)
-    assert averages[0][0].dtype == np.float64
-    np.testing.assert_array_equal(averages[0][0], [1.0, 0.5])
-    np.testing.assert_array_equal(averages[2][0], [0.0, 1.0])
+    # per layer one array, with row a agent a's average
+    assert list(averages) == [0] and averages[0].dtype == np.float64
+    np.testing.assert_array_equal(averages[0], [[1.0, 0.5], [0.0, 1.0], [0.0, 1.0]])
     # a lone agent hears nobody: no average, which acts as a zero tensor
     lone = trainer._exchange_masks(Graph(np.zeros((1, 1))), {0: masks[0]}, 0,
                                    {0: (2,)}, None)
-    assert lone == {0: None}
+    assert lone is None
 
 
 def test_hub_average_of_many_senders_equals_the_float_reference():
@@ -222,12 +222,12 @@ def test_hub_average_of_many_senders_equals_the_float_reference():
     averages = trainer._exchange_masks(Graph(adjacency), masks, 4, shapes, None)
     want = reference_average({a: masks[a] for a in range(1, n)})
     for layer in shapes:
-        assert averages[0][layer].dtype == want[layer].dtype
-        assert averages[0][layer].tobytes() == want[layer].tobytes()
+        assert averages[layer].dtype == want[layer].dtype
+        assert averages[layer][0].tobytes() == want[layer].tobytes()
     assert averages[0][0][0] == 1.0
     for a in (1, n - 1):
         for layer in shapes:
-            assert averages[a][layer].tobytes() == masks[0][layer].tobytes()
+            assert averages[layer][a].tobytes() == masks[0][layer].tobytes()
 
 
 # ------------------------------------------------------------- full round
@@ -363,29 +363,34 @@ def test_shared_params_frozen_under_mask_rounds():
 
 def _held_bytes(states, w):
     """(array, its bytes) for each array a step may read but not write: the
-    shared parameters and every agent's scores, mask, neighbor average and
-    weights."""
+    shared parameters, every agent's neighbor average and weights, and the
+    scores and mask of an agent outside an agent store (a store's rows are
+    the agents' own, written in place)."""
     held = [(t, t.tobytes()) for t in w.values()]
     for s in states:
-        for part in (s.z, s.m, s.neighbor_avg, s.weights):
+        own = (s.z, s.m) if s.store is None else ()
+        for part in (*own, s.neighbor_avg, s.weights):
             held += [(t, t.tobytes()) for t in (part or {}).values()]
     return held
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_a_round_writes_only_into_arrays_it_made(algorithm):
+    # or into the rows of the mask agents' store, which stays the same arrays
     arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm=algorithm)
     w = init_params(arch, 5)
     states = build_states(arch, hyper, graph, train, test, plan, w)
+    store = states[0].store
+    assert (store is None) == (algorithm not in ("gossip_mask", "ind_mask"))
     if algorithm == "gossip_mask":      # run()'s bootstrap exchange
-        averages = trainer._exchange_masks(graph, {s.agent_id: s.m for s in states},
-                                           0, arch.param_shapes(), None)
-        for s in states:
-            s.neighbor_avg = averages[s.agent_id]
+        trainer._share_masks(states, graph, 0, arch.param_shapes(), None)
     for k in (1, 2):
         held = _held_bytes(states, w)
+        rows = store and [t for part in (store.z, store.m) for t in part.values()]
         gossip_mask_round(states, w, arch, graph, hyper, k)
         assert all(t.tobytes() == data for t, data in held)
+        assert rows == (store and [t for part in (store.z, store.m)
+                                   for t in part.values()])
 
 
 def test_harness_arms_write_only_into_arrays_they_made(monkeypatch):
@@ -474,48 +479,82 @@ def test_only_mask_runs_draw_scores(monkeypatch, algorithm):
     assert keys.count("batch") == graph.n * hyper.rounds
 
 
-def _stacks_of_two(monkeypatch, arch, batch_size):
-    """Budget the fixture's round into stacks of two agents: the stacks'
-    columns stay below ``nn._SHARED_BYTES``, and each step's own too."""
+def _stacks_of(monkeypatch, arch, batch_size, size):
+    """Budget a round into stacks of ``size`` agents: the stacks' columns
+    stay below ``nn._SHARED_BYTES``, and each step's own too."""
     monkeypatch.setattr(nn, "_SHARED_BYTES",
-                        2 * nn._largest_column_bytes(arch, batch_size) + 1)
-    assert nn._stack_size(arch, batch_size) == 2
+                        size * nn._largest_column_bytes(arch, batch_size) + 1)
+    assert nn._stack_size(arch, batch_size) == size
+
+
+def _eight_agents(rounds=3):
+    return fixture_run_inputs(n=8, rounds=rounds, r=(0.3, 0.2, 0.4, 0.3) * 2)
+
+
+def _is_rows(t, whole, stack):
+    """Whether ``t`` is exactly the rows of ``stack``'s agents in the store
+    array ``whole``: their shape, their memory and no other row's."""
+    i, j = stack[0].agent_id, stack[-1].agent_id + 1
+    return (t.shape == whole[i:j].shape and np.shares_memory(t, whole[i:j])
+            and not np.shares_memory(t, whole[:i])
+            and not np.shares_memory(t, whole[j:]))
+
+
+def _reads_rows(tensors, whole, stack):
+    return tensors.keys() == whole.keys() and all(
+        _is_rows(t, whole[layer], stack) for layer, t in tensors.items())
 
 
 def test_gossip_round_steps_through_module_bindings(monkeypatch):
     # per stack of consecutive agents, in ascending order: one gradient of
-    # the stacked masks and batches, then fine-tuning and aggregation. Each
-    # step is looked up on the module at call time
-    arch, hyper, graph, train, test, plan = fixture_run_inputs()
-    _stacks_of_two(monkeypatch, arch, hyper.batch_size)
+    # the stack's masks and batches, then fine-tuning and aggregation. Each
+    # step is looked up on the module at call time, and reads the stack's
+    # rows of the agent store, not copies: its scores, masks and averages,
+    # and in fine-tuning its cached gradients. At stacks of 2 and of 8
+    arch, hyper, graph, train, test, plan = _eight_agents()
     w = init_params(arch, 0)
-    states = build_states(arch, hyper, graph, train, test, plan, w)
-    for s in states:
-        s.neighbor_avg = reference_average({int(j): s.m
-                                            for j in graph.neighbors[s.agent_id]})
-    calls, stepping = [], []
+    calls, stepping, stores = [], [], []
 
-    def agents(stack, *_):
+    def agents(stack):
         return [s.agent_id for s in stack]
 
-    def half(stack, *_):
+    def half(stack, rows, *_):
+        store = stores[-1]
         stepping[:] = stack
         calls.append(("half", agents(stack)))
+        assert _reads_rows(rows.z, store.z, stack)
+        assert _reads_rows(rows.m, store.m, stack)
+        assert _reads_rows(rows.neighbor_avg, store.neighbor_avg, stack)
     _counting(monkeypatch, "_half_steps", half)
 
     def grad(arch, w, m, x, y):
-        # each agent's own mask, at its place in the stack
-        assert all(np.array_equal(m[layer][i], s.m[layer])
-                   for layer in m for i, s in enumerate(stepping))
+        assert _reads_rows(m, stores[-1].m, stepping)
         calls.append(("grad", len(x)))
     _counting(monkeypatch, "loss_and_grad_v", grad)
-    for name in ("_fine_tuned", "_aggregated"):
-        _counting(monkeypatch, name,
-                  lambda stack, *_, name=name: calls.append((name, agents(stack))))
-    gossip_mask_round(states, w, arch, graph, hyper, 1)
-    assert calls == [("half", [0, 1]), ("grad", 2), ("half", [2, 3]), ("grad", 2),
-                     ("_fine_tuned", [0, 1]), ("_aggregated", [0, 1]),
-                     ("_fine_tuned", [2, 3]), ("_aggregated", [2, 3])]
+
+    def fine_tuned(stack, avg, z, g, *_):
+        store = stores[-1]
+        calls.append(("_fine_tuned", agents(stack)))
+        assert _reads_rows(z, store.z, stack)
+        assert _reads_rows(g, store.grad_cache, stack)
+        assert _reads_rows(avg, store.neighbor_avg, stack)
+    _counting(monkeypatch, "_fine_tuned", fine_tuned)
+
+    def aggregated(stack, z, avg, *_):
+        calls.append(("_aggregated", agents(stack)))
+        assert _reads_rows(avg, stores[-1].neighbor_avg, stack)
+    _counting(monkeypatch, "_aggregated", aggregated)
+    for size in (2, 8):
+        _stacks_of(monkeypatch, arch, hyper.batch_size, size)
+        states = build_states(arch, hyper, graph, train, test, plan, w)
+        trainer._share_masks(states, graph, 0, arch.param_shapes(), None)
+        stores.append(states[0].store)
+        calls.clear()
+        gossip_mask_round(states, w, arch, graph, hyper, 1)
+        stacks = [list(range(i, i + size)) for i in range(0, graph.n, size)]
+        assert calls == ([c for a in stacks for c in (("half", a), ("grad", size))]
+                         + [(name, a) for a in stacks
+                            for name in ("_fine_tuned", "_aggregated")])
 
 
 def test_each_frame_decoded_once(monkeypatch):
@@ -555,18 +594,13 @@ def test_decoded_masks_do_not_outlive_the_round(monkeypatch):
         assert set(s.neighbor_avg) == set(arch.param_shapes())
 
 
-def _address(a):
-    return a.__array_interface__["data"][0]
-
-
 def test_received_masks_averaged_once_per_round(monkeypatch):
-    # one exchange per round, the bootstrap included. Each agent gets one
-    # average from it, which its fine-tuning and aggregation read in that
-    # round and its half-step in the next: the stacks they read are views
-    # of that one average, not copies
-    arch, hyper, graph, train, test, plan = fixture_run_inputs(rounds=3)
-    _stacks_of_two(monkeypatch, arch, hyper.batch_size)
-    exchanged, seen = [], {}
+    # one exchange per round, the bootstrap included, whose per-layer
+    # averages the agent store takes. Each stack's fine-tuning and
+    # aggregation read its rows of that round's averages, and its half-step
+    # in the next round, not copies. At stacks of 2 and of 8
+    arch, hyper, graph, train, test, plan = _eight_agents()
+    exchanged, seen, states = [], {}, []
     exchange_masks = trainer._exchange_masks
 
     def recording_exchange(*args):
@@ -575,31 +609,35 @@ def test_received_masks_averaged_once_per_round(monkeypatch):
     monkeypatch.setattr(trainer, "_exchange_masks", recording_exchange)
 
     def reading(name, stack, avg):
-        for i, s in enumerate(stack):
-            seen.setdefault((name, s.agent_id), []).append(
-                {layer: _address(t[i]) for layer, t in avg.items()})
-    _counting(monkeypatch, "_half_steps", lambda stack, *_: reading(
-        "half", stack, trainer._stack_layers([s.neighbor_avg for s in stack])))
+        # all exchanges stay alive in ``exchanged``, so their memory differs
+        which = [e for e, whole in enumerate(exchanged)
+                 if _reads_rows(avg, whole, stack)]
+        for s in stack:
+            seen.setdefault((name, s.agent_id), []).extend(which)
+    _counting(monkeypatch, "_half_steps",
+              lambda stack, rows, *_: reading("half", stack, rows.neighbor_avg))
     _counting(monkeypatch, "_fine_tuned",
               lambda stack, avg, *_: reading("_fine_tuned", stack, avg))
     _counting(monkeypatch, "_aggregated",
-              lambda stack, z, avg: reading("_aggregated", stack, avg))
-    states = []
+              lambda stack, z, avg, *_: reading("_aggregated", stack, avg))
     build = trainer.build_states
     monkeypatch.setattr(trainer, "build_states",
                         lambda *args: states.extend(build(*args)) or states)
-    run(arch, hyper, graph, train, test, plan)
-    assert len(exchanged) == hyper.rounds + 1
-    for a in range(graph.n):
-        averages = [per_agent[a] for per_agent in exchanged]
-        assert all(set(avg) == set(arch.param_shapes()) for avg in averages)
-        ids = [id(avg) for avg in averages]      # all alive in ``exchanged``
-        assert len(set(ids)) == len(ids)
-        where = [{layer: _address(t) for layer, t in avg.items()} for avg in averages]
-        assert seen[("half", a)] == where[:-1]
-        for name in ("_fine_tuned", "_aggregated"):
-            assert seen[(name, a)] == where[1:]
-        assert states[a].neighbor_avg is averages[-1]
+    for size in (2, 8):
+        _stacks_of(monkeypatch, arch, hyper.batch_size, size)
+        exchanged.clear(), seen.clear(), states.clear()
+        run(arch, hyper, graph, train, test, plan)
+        assert len(exchanged) == hyper.rounds + 1
+        rounds = list(range(hyper.rounds))
+        for a in range(graph.n):
+            assert seen[("half", a)] == rounds
+            for name in ("_fine_tuned", "_aggregated"):
+                assert seen[(name, a)] == [k + 1 for k in rounds]
+        assert states[0].store.neighbor_avg is exchanged[-1]
+        for s in states:
+            assert all(t.shape == exchanged[-1][layer][s.agent_id].shape
+                       and np.shares_memory(t, exchanged[-1][layer][s.agent_id])
+                       for layer, t in s.neighbor_avg.items())
 
 
 @pytest.mark.parametrize("algorithm", ["gossip_mask", "ind_mask"])
@@ -624,26 +662,32 @@ def test_run_csv_bytes_do_not_depend_on_the_stacking(algorithm, monkeypatch, tmp
 def test_stacked_round_keeps_each_agents_own_settings(algorithm, monkeypatch):
     # agents of one stack with their own eta, lam (one of them 0) and
     # min_nonzero, beside their own retention ratios: every score, cached
-    # gradient, mask and average ends as the one-agent steps leave it
+    # gradient, mask and average ends as the one-agent steps leave it. So
+    # do stacks of one on four threads that switch often, each writing its
+    # rows of the one agent store
     arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm=algorithm)
     w = init_params(arch, 0)
+    monkeypatch.setattr(trainer, "_WORKERS", 4)
+    monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
+    cols = nn._largest_column_bytes(arch, hyper.batch_size)
     ends = []
-    for size in (1, graph.n):
-        monkeypatch.setattr(nn, "_SHARED_BYTES",
-                            size * nn._largest_column_bytes(arch, hyper.batch_size) + 1)
-        states = build_states(arch, hyper, graph, train, test, plan, w)
-        for s, eta, lam, least in zip(states, (1.0, 0.5, 2.0, 1.0),
-                                      (0.001, 0.0, 0.01, 0.001), (2, 0, 1, 3)):
-            s.eta, s.lam, s.min_nonzero = eta, lam, least
-        averages = trainer._exchange_masks(graph, {s.agent_id: s.m for s in states},
-                                           0, arch.param_shapes(), None)
-        for s in states:
-            s.neighbor_avg = averages[s.agent_id]
-        for k in (1, 2):
-            gossip_mask_round(states, w, arch, graph, hyper, k)
-        ends.append(pickle.dumps([(s.z, s.m, s.grad_cache, s.neighbor_avg, s.last_loss)
-                                  for s in states]))
-    assert ends[0] == ends[1]
+    interval = sys.getswitchinterval()
+    try:
+        for shared in (cols + 1, graph.n * cols + 1, 0):
+            monkeypatch.setattr(nn, "_SHARED_BYTES", shared)
+            sys.setswitchinterval(1e-5 if shared == 0 else interval)
+            states = build_states(arch, hyper, graph, train, test, plan, w)
+            for s, eta, lam, least in zip(states, (1.0, 0.5, 2.0, 1.0),
+                                          (0.001, 0.0, 0.01, 0.001), (2, 0, 1, 3)):
+                s.eta, s.lam, s.min_nonzero = eta, lam, least
+            trainer._share_masks(states, graph, 0, arch.param_shapes(), None)
+            for k in (1, 2):
+                gossip_mask_round(states, w, arch, graph, hyper, k)
+            ends.append(pickle.dumps([(s.z, s.m, s.grad_cache, s.neighbor_avg,
+                                       s.last_loss) for s in states]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert ends[0] == ends[1] == ends[2]
 
 
 def test_one_agent_gossip_run_equals_its_independent_run():
@@ -815,6 +859,34 @@ def test_layer_left_without_ones_names_agent_round_and_layer():
     states[1].min_nonzero = 19
     with pytest.raises(SimulationError, match=f"^agent 1, round 4, {message}"):
         gossip_mask_round(states, w, arch, graph, hyper, 4)
+
+
+@pytest.mark.parametrize("fault", ["nan_score", "min_nonzero"])
+def test_failed_stack_leaves_the_store_as_the_plain_loop_does(fault, monkeypatch):
+    # agent 2 fails in the middle of a stack of 4, at round 2: the stack
+    # writes no row, and the replay one agent at a time raises what stacks
+    # of one raise and leaves every row of the store as they leave it. A
+    # stack that wrote agents 0 and 1's masks before agent 2 failed would
+    # replay them from those masks
+    arch, hyper, graph, train, test, plan = fixture_run_inputs()
+    w = init_params(arch, 0)
+    ends = []
+    for size in (1, 4):
+        _stacks_of(monkeypatch, arch, hyper.batch_size, size)
+        states = build_states(arch, hyper, graph, train, test, plan, w)
+        trainer._share_masks(states, graph, 0, arch.param_shapes(), None)
+        gossip_mask_round(states, w, arch, graph, hyper, 1)
+        if fault == "nan_score":
+            states[2].z[0][0, 0, 0, 0] = np.nan
+        else:   # an output filter of layer 0 holds 18 entries
+            states[2].min_nonzero = 19
+        with pytest.raises(SimulationError) as err:
+            gossip_mask_round(states, w, arch, graph, hyper, 2)
+        store = states[0].store
+        ends.append((str(err.value), [t.tobytes() for part in (
+            store.z, store.m, store.grad_cache, store.neighbor_avg) for t in part.values()]))
+    assert ends[0][0].startswith("agent 2, round 2, layer 0")
+    assert ends[0] == ends[1]
 
 
 def test_diverging_harness_arm_names_agent_and_step():
@@ -1198,30 +1270,31 @@ def test_round_runs_its_local_steps_through_the_pool_past_the_gate(shared, monke
 
     def spy(fn, items, workers):
         if workers > 1:
-            pooled.append([s.agent_id for s in items])
+            pooled.append([[s.agent_id for s in stack] for stack in items])
         return each(fn, items, workers)
     monkeypatch.setattr(trainer, "_each", spy)
     arch, hyper, graph, train, test, plan = fixture_run_inputs()
     w = init_params(arch, 0)
     states = build_states(arch, hyper, graph, train, test, plan, w)
     gossip_mask_round(states, w, arch, graph, hyper, 1)
-    assert pooled == ([[0, 1, 2, 3]] if shared else [])
+    assert pooled == ([[[0], [1], [2], [3]]] if shared else [])
 
 
 def test_threaded_round_names_the_lower_of_two_diverging_agents(monkeypatch):
     # agents 1 and 2 diverge; agent 1 fails only after agent 2 has failed on
     # the other thread. The error names agent 1, as the serial loop's does
+    # (each agent a stack of one past the gate)
     monkeypatch.setattr(trainer, "_WORKERS", 2)
     failed = threading.Event()
-    step = trainer._local_step
+    step = trainer._stack_half_steps
 
-    def ordered(state, *args):
-        if state.agent_id == 1:
+    def ordered(stack, *args):
+        if stack[0].agent_id == 1:
             assert failed.wait(10)
         try:
-            return step(state, *args)
-        except SimulationError:
-            if state.agent_id == 2:
+            return step(stack, *args)
+        except ValueError:
+            if stack[0].agent_id == 2:
                 failed.set()
             raise
     arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm="ind_mask")
@@ -1229,7 +1302,7 @@ def test_threaded_round_names_the_lower_of_two_diverging_agents(monkeypatch):
     messages = []
     for shared in (True, False):
         monkeypatch.setattr(nn, "_SHARED_BYTES", 0 if shared else 1 << 62)
-        monkeypatch.setattr(trainer, "_local_step", ordered if shared else step)
+        monkeypatch.setattr(trainer, "_stack_half_steps", ordered if shared else step)
         states = build_states(arch, hyper, graph, train, test, plan, w)
         for s in states[1:3]:
             s.train_x = np.full_like(s.train_x, np.nan)
