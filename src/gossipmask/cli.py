@@ -10,16 +10,16 @@ bit for bit.
 
 Experiments
 -----------
-``train``        one run per algorithm on a synthetic (or CIFAR-10) task
-``sweep``        the first algorithm across several topologies
+``train``        one run per algorithm and topology on a synthetic (or
+                 CIFAR-10) task
 ``mask_vs_weight``  per-agent weight-trained vs mask-trained comparison
 ``bound_check``  random 4-network instances of the output-gap inequalities
 
 Outputs (per run directory): ``manifest.txt``, ``graph*.edges`` where a
-topology exists, metrics CSVs with header
+topology exists, ``metrics_*.csv`` files with header
 ``round,agent,accuracy,loss,payload_bits,header_bits`` (rows sorted by
 round then agent, agent -1 being the per-round mean), and per-agent
-``sparsity*.csv`` files. Each file is written whole, through a temp file
+``sparsity_*.csv`` files. Each file is written whole, through a temp file
 renamed over it, so a crashed run leaves no half-written output.
 
 Exit codes: 0 success, 1 config error, 2 runtime error.
@@ -49,7 +49,7 @@ from .trainer import (_MASK_ALGORITHMS, HyperConfig, bound_check,
 __all__ = ["ConfigError", "RunConfig", "parse_config", "render_config",
            "run_experiment", "main"]
 
-_KINDS = ("train", "mask_vs_weight", "bound_check", "sweep")
+_KINDS = ("train", "mask_vs_weight", "bound_check")
 
 
 class ConfigError(Exception):
@@ -69,7 +69,7 @@ class RunConfig:
     cifar10: str = ""
     # agents and topology
     n: int = 20
-    topology: str = "er"
+    topology: tuple = ("er",)     # er (at p), ring or edge probabilities
     p: float = 0.5
     c: int = 4
     retention: tuple = ()          # empty = sample from retention_set
@@ -93,8 +93,6 @@ class RunConfig:
     # bound_check
     instances: int = 100
     probes: int = 200
-    # sweep
-    sweep: tuple = ("ring", 0.3, 0.5, 0.7)
 
 
 def _finite(text):
@@ -112,9 +110,9 @@ def _probability_or_name(text):
 
 
 # what the field defaults cannot tell: the key of a field named otherwise,
-# and the element type of the empty and of the mixed tuple default
+# and the element type of the empty and of the name-or-probability tuple
 _KEY_OF = {"lam": "lambda"}
-_ELEMENT_OF = {"retention": float, "sweep": _probability_or_name}
+_ELEMENT_OF = {"retention": float, "topology": _probability_or_name}
 
 
 def _value_parser(f):
@@ -195,12 +193,17 @@ def _validate(cfg, where):
     if cfg.n > 1 << SENDER_BITS:
         fail("n", f"at most {1 << SENDER_BITS} agents: agent ids travel in a "
                   f"u{SENDER_BITS} wire field")
-    if cfg.topology not in ("er", "ring"):
-        fail("topology", "topology must be 'er' or 'ring'")
-    if cfg.topology == "ring" and cfg.n < 3:
-        fail("n", "a ring topology needs at least 3 agents")
     if not 0.0 < cfg.p <= 1.0:
         fail("p", f"connectivity probability must be in (0, 1], got {cfg.p}")
+    for i, entry in enumerate(cfg.topology):
+        if entry not in ("er", "ring") and (isinstance(entry, str)
+                                            or not 0.0 < entry <= 1.0):
+            fail("topology", "topology entries are 'er', 'ring' or a probability "
+                             f"in (0, 1], got '{entry}'")
+        if _label(entry, cfg.p) in [_label(e, cfg.p) for e in cfg.topology[:i]]:
+            fail("topology", f"topology repeats the graph {_label(entry, cfg.p)}")
+    if "ring" in cfg.topology and cfg.n < 3:
+        fail("n", "a ring topology needs at least 3 agents")
     check({"num_classes": "classes"}, check_synth, cfg.classes, cfg.per_class,
           cfg.noise)
     if cfg.retention and len(cfg.retention) != cfg.n:
@@ -220,16 +223,6 @@ def _validate(cfg, where):
     for field in ("instances", "probes"):
         if getattr(cfg, field) < 1:
             fail(field, f"{field} must be at least 1")
-    for i, entry in enumerate(cfg.sweep):
-        if isinstance(entry, str):
-            if entry != "ring":
-                fail("sweep", f"sweep entries are 'ring' or a probability, got '{entry}'")
-        elif not 0.0 < entry <= 1.0:
-            fail("sweep", f"sweep probability {entry} outside (0, 1]")
-        if _sweep_label(entry) in map(_sweep_label, cfg.sweep[:i]):
-            fail("sweep", f"sweep repeats the topology {_sweep_label(entry)}")
-    if cfg.experiment == "sweep" and "ring" in cfg.sweep and cfg.n < 3:
-        fail("sweep", "a ring sweep entry needs at least 3 agents")
     for field in ("out", "cifar10"):   # the manifest holds them raw
         text = getattr(cfg, field)
         if text.split("#")[0].strip() != text or len(text.splitlines()) > 1:
@@ -242,8 +235,7 @@ def _validate(cfg, where):
           seed_key(cfg.seed, "labels"))
     arch = check({"input_shape": "dim", "num_classes": "classes"},
                  desk_arch, dim, classes, cfg.conv_channels, cfg.hidden)
-    trained = {"train": cfg.algorithm, "sweep": cfg.algorithm[:1]}
-    if set(trained.get(cfg.experiment, ())) & set(_MASK_ALGORITHMS):
+    if cfg.experiment == "train" and set(cfg.algorithm) & set(_MASK_ALGORITHMS):
         check({}, check_min_nonzero, cfg.min_nonzero, arch.param_shapes(),
               cfg.retention or cfg.retention_set)
 
@@ -298,17 +290,10 @@ def _task(cfg):
     return train, test, label_sets, arch
 
 
-def _sweep_label(entry):
-    """The name of a sweep entry's output files: ring or p<probability>."""
-    return entry if isinstance(entry, str) else f"p{entry:g}"
-
-
-def _build_graph(cfg, entry):
-    """The ring for ``entry = "ring"``, else the Erdos-Renyi graph with
-    edge probability ``entry``."""
-    if entry == "ring":
-        return ring(cfg.n)
-    return erdos_renyi(cfg.n, entry, seed_key(cfg.seed, "topology"))
+def _label(entry, p):
+    """The graph a topology entry names: ring, or p<edge probability>, where
+    ``er`` takes ``p``."""
+    return entry if entry == "ring" else f"p{p if entry == 'er' else entry:g}"
 
 
 def _write(path, text):
@@ -338,47 +323,34 @@ def _say(quiet, message):
         print(message)
 
 
-def _trainer(cfg, out):
-    """Training on the config's task and partition: returns
-    ``train_on(algorithm, graph, name)``, which runs the algorithm, writes
-    ``metrics_<name>.csv`` and ``sparsity_<name>.csv`` and returns the log."""
+def _run_train(cfg, out, quiet):
+    """Every algorithm on every topology. One topology writes ``graph.edges``
+    and ``metrics_<alg>.csv`` and ``sparsity_<alg>.csv``; several write
+    ``graph_<label>.edges`` and name each run's files by ``<label>`` for one
+    algorithm, else by ``<alg>_<label>``."""
     train, test, label_sets, arch = _task(cfg)
     plan = partition(train, test, label_sets, seed_key(cfg.seed, "partition"))
-
-    def train_on(alg, graph, name):
-        eta = cfg.eta_mask if alg in _MASK_ALGORITHMS else cfg.eta_weight
-        log = run(arch, _hyper(cfg, alg, eta), graph, train, test, plan)
-        _write_csv(out / f"metrics_{name}.csv",
-                   "round,agent,accuracy,loss,payload_bits,header_bits",
-                   map(astuple, log.rows))
-        _write_csv(out / f"sparsity_{name}.csv", "agent,layer,ones,total,density",
-                   [(agent, layer, ones, total, ones / total)
-                    for agent, per_layer in sorted(log.final_sparsity.items())
-                    for layer, (ones, total) in sorted(per_layer.items())])
-        return log
-    return train_on
-
-
-def _run_train(cfg, out, quiet):
-    train_on = _trainer(cfg, out)
-    graph = _build_graph(cfg, "ring" if cfg.topology == "ring" else cfg.p)
-    _write(out / "graph.edges", to_edge_list(graph))
-    for alg in cfg.algorithm:
-        log = train_on(alg, graph, alg)
-        _say(quiet, f"{alg}: final mean accuracy "
-                    f"{log.final_mean_accuracy():.4f} over {cfg.rounds} rounds")
-
-
-def _run_sweep(cfg, out, quiet):
-    train_on = _trainer(cfg, out)
-    alg = cfg.algorithm[0]
-    for entry in cfg.sweep:
-        label = _sweep_label(entry)
-        graph = _build_graph(cfg, entry)
-        _write(out / f"graph_{label}.edges", to_edge_list(graph))
-        log = train_on(alg, graph, label)
-        _say(quiet, f"{alg} on {label}: final mean accuracy "
-                    f"{log.final_mean_accuracy():.4f}")
+    several = len(cfg.topology) > 1
+    for entry in cfg.topology:
+        label = _label(entry, cfg.p)
+        graph = ring(cfg.n) if entry == "ring" else erdos_renyi(
+            cfg.n, cfg.p if entry == "er" else entry, seed_key(cfg.seed, "topology"))
+        _write(out / (f"graph_{label}.edges" if several else "graph.edges"),
+               to_edge_list(graph))
+        for alg in cfg.algorithm:
+            name = (alg if not several else label if len(cfg.algorithm) == 1
+                    else f"{alg}_{label}")
+            eta = cfg.eta_mask if alg in _MASK_ALGORITHMS else cfg.eta_weight
+            log = run(arch, _hyper(cfg, alg, eta), graph, train, test, plan)
+            _write_csv(out / f"metrics_{name}.csv",
+                       "round,agent,accuracy,loss,payload_bits,header_bits",
+                       map(astuple, log.rows))
+            _write_csv(out / f"sparsity_{name}.csv", "agent,layer,ones,total,density",
+                       [(agent, layer, ones, total, ones / total)
+                        for agent, per_layer in sorted(log.final_sparsity.items())
+                        for layer, (ones, total) in sorted(per_layer.items())])
+            _say(quiet, f"{alg} on {label}: final mean accuracy "
+                        f"{log.final_mean_accuracy():.4f} over {cfg.rounds} rounds")
 
 
 def _run_mask_vs_weight(cfg, out, quiet):
@@ -429,7 +401,7 @@ def run_experiment(config, quiet=False):
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "manifest.txt", render_config(cfg))
-    {"train": _run_train, "sweep": _run_sweep, "mask_vs_weight": _run_mask_vs_weight,
+    {"train": _run_train, "mask_vs_weight": _run_mask_vs_weight,
      "bound_check": _run_bound_check}[cfg.experiment](cfg, out, quiet)
     return 0
 

@@ -208,6 +208,9 @@ class AgentState:
     test_y: np.ndarray
     eta: float
     lam: float
+    # holds z, m, grad_cache and neighbor_avg; set before them, so that the
+    # constructor copies them into its rows too
+    store: AgentStore = None
     z: dict = None                    # score tensors (mask algorithms)
     min_nonzero: int = 0              # filter zeroing of the scores' mask
     m: dict = None                    # current binary masks (None = unmasked)
@@ -215,11 +218,10 @@ class AgentState:
     neighbor_avg: dict = None         # mean of the last received masks
     weights: dict = None              # per-agent weights (weight baselines)
     last_loss: float = math.nan
-    store: AgentStore = None          # holds z, m, grad_cache, neighbor_avg
 
     def __setattr__(self, name, value):
         store = getattr(self, "store", None) if name in _STORED else None
-        if store is not None and value is not None and value is not getattr(self, name):
+        if store is not None and value is not None and value is not getattr(self, name, None):
             if getattr(store, name) is None:
                 setattr(store, name, store.zeros())
             rows = store.rows(name, self.agent_id)
@@ -533,43 +535,36 @@ def _stack_fuse(stack):
     return True
 
 
-def _exchange_masks(graph, masks, round_index, shapes, ledger):
-    """Send every agent's mask set (``masks`` maps agent -> mask set) to its
-    neighbors: one frame per agent through :func:`exchange`, each frame
-    decoded once to uint8 bits. Returns the entry-wise average of the masks
+def _exchange_masks(states, graph, round_index, ledger):
+    """Send every mask state's masks to its neighbors: one frame per agent
+    through :func:`exchange`, each frame decoded once to uint8 bits. Their
+    agent store takes, and this returns, the entry-wise average of the masks
     each agent received, per layer as one float64 (A, *shape) array whose
     row a is agent a's; None where nobody heard anyone, as in a run of one
     agent (a :class:`Graph` is connected, so in a larger one every agent
-    hears someone). Per layer, a float64 matrix of who heard whom times
-    every sender's bits counts each agent's received ones, exactly, and one
-    divide by its sender count then gives the float64 sum-then-divide bit
-    for bit. The decoded bits are dropped on return."""
-    outbox = {a: encode_mask(m, a, round_index) for a, m in masks.items()}
+    hears someone). Each state's ``neighbor_avg`` then views its rows.
+
+    Per layer, a float64 matrix of who heard whom times every sender's bits
+    counts each agent's received ones, exactly, and one divide by its sender
+    count then gives the float64 sum-then-divide bit for bit. The decoded
+    bits are dropped on return."""
+    store = states[0].store
+    outbox = {s.agent_id: encode_mask(s.m, s.agent_id, round_index) for s in states}
     inbox = exchange(graph, outbox, ledger)
     heard = np.zeros((len(outbox), len(outbox)))
     for a, frames in inbox.items():
         heard[a, [f.sender for f in frames]] = 1.0
     senders = heard.sum(axis=1)[:, None]
-    if not senders.any():
-        return None
-    decoded = [decode_mask(outbox[a], shapes) for a in range(len(outbox))]
-    average = {}
-    for layer in sorted(shapes):
-        average[layer] = np.empty((len(outbox),) + tuple(shapes[layer]))
-        total = average[layer].reshape(len(outbox), -1)
-        np.matmul(heard, np.stack([d[layer].reshape(-1) for d in decoded],
-                                  dtype=np.float64), out=total)
-        np.divide(total, senders, out=total, where=senders > 0)
-    return average
-
-
-def _share_masks(states, graph, round_index, shapes, ledger):
-    """Exchange the masks of ``states`` (:func:`_exchange_masks`). Their
-    agent store takes the averages, and each state's ``neighbor_avg`` views
-    its row."""
-    states[0].store.neighbor_avg = _exchange_masks(
-        graph, {s.agent_id: s.m for s in states}, round_index, shapes, ledger)
+    store.neighbor_avg = store.zeros() if senders.any() else None
+    if store.neighbor_avg is not None:
+        decoded = [decode_mask(outbox[a], store.shapes) for a in range(len(outbox))]
+        for layer, average in store.neighbor_avg.items():
+            total = average.reshape(len(outbox), -1)
+            np.matmul(heard, np.stack([d[layer].reshape(-1) for d in decoded],
+                                      dtype=np.float64), out=total)
+            np.divide(total, senders, out=total, where=senders > 0)
     _bind(states, "neighbor_avg")
+    return store.neighbor_avg
 
 
 def _weight_step(state, arch, batch_x, batch_y):
@@ -618,7 +613,7 @@ def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
                            round_index)
     sent = _each(step, stacks, _agent_workers(arch, hyper.batch_size))
     if kind == "gossip_mask":
-        _share_masks(states, graph, round_index, arch.param_shapes(), ledger)
+        _exchange_masks(states, graph, round_index, ledger)
         for stack in stacks:
             _in_stacks(_stack_fuse, stack, round_index)
     elif not masked and kind != "ind_weipru":
@@ -746,7 +741,7 @@ def run(arch, hyper, graph, train, test, plan):
     states = build_states(arch, hyper, graph, train, test, plan, w)
     ledger = CommLedger()
     if hyper.algorithm == "gossip_mask":
-        _share_masks(states, graph, 0, arch.param_shapes(), ledger)
+        _exchange_masks(states, graph, 0, ledger)
 
     log = MetricsLog()
     _evaluate_round(log, 0, states, w, arch, ledger, workers)

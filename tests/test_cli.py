@@ -13,6 +13,8 @@ from gossipmask import (ALGORITHMS, FieldError, assign_labels, cli, desk_arch,
 from gossipmask.cli import (ConfigError, RunConfig, main, parse_config,
                             render_config, run_experiment)
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 SMALL_TRAIN = """
 # desk-scale smoke config
 experiment = train
@@ -88,16 +90,20 @@ def test_retention_range_checked():
         parse_config("n = 2\nretention = 0.5,1.5\n")
 
 
+_ENTRY = "topology entries are 'er', 'ring' or a probability in (0, 1], got"
 # (config text, the full ConfigError message): one case per validation rule
 CONFIG_ERRORS = [
     ("experiment = fly\n",
-     "line 1: experiment must be one of "
-     "('train', 'mask_vs_weight', 'bound_check', 'sweep')"),
+     "line 1: experiment must be one of ('train', 'mask_vs_weight', 'bound_check')"),
     ("n = 1\n", "line 1: need at least 2 agents"),
     ("seed = 0\nn = 70000\n",
      "line 2: at most 65536 agents: agent ids travel in a u16 wire field"),
-    ("topology = star\n", "line 1: topology must be 'er' or 'ring'"),
+    ("topology = star\n", f"line 1: {_ENTRY} 'star'"),
+    ("topology = ring,star\n", f"line 1: {_ENTRY} 'star'"),
+    ("topology = 0.5,1.5\n", f"line 1: {_ENTRY} '1.5'"),
     ("topology = ring\nn = 2\nc = 5\n",
+     "line 2: a ring topology needs at least 3 agents"),
+    ("topology = 0.5,ring\nn = 2\n",
      "line 2: a ring topology needs at least 3 agents"),
     ("p = 0\n", "line 1: connectivity probability must be in (0, 1], got 0.0"),
     ("classes = 1\n", "line 1: need at least 2 classes"),
@@ -123,9 +129,6 @@ CONFIG_ERRORS = [
     ("mask_vs_weight_eval = 0\n", "line 1: mask_vs_weight_eval must be at least 1"),
     ("instances = 0\n", "line 1: instances must be at least 1"),
     ("probes = 0\n", "line 1: probes must be at least 1"),
-    ("sweep = ring,star\n",
-     "line 1: sweep entries are 'ring' or a probability, got 'star'"),
-    ("sweep = 1.5\n", "line 1: sweep probability 1.5 outside (0, 1]"),
     ("cifar10 = /no/such/dir\n",
      "line 1: cifar10 directory '/no/such/dir' does not exist"),
     # the retention ranges come from retained_count's own check
@@ -142,8 +145,7 @@ CONFIG_ERRORS = [
     ("lambda = nan\n", "line 1: key 'lambda' cannot parse value 'nan'"),
     ("retention_set = 0.5,-inf\n",
      "line 1: key 'retention_set' cannot parse value '0.5,-inf'"),
-    ("sweep = ring,nan\n",
-     "line 1: sweep entries are 'ring' or a probability, got 'nan'"),
+    ("topology = ring,nan\n", f"line 1: {_ENTRY} 'nan'"),
     ("seed = -1\n", "line 1: seed must be nonnegative, got -1"),
     # the label, shape and layer-size checks of data and nn, at parse time
     ("n = 2\nc = 1\nclasses = 10\n",
@@ -162,17 +164,18 @@ CONFIG_ERRORS = [
      "line 1: mask_vs_weight_r repeats the ratio 0.3"),
     # a repeated run would overwrite the first one's output files
     ("algorithm = ind_mask,ind_mask\n", "line 1: algorithm repeats 'ind_mask'"),
-    ("sweep = 0.5,ring,0.50\n", "line 1: sweep repeats the topology p0.5"),
-    ("sweep = ring,ring\n", "line 1: sweep repeats the topology ring"),
-    ("experiment = sweep\nsweep = ring\nn = 2\n",
-     "line 2: a ring sweep entry needs at least 3 agents"),
+    ("topology = 0.5,ring,0.50\n", "line 1: topology repeats the graph p0.5"),
+    ("topology = ring,ring\n", "line 1: topology repeats the graph ring"),
+    # er is the Erdos-Renyi graph at p
+    ("p = 0.3\ntopology = 0.3,er\n", "line 2: topology repeats the graph p0.3"),
     # filter zeroing would clear every filter of a layer: conv0's filters
     # hold 3 * 5 * 5 = 75 entries, and conv0 keeps 12 of its 1200 at r = 0.01
     ("algorithm = ind_mask,gossip_mask\nmin_nonzero = 80\n",
      "line 2: min_nonzero 80: an output filter of layer 0 keeps at most 75 ones"),
     ("retention_set = 0.4,0.01\nmin_nonzero = 20\n",
      "line 2: min_nonzero 20: an output filter of layer 0 keeps at most 12 ones"),
-    ("experiment = sweep\nalgorithm = gossip_mask,dsgd\nmin_nonzero = 80\n",
+    # every listed algorithm is trained on every listed topology
+    ("topology = ring,0.5\nalgorithm = dsgd,gossip_mask\nmin_nonzero = 80\n",
      "line 3: min_nonzero 80: an output filter of layer 0 keeps at most 75 ones"),
 ]
 
@@ -193,7 +196,7 @@ def test_validation_errors():
 def test_unreachable_min_nonzero_passes_where_no_mask_is_trained():
     # weight baselines and the harness arms never zero filters
     for text in ("algorithm = dsgd,avr_weipru\n",
-                 "experiment = sweep\nalgorithm = dsgd,gossip_mask\n",
+                 "topology = ring,0.5\nalgorithm = dsgd,avr_weipru\n",
                  "experiment = mask_vs_weight\n", "experiment = bound_check\n"):
         assert parse_config(text + "min_nonzero = 80\n").min_nonzero == 80
 
@@ -230,8 +233,8 @@ def valid_configs(draw):
     classes = draw(st.integers(2, 12))
     covered = 10 if cifar10 else classes
     c = draw(st.integers(1, covered))
-    topology = draw(st.sampled_from(["er", "ring"]))
-    n = draw(st.integers(max(-(-covered // c), 3 if topology == "ring" else 2), 40))
+    n = draw(st.integers(max(-(-covered // c), 2), 40))
+    p = draw(_RATIO)
     seed = draw(st.integers(0, 2 ** 64))
     try:   # the run's own label draws must cover every label
         assign_labels(n, covered, c, seed_key(seed, "labels"))
@@ -247,7 +250,10 @@ def valid_configs(draw):
         dim=(draw(st.integers(1, 4)), draw(st.integers(7, 24)),
              draw(st.integers(7, 24))),
         cifar10=cifar10,
-        n=n, topology=topology, p=draw(_RATIO), c=c,
+        n=n, p=p, c=c,
+        topology=tuple(draw(st.lists(
+            st.sampled_from(["er", "ring"] if n >= 3 else ["er"]) | _RATIO,
+            min_size=1, max_size=5, unique_by=lambda e: cli._label(e, p)))),
         retention=draw(st.one_of(st.just(()), st.lists(
             _RATIO, min_size=n, max_size=n).map(tuple))),
         retention_set=tuple(draw(st.lists(_RATIO, min_size=1, max_size=5))),
@@ -267,15 +273,11 @@ def valid_configs(draw):
         mask_vs_weight_steps=draw(st.integers(1, 10 ** 4)),
         mask_vs_weight_eval=draw(st.integers(1, 100)),
         instances=draw(st.integers(1, 10 ** 4)),
-        probes=draw(st.integers(1, 10 ** 4)),
-        sweep=tuple(draw(st.lists(
-            st.one_of(st.just("ring"), _RATIO) if n >= 3 else _RATIO,
-            min_size=1, max_size=5, unique_by=cli._sweep_label))))
+        probes=draw(st.integers(1, 10 ** 4)))
     # a trained mask algorithm's min_nonzero must fit in every layer's
     # output filters, at every ratio
-    trained = {"train": cfg.algorithm, "sweep": cfg.algorithm[:1]}
     most = 10
-    if set(trained.get(cfg.experiment, ())) & {"gossip_mask", "ind_mask"}:
+    if cfg.experiment == "train" and set(cfg.algorithm) & {"gossip_mask", "ind_mask"}:
         dim, classes = cli._task_shape(cfg)
         arch = desk_arch(dim, classes, cfg.conv_channels, cfg.hidden)
         for shape in arch.param_shapes().values():
@@ -288,6 +290,12 @@ def valid_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(valid_configs())
 def test_render_round_trips_any_valid_config(cfg):
+    assert parse_config(render_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("conf", sorted(CONFIGS.glob("*.conf")), ids=lambda p: p.name)
+def test_shipped_config_parses(conf):
+    cfg = parse_config(conf.read_text())
     assert parse_config(render_config(cfg)) == cfg
 
 
@@ -372,14 +380,31 @@ def test_failed_write_leaves_earlier_output_whole(tmp_path, monkeypatch):
     assert after["manifest.txt"] != before["manifest.txt"]  # written in full
 
 
+def _topology_run(tmp_path, algorithms):
+    """SMALL_TRAIN's task for one round on a ring, er (p = 0.8) and p = 0.5:
+    the names of the files it writes."""
+    text = SMALL_TRAIN.replace("rounds = 2", "rounds = 1").replace(
+        "topology = er", "topology = ring,er,0.5").replace(
+        "algorithm = gossip_mask", f"algorithm = {algorithms}")
+    run_experiment(parse_config(text + f"out = {tmp_path/'s'}\n"), quiet=True)
+    return sorted(p.name for p in (tmp_path / "s").iterdir())
+
+
 def test_sweep_writes_one_file_per_topology(tmp_path):
-    text = SMALL_TRAIN.replace("experiment = train", "experiment = sweep")
-    text = text.replace("rounds = 2", "rounds = 1")
-    text += f"out = {tmp_path/'s'}\nsweep = ring,0.5,0.8\n"
-    run_experiment(parse_config(text), quiet=True)
-    for label in ("ring", "p0.5", "p0.8"):
-        assert (tmp_path / "s" / f"metrics_{label}.csv").is_file()
-        assert (tmp_path / "s" / f"graph_{label}.edges").is_file()
+    # one algorithm: each run's files are named by its graph alone
+    labels = ("p0.5", "p0.8", "ring")
+    assert _topology_run(tmp_path, "gossip_mask") == sorted(
+        ["manifest.txt"] + [f"{kind}_{label}.{ext}" for label in labels
+                            for kind, ext in (("graph", "edges"), ("metrics", "csv"),
+                                              ("sparsity", "csv"))])
+
+
+def test_several_algorithms_on_several_topologies(tmp_path):
+    algorithms, labels = ("gossip_mask", "dsgd"), ("p0.5", "p0.8", "ring")
+    assert _topology_run(tmp_path, ",".join(algorithms)) == sorted(
+        ["manifest.txt"] + [f"graph_{label}.edges" for label in labels]
+        + [f"{kind}_{alg}_{label}.csv" for kind in ("metrics", "sparsity")
+           for alg in algorithms for label in labels])
 
 
 def test_mask_vs_weight_experiment(tmp_path, monkeypatch):
@@ -508,7 +533,7 @@ def test_main_diverging_run_names_agent_and_round(tmp_path, capsys):
 
 def _train_conf(tmp_path, values):
     """configs/train.conf with the given keys' values replaced."""
-    text = (Path(__file__).resolve().parent.parent / "configs" / "train.conf").read_text()
+    text = (CONFIGS / "train.conf").read_text()
 
     def override(mo):
         return f"{mo[1]} = {values[mo[1]]}" if mo[1] in values else mo[0]

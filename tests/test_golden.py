@@ -1,7 +1,9 @@
-"""Golden trajectory: the sha256 of every CSV of two short fixed-seed runs.
+"""Golden trajectory: the sha256 of every CSV of three short fixed-seed runs.
 
-``configs/train.conf`` runs all six algorithms for 10 rounds and
-``configs/mask_vs_weight.conf`` runs 12 harness steps. A change meant to
+``configs/train.conf`` runs all six algorithms for 10 rounds,
+``configs/mask_vs_weight.conf`` runs 12 harness steps and
+``configs/sweep.conf`` runs ``gossip_mask`` for 6 rounds on each of its
+four graphs. A change meant to
 preserve behaviour leaves every digest as it is; a change that alters the
 outputs on purpose updates them and says why.
 
@@ -45,6 +47,27 @@ MASK_VS_WEIGHT = {
         "e9880b7a67b36bbc835f2f5b712eface8b0524f61cd6d0797973fa0bc9c1edca",
 }
 
+# taken while sweep.conf ran an experiment of its own, before it became a
+# topology list of train: its files keep their names and bytes
+SWEEP = {
+    "metrics_p0.3.csv":
+        "f196883282084204b95fc2d5419a48c0eff396fecbd0322298461b4d7a90291e",
+    "metrics_p0.5.csv":
+        "ad6b4d8d58e29f0ef2b240d8a3387e783db751daf5ac4939fa2d555414d9eac0",
+    "metrics_p0.7.csv":
+        "c1db4fbb0e125999e2cf49c0702d3bffb5e58233a6f0114ec294ebcba711d52b",
+    "metrics_ring.csv":
+        "207720839fd6e2f5a37cbf03ac2200e34c69b067f29fd31dbb88237eb39a3abe",
+    "sparsity_p0.3.csv":
+        "1eafd8cfbdd857c1d8f35d432e8546277eded49867933a32b0691fd4a4087eef",
+    "sparsity_p0.5.csv":
+        "d28b05c57c8109e12b70431ddeff0701720b76ef074ade1ca19e4dbf715d2515",
+    "sparsity_p0.7.csv":
+        "7355c983c9090fd8600ddca35278980231127399af1e2addf1a1715a25d6157e",
+    "sparsity_ring.csv":
+        "aa518072332639d8cc8fa1eb1290af55a56ebd7908fb19726fd885a09caeb4e5",
+}
+
 
 def _csv_digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -64,3 +87,10 @@ def test_golden_trajectory(tmp_path):
                       out=str(tmp_path / "mask_vs_weight"))
     assert run_experiment(harness, quiet=True) == 0
     assert _csv_digests(tmp_path / "mask_vs_weight") == MASK_VS_WEIGHT
+
+
+def test_golden_topology_sweep(tmp_path):
+    sweep = parse_config((CONFIGS / "sweep.conf").read_text())
+    sweep = replace(sweep, rounds=6, out=str(tmp_path))
+    assert run_experiment(sweep, quiet=True) == 0
+    assert _csv_digests(tmp_path) == SWEEP

@@ -325,7 +325,7 @@ def test_desk_gossip_round_peak_holds_one_stack():
     assert nn._stack_size(arch, hyper.batch_size) >= cfg.n
     w = init_params(arch, 0)
     states = trainer.build_states(arch, hyper, graph, train, test, plan, w)
-    trainer._share_masks(states, graph, 0, arch.param_shapes(), None)
+    trainer._exchange_masks(states, graph, 0, None)
     trainer.gossip_mask_round(states, w, arch, graph, hyper, 1)
     tracemalloc.start()
     try:

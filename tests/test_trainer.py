@@ -192,19 +192,46 @@ def test_half_step_skips_group_lasso_at_zero_lambda(monkeypatch):
     assert calls == [0.001]
 
 
+def _mask_senders(masks, shapes):
+    """One mask state per agent of ``masks`` (agent -> mask set), held in a
+    small agent store."""
+    store = trainer.AgentStore(shapes, len(masks))
+    return [AgentState(a, 0.5, None, None, None, None, 1.0, 0.0, store=store,
+                       m=masks[a]) for a in range(len(masks))]
+
+
+def test_constructor_copies_stored_fields_into_the_store_rows():
+    store = trainer.AgentStore({0: (2, 3)}, 2)
+    ones = np.ones((2, 3))
+    state = AgentState(1, 0.5, None, None, None, None, 1.0, 0.0, z={0: ones},
+                       m={0: ones > 0}, grad_cache={0: 2 * ones},
+                       neighbor_avg={0: ones / 2}, store=store)
+    for name, want in (("z", ones), ("m", ones > 0), ("grad_cache", 2 * ones),
+                       ("neighbor_avg", ones / 2)):
+        rows = getattr(store, name)[0]
+        np.testing.assert_array_equal(rows[1], want)
+        assert not rows[0].any()            # agent 0's row is untouched
+        assert np.shares_memory(getattr(state, name)[0], rows[1])
+
+
 def test_exchange_masks_ascending_and_empty():
     # agent 0 hears agents 1 and 2; agents 1 and 2 hear only agent 0
     path = Graph(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]]))
     masks = {0: {0: np.array([0.0, 1.0])}, 1: {0: np.array([1.0, 1.0])},
              2: {0: np.array([1.0, 0.0])}}
-    averages = trainer._exchange_masks(path, masks, 0, {0: (2,)}, None)
-    # per layer one array, with row a agent a's average
+    states = _mask_senders(masks, {0: (2,)})
+    averages = trainer._exchange_masks(states, path, 0, None)
+    # per layer one array, with row a agent a's; the store takes it, and each
+    # state's neighbor average views its row
     assert list(averages) == [0] and averages[0].dtype == np.float64
     np.testing.assert_array_equal(averages[0], [[1.0, 0.5], [0.0, 1.0], [0.0, 1.0]])
+    assert states[0].store.neighbor_avg is averages
+    assert all(np.shares_memory(s.neighbor_avg[0], averages[0][s.agent_id])
+               for s in states)
     # a lone agent hears nobody: no average, which acts as a zero tensor
-    lone = trainer._exchange_masks(Graph(np.zeros((1, 1))), {0: masks[0]}, 0,
-                                   {0: (2,)}, None)
-    assert lone is None
+    lone, = _mask_senders({0: masks[0]}, {0: (2,)})
+    assert trainer._exchange_masks([lone], Graph(np.zeros((1, 1))), 0, None) is None
+    assert lone.store.neighbor_avg is None and lone.neighbor_avg is None
 
 
 def test_hub_average_of_many_senders_equals_the_float_reference():
@@ -219,7 +246,8 @@ def test_hub_average_of_many_senders_equals_the_float_reference():
                  for layer, shape in shapes.items()} for a in range(n)}
     for a in range(n):
         masks[a][0][0] = 1.0
-    averages = trainer._exchange_masks(Graph(adjacency), masks, 4, shapes, None)
+    averages = trainer._exchange_masks(_mask_senders(masks, shapes),
+                                       Graph(adjacency), 4, None)
     want = reference_average({a: masks[a] for a in range(1, n)})
     for layer in shapes:
         assert averages[layer].dtype == want[layer].dtype
@@ -383,7 +411,7 @@ def test_a_round_writes_only_into_arrays_it_made(algorithm):
     store = states[0].store
     assert (store is None) == (algorithm not in ("gossip_mask", "ind_mask"))
     if algorithm == "gossip_mask":      # run()'s bootstrap exchange
-        trainer._share_masks(states, graph, 0, arch.param_shapes(), None)
+        trainer._exchange_masks(states, graph, 0, None)
     for k in (1, 2):
         held = _held_bytes(states, w)
         rows = store and [t for part in (store.z, store.m) for t in part.values()]
@@ -547,7 +575,7 @@ def test_gossip_round_steps_through_module_bindings(monkeypatch):
     for size in (2, 8):
         _stacks_of(monkeypatch, arch, hyper.batch_size, size)
         states = build_states(arch, hyper, graph, train, test, plan, w)
-        trainer._share_masks(states, graph, 0, arch.param_shapes(), None)
+        trainer._exchange_masks(states, graph, 0, None)
         stores.append(states[0].store)
         calls.clear()
         gossip_mask_round(states, w, arch, graph, hyper, 1)
@@ -680,7 +708,7 @@ def test_stacked_round_keeps_each_agents_own_settings(algorithm, monkeypatch):
             for s, eta, lam, least in zip(states, (1.0, 0.5, 2.0, 1.0),
                                           (0.001, 0.0, 0.01, 0.001), (2, 0, 1, 3)):
                 s.eta, s.lam, s.min_nonzero = eta, lam, least
-            trainer._share_masks(states, graph, 0, arch.param_shapes(), None)
+            trainer._exchange_masks(states, graph, 0, None)
             for k in (1, 2):
                 gossip_mask_round(states, w, arch, graph, hyper, k)
             ends.append(pickle.dumps([(s.z, s.m, s.grad_cache, s.neighbor_avg,
@@ -874,7 +902,7 @@ def test_failed_stack_leaves_the_store_as_the_plain_loop_does(fault, monkeypatch
     for size in (1, 4):
         _stacks_of(monkeypatch, arch, hyper.batch_size, size)
         states = build_states(arch, hyper, graph, train, test, plan, w)
-        trainer._share_masks(states, graph, 0, arch.param_shapes(), None)
+        trainer._exchange_masks(states, graph, 0, None)
         gossip_mask_round(states, w, arch, graph, hyper, 1)
         if fault == "nan_score":
             states[2].z[0][0, 0, 0, 0] = np.nan
