@@ -48,28 +48,25 @@ them as they were and steps one agent at a time. A stack holds as many
 agents as keep its conv columns below ``nn._SHARED_BYTES``: all 8 of
 configs/train.conf, while a step of the README default shape, whose own
 columns reach it, stays a stack of one, which reads its rows unstacked.
-Every agent's bytes are those of a step of its own. Three kinds of work
-are independent per item. The local steps (stacks, or weight steps) and
-the per-agent evaluation (test accuracy and logged loss) run through
-:func:`_each` on up to two threads where a step's conv columns reach
-``nn._SHARED_BYTES`` (the README default shape, not the desk or harness
-shapes; a fixed property of the architecture and batch size), else in a
-plain loop. The mask-vs-weight harness's arms share nothing they write,
-and run through :func:`_forked` on the calling process and a child forked
-per further core, up to two in all (a plain loop where ``os.fork`` is
-missing). Results, the exchange, the mixing and the evaluation rows stay
-in ascending agent order. The shared parameter set is never written by
-the mask-based algorithms.
+Every agent's bytes are those of a step of its own. The local steps and
+the per-agent evaluation run on up to two threads (:func:`_each`) where a
+step's conv columns reach ``nn._SHARED_BYTES``: the README default shape.
+Below it, a run's mask agents run on :func:`_workers`, the caller and a
+child forked once, each stepping and evaluating its half of the agents on
+the store, moved to a shared map; the caller alone runs the exchange, the
+ledger and every reduction over agents, in ascending agent order, and
+reaps the child on every path. The harness's arms run on :func:`_workers`
+too. The mask-based algorithms never write the shared parameter set.
 """
 
 import math
+import mmap
 import os
-import pickle
 import queue
 import signal
 import threading
 from collections import namedtuple
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,15 +153,15 @@ class AgentStore:
     """The learnable state of a run's mask agents, one row per agent. Per
     layer it holds one (A, *shape) array each of scores ``z``, bool masks
     ``m`` and cached score gradients ``grad_cache`` (from the first round
-    on), and the neighbor averages ``neighbor_avg`` of the last exchange
-    (None before it, and where nobody heard anyone). ``store[i:j]`` views
+    on), and the neighbor averages ``neighbor_avg`` of the exchanges (None
+    before the first, and where nobody heard anyone). ``store[i:j]`` views
     the rows of agents i to j - 1 as a stack, ``store[i]`` agent i's
-    unstacked."""
+    unstacked. ``workers`` is a run's :func:`_workers` ``run_parts``, if any."""
 
     def __init__(self, shapes, count):
         self.shapes, self.count = shapes, count
         self.z, self.m = self.zeros(), self.zeros(bool)
-        self.grad_cache = self.neighbor_avg = None
+        self.grad_cache = self.neighbor_avg = self.workers = None
         # (first agent of a stack, step) -> the masks the stack's last such
         # step made, kept until its next one. They are the step's last large
         # arrays, and outside bench/run.py's mallopt glibc would otherwise
@@ -184,6 +181,20 @@ class AgentStore:
         holds that field)."""
         whole = getattr(self, name)
         return None if whole is None else {layer: t[key] for layer, t in whole.items()}
+
+    def share(self, states):
+        """Move every field (and new cached gradients) onto one anonymous
+        shared map, for processes forked afterwards, and rebind ``states``."""
+        self.grad_cache = self.grad_cache or self.zeros()
+        names = [name for name in _STORED if getattr(self, name) is not None]
+        buf, offset = mmap.mmap(-1, sum(-(-t.nbytes // 64) * 64 for name in names
+                                        for t in getattr(self, name).values())), 0
+        for name in names:
+            for layer, t in (tensors := getattr(self, name)).items():
+                tensors[layer] = np.frombuffer(buf, t.dtype, t.size, offset).reshape(t.shape)
+                tensors[layer][...] = t
+                offset += -(-t.nbytes // 64) * 64
+            _bind([s for s in states if getattr(s, name) is not None], name)
 
 
 @dataclass(slots=True)
@@ -540,9 +551,9 @@ def _exchange_masks(states, graph, round_index, ledger):
     through :func:`exchange`, each frame decoded once to uint8 bits. Their
     agent store takes, and this returns, the entry-wise average of the masks
     each agent received, per layer as one float64 (A, *shape) array whose
-    row a is agent a's; None where nobody heard anyone, as in a run of one
-    agent (a :class:`Graph` is connected, so in a larger one every agent
-    hears someone). Each state's ``neighbor_avg`` then views its rows.
+    row a is agent a's, in the arrays of its last one; None where nobody
+    heard anyone (a :class:`Graph` is connected, so only in a run of one
+    agent). Each state's ``neighbor_avg`` then views its rows.
 
     Per layer, a float64 matrix of who heard whom times every sender's bits
     counts each agent's received ones, exactly, and one divide by its sender
@@ -555,7 +566,7 @@ def _exchange_masks(states, graph, round_index, ledger):
     for a, frames in inbox.items():
         heard[a, [f.sender for f in frames]] = 1.0
     senders = heard.sum(axis=1)[:, None]
-    store.neighbor_avg = store.zeros() if senders.any() else None
+    store.neighbor_avg = (store.neighbor_avg or store.zeros()) if senders.any() else None
     if store.neighbor_avg is not None:
         decoded = [decode_mask(outbox[a], store.shapes) for a in range(len(outbox))]
         for layer, average in store.neighbor_avg.items():
@@ -591,33 +602,28 @@ def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
     """One synchronous round of ``hyper.algorithm`` (see the module
     docstring): one local step per agent, collected in ascending id, then
     the algorithm's mixing rule. A mask algorithm steps stacks of
-    :func:`_stack_size` consecutive agents on their store rows; the stacks,
-    or the weight steps, run through :func:`_each` on
-    :func:`_agent_workers` threads. A diverging step raises what the plain
-    loop would, naming the lowest failing agent."""
+    :func:`_stack_size` consecutive agents on their store rows through
+    :func:`_phased`; the stacks, or the weight steps, run through
+    :func:`_each` on :func:`_agent_workers` threads. A diverging step
+    raises what the plain loop would, naming the lowest failing agent."""
     kind = hyper.algorithm
     if kind not in ALGORITHMS:
         raise ValueError(f"unknown algorithm '{kind}'")
-    masked = kind in _MASK_ALGORITHMS
-    size = _stack_size(arch, hyper.batch_size) if masked else 1
-    stacks = [states[i:i + size] for i in range(0, len(states), size)]
-    if masked and states[0].store.grad_cache is None:    # before any thread
-        states[0].store.grad_cache = states[0].store.zeros()
+    workers = _agent_workers(arch, hyper.batch_size)
+    if kind in _MASK_ALGORITHMS:
+        store = states[0].store     # its cached gradients, before any thread
+        store.grad_cache = store.grad_cache or store.zeros()
+        _phased(states, "half", round_index, w, arch, hyper, workers)
+        if kind == "gossip_mask":
+            _exchange_masks(states, graph, round_index, ledger)
+            _phased(states, "fuse", round_index, w, arch, hyper, workers)
+        return states
 
-    def step(stack):
-        if masked:
-            return _in_stacks(_stack_half_steps, stack, round_index, w, arch, hyper,
-                              round_index)
-        state, = stack
+    def step(state):
         return _local_step(state, w, arch, *_local_batch(state, hyper, round_index),
                            round_index)
-    sent = _each(step, stacks, _agent_workers(arch, hyper.batch_size))
-    if kind == "gossip_mask":
-        _exchange_masks(states, graph, round_index, ledger)
-        for stack in stacks:
-            _in_stacks(_stack_fuse, stack, round_index)
-    elif not masked and kind != "ind_weipru":
-        sent = dict(zip([s.agent_id for s in states], sent))
+    sent = dict(zip([s.agent_id for s in states], _each(step, states, workers)))
+    if kind != "ind_weipru":
         for state in states:
             neighbors = graph.neighbors[state.agent_id]
             if ledger is not None:
@@ -632,6 +638,43 @@ def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
             with _checked_step(state, round_index):
                 state.weights = avg
     return states
+
+
+def _phase(states, phase, round_index, w, arch, hyper, threads):
+    """``phase`` of consecutive agents on ``threads`` threads, and per agent
+    its (test accuracy, loss) for ``"evaluate"``, else, after the stacked
+    ``"half"``-steps or ``"fuse"``, its (last loss, cached gradient bound)."""
+    if phase == "evaluate":
+        def evaluate(state):
+            params = state.weights if state.weights is not None else w
+            return (_accuracy(arch, params, state.m, state.test_x, state.test_y),
+                    batch_loss(arch, params, state.m, state.train_x[:_LOSS_ROWS],
+                               state.train_y[:_LOSS_ROWS]))
+        return _each(evaluate, states, threads)
+    size = _stack_size(arch, hyper.batch_size)
+    stacks = [states[i:i + size] for i in range(0, len(states), size)]
+    if phase == "half":
+        def step(stack):
+            _in_stacks(_stack_half_steps, stack, round_index, w, arch, hyper,
+                       round_index)
+        _each(step, stacks, threads)
+    for stack in stacks if phase == "fuse" else ():
+        _in_stacks(_stack_fuse, stack, round_index)
+    return [(s.last_loss, s.grad_cache is not None) for s in states]
+
+
+def _phased(states, phase, round_index, w, arch, hyper, threads):
+    """:func:`_phase`, on their store's ``workers`` if any, whose answers
+    then set the states' other fields."""
+    workers = states[0].store and states[0].store.workers
+    if workers is None:
+        return _phase(states, phase, round_index, w, arch, hyper, threads)
+    answers = workers((phase, round_index))
+    for state, (loss, cached) in zip(states, answers if phase != "evaluate" else ()):
+        state.last_loss = loss
+        object.__setattr__(state, "grad_cache", state.store.rows(
+            "grad_cache", state.agent_id) if cached else None)
+    return answers
 
 
 # ------------------------------------------------------------- evaluation
@@ -657,18 +700,13 @@ def _accuracy(arch, params, masks, x, y):
 
 def _evaluate_round(log, round_index, states, w, arch, ledger, workers):
     """Log every agent's test accuracy and loss over its first
-    ``_LOSS_ROWS`` train samples, computed on ``workers`` threads, in
-    ascending agent order after the round's mean row."""
+    ``_LOSS_ROWS`` train samples (:func:`_phased`, on ``workers``
+    threads), in ascending agent order after the round's mean row."""
     sent_payload, sent_header, _, _ = ledger.totals()
-
-    def evaluate(state):
-        params = state.weights if state.weights is not None else w
-        return (_accuracy(arch, params, state.m, state.test_x, state.test_y),
-                batch_loss(arch, params, state.m, state.train_x[:_LOSS_ROWS],
-                           state.train_y[:_LOSS_ROWS]))
     rows = [MetricsRow(round_index, state.agent_id, acc, loss, sent_payload,
                        sent_header)
-            for state, (acc, loss) in zip(states, _each(evaluate, states, workers))]
+            for state, (acc, loss) in zip(states, _phased(
+                states, "evaluate", round_index, w, arch, None, workers))]
     log.rows.append(MetricsRow(round_index, -1,
                                float(np.mean([row.accuracy for row in rows])),
                                float(np.mean([row.loss for row in rows])),
@@ -734,7 +772,7 @@ def run(arch, hyper, graph, train, test, plan):
     final round; the logged loss is the current model's loss over (at most)
     the first 256 local train samples. A diverging step raises
     SimulationError naming the agent and round. Evaluation runs on the
-    round steps' :func:`_agent_workers` threads.
+    round steps' :func:`_agent_workers` threads or :func:`_agent_children`.
     """
     workers = _agent_workers(arch, hyper.batch_size)
     w = init_params(arch, seed_key(hyper.seed, "params"))
@@ -744,13 +782,31 @@ def run(arch, hyper, graph, train, test, plan):
         _exchange_masks(states, graph, 0, ledger)
 
     log = MetricsLog()
-    _evaluate_round(log, 0, states, w, arch, ledger, workers)
-    for k in range(1, hyper.rounds + 1):
-        gossip_mask_round(states, w, arch, graph, hyper, k, ledger)
-        if k % hyper.eval_interval == 0 or k == hyper.rounds:
-            _evaluate_round(log, k, states, w, arch, ledger, workers)
+    with _agent_children(states, w, arch, hyper, workers):
+        _evaluate_round(log, 0, states, w, arch, ledger, workers)
+        for k in range(1, hyper.rounds + 1):
+            gossip_mask_round(states, w, arch, graph, hyper, k, ledger)
+            if k % hyper.eval_interval == 0 or k == hyper.rounds:
+                _evaluate_round(log, k, states, w, arch, ledger, workers)
     log.final_sparsity = _final_sparsity(states, arch)
     return log
+
+
+@contextmanager
+def _agent_children(states, w, arch, hyper, threads):
+    """Where a run's mask agents step on one thread, their store on a shared
+    map and, for the block, its ``workers``: :func:`_workers` of :func:`_phase`."""
+    store = states[0].store
+    if store is None or threads > 1:
+        yield
+        return
+    store.share(states)
+    try:
+        with _workers(states, lambda part, request: _phase(
+                part, *request, w, arch, hyper, 1)) as store.workers:
+            yield
+    finally:
+        store.workers = None
 
 
 # --------------------------------------------- mask-vs-weight verification
@@ -788,10 +844,9 @@ def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
     regularizer and no filter zeroing), from the same fixed random
     initialization. Accuracy is recorded at step 0 and every
     ``eval_interval`` steps. Arguments are checked by
-    :func:`check_harness` first. The arms are independent: on POSIX they
-    run through :func:`_forked` on the calling process and a forked child
-    per further core (up to two in all), elsewhere in a plain loop. The
-    traces, and the failure raised, are those of a plain loop over them.
+    :func:`check_harness` first. The arms are independent and run on
+    :func:`_workers`, forked for the call: the traces, and the failure
+    raised, are those of a plain loop over them.
     The shared parameters are made read-only first, so an arm that wrote
     them would fail in whichever process ran it."""
     check_harness(r_values, steps, eval_interval)
@@ -813,7 +868,8 @@ def mask_vs_weight_verify(arch, shards, r_values, steps, eta_weight, eta_mask,
         return _train_arm(arch, w0, state, batches[a], eval_interval)
 
     arms = [(a, ri) for a in range(len(shards)) for ri in (None, *range(len(r_values)))]
-    traces = dict(zip(arms, _forked(train, arms, _WORKERS)))
+    with _workers(arms, lambda part, _: [train(arm) for arm in part]) as on_workers:
+        traces = dict(zip(arms, on_workers(None)))
     return MaskVsWeightTraces(
         {a: t for (a, ri), t in traces.items() if ri is None},
         {(a, r_values[ri]): t for (a, ri), t in traces.items() if ri is not None})
@@ -837,10 +893,10 @@ def _train_arm(arch, w, state, batches, eval_interval):
 
 # Workers that run independent work items, one per core the process may
 # use, at most two: the calling thread and helper threads in _each, the
-# calling process and forked children in _forked. Each thread adds a few
-# MB of peak memory (its own malloc arena), and a harness child peaks at
-# about 34 MB of RSS of its own, pages it shares with the caller included.
-# More than two were never measured against the benchmark's memory bound.
+# calling process and forked children in _workers. Each thread adds a few
+# MB of peak memory (its own malloc arena); a child's peak RSS (about 34 MB
+# in the harness and 34 MB in a desk run) counts pages it shares with the
+# caller. More than two were never measured against the memory bound.
 try:
     _WORKERS = min(2, len(os.sched_getaffinity(0)))
 except AttributeError:      # no affinity masks outside Linux
@@ -919,88 +975,71 @@ def _each(fn, items, workers):
     return results
 
 
-def _forked(fn, items, workers):
-    """``[fn(item) for item in items]``, computed by the calling process and
-    up to ``workers - 1`` children it forks, which inherit its memory,
-    ``np.errstate`` and module state. Of ``p`` processes, process ``k``
-    runs items ``k, k + p, ...`` in a plain loop up to its first failure;
-    a child pickles its results or failure into a pipe and leaves through
-    ``os._exit``. The lowest item's failure is raised, as a plain loop
-    would raise it, and a child that exits without sending raises a
-    RuntimeError naming its status or signal. Every child is reaped, and
-    killed first where the caller raises. One worker, or no ``os.fork``,
-    is a plain loop. ``fn`` must write nothing shared, since a child's
-    writes stay in the child, and start no thread: a child holds only the
-    forking thread, so ``_each`` there needs one worker. Python 3.12 and
-    later warn (DeprecationWarning) where ``os.fork`` runs beside other
-    threads, such as ``_each``'s helpers."""
-    items = list(items)
-    count = min(workers, len(items)) if hasattr(os, "fork") else 1
-    if count <= 1:
-        return [fn(item) for item in items]
-    shares = [range(k, len(items), count) for k in range(count)]
-    running, pipes = {}, []       # child pid -> read end of its pipe
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            pipes.append(read)
+@contextmanager
+def _workers(items, serve):
+    """For the block, the caller and a child forked per further core (up
+    to one per item; none without ``os.fork``), which inherits its memory,
+    ``np.errstate`` and module state. Yields ``run_parts``: ``run_parts(q)``
+    lists ``serve(part, q)`` (a list per item) over consecutive parts of
+    ``items``, part 0 served here, the others by a child each, answering
+    over a pipe. It raises the lowest part's failure, as a plain loop would,
+    or a RuntimeError naming how a child that did not answer exited. A child
+    holds one thread, exits when its pipe closes and writes the caller's
+    memory only through shared maps. The caller reaps every child, killing
+    it first if the block raises."""
+    count = max(1, min(_WORKERS, len(items))) if hasattr(os, "fork") else 1
+    parts = [items[len(items) * k // count:len(items) * (k + 1) // count]
+             for k in range(count)]
+    children, failed = {}, True         # pid -> connection to the child
+
+    def run_parts(request):
+        for pipe in children.values():
+            with suppress(OSError):     # a dead child's pipe ends at recv
+                pipe.send(request)
+        answers = serve(parts[0], request)
+        for pid, pipe in list(children.items()):
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _send_share(fn, items, share, write)
-            finally:
-                os.close(write)
-            running[pid] = read
-        results, failures = _run_share(fn, items, shares[0])
-        for (pid, read), share in zip(list(running.items()), shares[1:]):
-            data = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del running[pid]
-            if code == 0:
-                done, failed = pickle.loads(data)
-                results.update(done)
-                failures.update(failed)
-            else:
-                how = (f"status {code}" if code > 0 else
-                       f"signal {signal.Signals(-code).name}")
-                failures[share[0]] = RuntimeError(
-                    f"a forked worker exited with {how} before sending its results")
-    finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for read in pipes:
-            os.close(read)
-    if failures:
-        raise failures[min(failures)]
-    return [results[i] for i in range(len(items))]
-
-
-def _run_share(fn, items, share):
-    """``fn`` over the items at the indices of ``share``, in order, up to
-    the first that raises an Exception. Returns index -> result and
-    index -> failure (empty, or that first failure)."""
-    results = {}
-    for i in share:
-        try:
-            results[i] = fn(items[i])
-        except Exception as exc:  # noqa: BLE001 - raised by _forked
-            return results, {i: exc}
-    return results, {}
-
-
-def _send_share(fn, items, share, write):
-    """A forked child's whole life: its share of the items, pickled into the
-    pipe end ``write``, then ``os._exit``, with status 0 only once all of it
-    was written. It never returns into the caller's code."""
-    code = 1
+                ok, reply = pipe.recv()
+            except (EOFError, OSError):
+                children.pop(pid).close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"status {code}" if code >= 0 else f"signal {signal.Signals(-code).name}"
+                raise RuntimeError(f"a forked worker exited with {how} before sending "
+                                   "its results") from None
+            if not ok:
+                raise reply
+            answers += reply
+        return answers
     try:
-        data = pickle.dumps(_run_share(fn, items, share))
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(data)
-        code = 0
+        for part in parts[1:]:
+            from multiprocessing.connection import Pipe  # a 15 ms import: only to fork
+            mine, theirs = Pipe()
+            if (pid := os.fork()) == 0:     # the child, until its pipe closes
+                code = 1
+                try:
+                    mine.close()
+                    with suppress(EOFError):
+                        while True:
+                            request = theirs.recv()
+                            try:
+                                reply = True, serve(part, request)
+                            except Exception as exc:  # noqa: BLE001 - raised by run_parts
+                                reply = False, exc
+                            theirs.send(reply)
+                    code = 0
+                finally:
+                    os._exit(code)
+            theirs.close()
+            children[pid] = mine
+        yield run_parts
+        failed = False
     finally:
-        os._exit(code)
+        for pid, pipe in children.items():
+            if failed:
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+        for pid in children:
+            os.waitpid(pid, 0)
 
 
 # ----------------------------------------------------- output-gap bounds

@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import re
+import select
 import signal
 import sys
 import threading
@@ -391,13 +392,13 @@ def test_shared_params_frozen_under_mask_rounds():
 
 def _held_bytes(states, w):
     """(array, its bytes) for each array a step may read but not write: the
-    shared parameters, every agent's neighbor average and weights, and the
-    scores and mask of an agent outside an agent store (a store's rows are
-    the agents' own, written in place)."""
+    shared parameters, every agent's weights, and the scores, mask and
+    neighbor average of an agent outside an agent store (a store's rows are
+    the agents' own, written in place, its averages by every exchange)."""
     held = [(t, t.tobytes()) for t in w.values()]
     for s in states:
-        own = (s.z, s.m) if s.store is None else ()
-        for part in (*own, s.neighbor_avg, s.weights):
+        own = (s.z, s.m, s.neighbor_avg) if s.store is None else ()
+        for part in (*own, s.weights):
             held += [(t, t.tobytes()) for t in (part or {}).values()]
     return held
 
@@ -412,13 +413,17 @@ def test_a_round_writes_only_into_arrays_it_made(algorithm):
     assert (store is None) == (algorithm not in ("gossip_mask", "ind_mask"))
     if algorithm == "gossip_mask":      # run()'s bootstrap exchange
         trainer._exchange_masks(states, graph, 0, None)
-    for k in (1, 2):
+
+    def store_arrays():
+        return [t for name in ("z", "m", "grad_cache", "neighbor_avg")
+                for t in (getattr(store, name, None) or {}).values()]
+    for k in (1, 2, 3):
         held = _held_bytes(states, w)
-        rows = store and [t for part in (store.z, store.m) for t in part.values()]
+        rows = store_arrays()
         gossip_mask_round(states, w, arch, graph, hyper, k)
         assert all(t.tobytes() == data for t, data in held)
-        assert rows == (store and [t for part in (store.z, store.m)
-                                   for t in part.values()])
+        # the same arrays, once round 1 has made the cached gradients'
+        assert k == 1 or [id(t) for t in rows] == [id(t) for t in store_arrays()]
 
 
 def test_harness_arms_write_only_into_arrays_they_made(monkeypatch):
@@ -444,12 +449,12 @@ def test_harness_arms_write_only_into_arrays_they_made(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_harness_arms_cannot_write_the_shared_parameters(workers, monkeypatch):
-    # arm 1, agent 0's mask arm at r = 0.3, runs in the child at two workers
+    # arm 4, agent 1's mask arm at r = 0.3, runs in the child at two workers
     monkeypatch.setattr(trainer, "_WORKERS", workers)
     original = trainer._train_arm
 
     def writing(arch, w, state, batches, eval_interval):
-        if state.weights is None and state.r == 0.3 and state.agent_id == 0:
+        if state.weights is None and state.r == 0.3 and state.agent_id == 1:
             w[min(w)][...] = 0.0
         return original(arch, w, state, batches, eval_interval)
     monkeypatch.setattr(trainer, "_train_arm", writing)
@@ -497,6 +502,8 @@ def test_run_and_harness_draw_shared_params_once(monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_only_mask_runs_draw_scores(monkeypatch, algorithm):
+    # on one process: a forked child's draws would not reach this spy
+    monkeypatch.setattr(trainer, "_WORKERS", 1)
     keys = []
     _counting(monkeypatch, "substream", lambda seed, name, *_: keys.append(name))
     arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm=algorithm,
@@ -623,25 +630,32 @@ def test_decoded_masks_do_not_outlive_the_round(monkeypatch):
 
 
 def test_received_masks_averaged_once_per_round(monkeypatch):
-    # one exchange per round, the bootstrap included, whose per-layer
-    # averages the agent store takes. Each stack's fine-tuning and
-    # aggregation read its rows of that round's averages, and its half-step
-    # in the next round, not copies. At stacks of 2 and of 8
+    # one exchange per round, the bootstrap included, which writes its
+    # per-layer averages into the agent store's standing arrays. Each
+    # stack's fine-tuning and aggregation read its rows of that round's
+    # averages, and its half-step in the next round, not copies. At stacks
+    # of 2 and of 8, on one process: a forked child's calls would not reach
+    # these spies
+    monkeypatch.setattr(trainer, "_WORKERS", 1)
     arch, hyper, graph, train, test, plan = _eight_agents()
     exchanged, seen, states = [], {}, []
     exchange_masks = trainer._exchange_masks
 
     def recording_exchange(*args):
-        exchanged.append(exchange_masks(*args))
-        return exchanged[-1]
+        averages = exchange_masks(*args)
+        exchanged.append((averages, {layer: t.copy() for layer, t in averages.items()}))
+        return averages
     monkeypatch.setattr(trainer, "_exchange_masks", recording_exchange)
 
     def reading(name, stack, avg):
-        # all exchanges stay alive in ``exchanged``, so their memory differs
-        which = [e for e, whole in enumerate(exchanged)
-                 if _reads_rows(avg, whole, stack)]
+        # the exchange whose averages these rows hold
+        whole, values = exchanged[-1]
+        i, j = stack[0].agent_id, stack[-1].agent_id + 1
+        assert _reads_rows(avg, whole, stack)
+        assert all(np.array_equal(t, values[layer][i:j].reshape(t.shape))
+                   for layer, t in avg.items())
         for s in stack:
-            seen.setdefault((name, s.agent_id), []).extend(which)
+            seen.setdefault((name, s.agent_id), []).append(len(exchanged) - 1)
     _counting(monkeypatch, "_half_steps",
               lambda stack, rows, *_: reading("half", stack, rows.neighbor_avg))
     _counting(monkeypatch, "_fine_tuned",
@@ -656,15 +670,17 @@ def test_received_masks_averaged_once_per_round(monkeypatch):
         exchanged.clear(), seen.clear(), states.clear()
         run(arch, hyper, graph, train, test, plan)
         assert len(exchanged) == hyper.rounds + 1
+        assert all(whole is exchanged[0][0] for whole, _ in exchanged)
         rounds = list(range(hyper.rounds))
         for a in range(graph.n):
             assert seen[("half", a)] == rounds
             for name in ("_fine_tuned", "_aggregated"):
                 assert seen[(name, a)] == [k + 1 for k in rounds]
-        assert states[0].store.neighbor_avg is exchanged[-1]
+        whole = exchanged[-1][0]
+        assert states[0].store.neighbor_avg is whole
         for s in states:
-            assert all(t.shape == exchanged[-1][layer][s.agent_id].shape
-                       and np.shares_memory(t, exchanged[-1][layer][s.agent_id])
+            assert all(t.shape == whole[layer][s.agent_id].shape
+                       and np.shares_memory(t, whole[layer][s.agent_id])
                        for layer, t in s.neighbor_avg.items())
 
 
@@ -1204,8 +1220,8 @@ def _raise(exc):
 ])
 def test_harness_reaps_its_child_when_the_callers_arm_raises(exc, child,
                                                             monkeypatch):
-    # an Exception in the caller's arms waits for the child, whose arms
-    # might hold a lower failure; a KeyboardInterrupt kills it at once
+    # the caller's arms are the lower ones, so its failure is the one to
+    # raise, and the child is killed at once, in its 60 s arm or not
     _acting(monkeypatch, child=child, caller=lambda: _raise(exc))
     start = time.perf_counter()
     with pytest.raises(type(exc)):
@@ -1216,8 +1232,8 @@ def test_harness_reaps_its_child_when_the_callers_arm_raises(exc, child,
 
 def test_harness_names_the_lower_of_two_diverging_arms(monkeypatch):
     # 2 agents x (weight arm + 1 mask arm): arm 1 (agent 0's mask arm, in
-    # the child) diverges at step 3, arm 2 (agent 1's weight arm, in the
-    # caller) at step 1. The error names arm 1, as the plain loop's does
+    # the caller) diverges at step 3, arm 2 (agent 1's weight arm, in the
+    # child) sooner, at step 1. The error names arm 1, as the plain loop's does
     step = trainer._local_step
 
     def diverging(state, w, arch, batch_x, batch_y, k):
@@ -1264,7 +1280,7 @@ def test_harness_traces_do_not_depend_on_the_worker_count(monkeypatch):
     SimulationError("agent 0, round 2: non-finite loss nan"),
 ])
 def test_library_errors_survive_pickling(error):
-    # a forked harness arm sends its failure back pickled
+    # a forked child sends its failure back pickled
     back = pickle.loads(pickle.dumps(error))
     assert type(back) is type(error) and str(back) == str(error)
     assert vars(back) == vars(error)
@@ -1347,10 +1363,24 @@ def test_round_pool_keeps_the_golden_digests(monkeypatch, tmp_path):
     # through the shared buffer, the rounds and evaluations of all six
     # algorithms on four threads and the harness arms on four processes:
     # every golden CSV digest stays as it is
+    monkeypatch.setattr(trainer, "_WORKERS", 4)
+    parts = []
+    phase = trainer._phase
+
+    def phasing(part, *args):
+        parts.append(len(part))
+        return phase(part, *args)
+    with monkeypatch.context() as below:
+        # below the gate, the mask runs on the caller and three forked
+        # children, two agents each, and the weight baselines' evaluation
+        # on the caller alone
+        below.setattr(trainer, "_phase", phasing)
+        test_golden.test_golden_trajectory(tmp_path / "processes")
+    assert parts == [2] * (2 + 2 * 10) + [2] * (2 + 10) + [8] * 2 * 4
+    _assert_no_child_left()
     monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(nn, "_SHARED_BYTES", 0)
     monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
-    monkeypatch.setattr(trainer, "_WORKERS", 4)
     pooled = []
     each = trainer._each
 
@@ -1358,7 +1388,7 @@ def test_round_pool_keeps_the_golden_digests(monkeypatch, tmp_path):
         pooled.append((fn.__name__, len(items), workers))
         return each(fn, items, workers)
     monkeypatch.setattr(trainer, "_each", spy)
-    test_golden.test_golden_trajectory(tmp_path)
+    test_golden.test_golden_trajectory(tmp_path / "threads")
     # per algorithm: the round-0 evaluation, 10 rounds of 8 agents and the
     # round-10 evaluation; the harness arms do not go through _each
     run = [("evaluate", 8, 4)] + [("step", 8, 4)] * 10 + [("evaluate", 8, 4)]
@@ -1417,6 +1447,135 @@ def test_pooled_evaluation_rows_equal_the_plain_loops(monkeypatch):
         sys.setswitchinterval(interval)
     assert [row.agent for row in logs[0].rows] == [-1, 0, 1, 2, 3, 4, 5]
     assert pickle.dumps(logs[0].rows) == pickle.dumps(logs[1].rows)
+
+
+# ------------------------------------------------------------ run workers
+
+def _desk_run(monkeypatch, out, algorithm, workers, tweak=None, rounds=6):
+    """configs/train.conf's ``algorithm`` for ``rounds`` rounds (evaluated
+    every 3) on ``workers`` processes, ``tweak`` applied to the built
+    states. Returns the CSV bytes, the final states and the agents of every
+    ``_phase`` the calling process ran."""
+    monkeypatch.setattr(trainer, "_WORKERS", workers)
+    states, parts = [], []
+    build, phase = trainer.build_states, trainer._phase
+
+    def building(*args):
+        states[:] = build(*args)
+        if tweak is not None:
+            tweak(states)
+        return states
+
+    def phasing(part, *args):
+        parts.append([s.agent_id for s in part])
+        return phase(part, *args)
+    monkeypatch.setattr(trainer, "build_states", building)
+    monkeypatch.setattr(trainer, "_phase", phasing)
+    cfg = replace(parse_config((CONFIGS / "train.conf").read_text()),
+                  algorithm=(algorithm,), rounds=rounds, eval_interval=3, out=str(out))
+    try:
+        assert run_experiment(cfg, quiet=True) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}, states, parts
+    finally:
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("algorithm", ["gossip_mask", "ind_mask"])
+def test_run_does_not_depend_on_the_worker_count(algorithm, monkeypatch, tmp_path):
+    # the desk shape's 8 agents on one process, and split 4 and 4 between
+    # the caller and a forked child over the shared agent store: the same
+    # metrics and sparsity bytes and the same final states, fields that are
+    # not store rows included
+    ends = []
+    for workers in (1, 2):
+        csvs, states, parts = _desk_run(monkeypatch, tmp_path / str(workers),
+                                        algorithm, workers)
+        assert set(map(tuple, parts)) == {tuple(range(8 // workers))}
+        ends.append((csvs, pickle.dumps([(s.z, s.m, s.grad_cache, s.neighbor_avg,
+                                          s.last_loss) for s in states])))
+    assert ends[0][0] and ends[0] == ends[1]
+
+
+def test_run_names_a_diverging_agent_of_the_childs_half(monkeypatch, tmp_path):
+    # agent 5, stepped by the child at two workers, fails at round 1: the
+    # same SimulationError, agent, round and layer, as on one process
+    def poison(states):
+        states[5].z[0][0, 0, 0, 0] = np.nan
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(SimulationError) as err:
+            _desk_run(monkeypatch, tmp_path / str(workers), "gossip_mask", workers,
+                      poison)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("agent 5, round 1, layer 0")
+
+
+def _acting_in_runs(monkeypatch, child=None, caller=None):
+    """Rebind ``trainer._stack_half_steps`` so that each stack's half-step
+    at round 2 first calls ``child()`` where the forked child steps it and
+    ``caller()`` where the calling process does (None: nothing)."""
+    pid, step = os.getpid(), trainer._stack_half_steps
+
+    def acting(stack, w, arch, hyper, round_index):
+        act = caller if os.getpid() == pid else child
+        if act is not None and round_index == 2:
+            act()
+        return step(stack, w, arch, hyper, round_index)
+    monkeypatch.setattr(trainer, "_stack_half_steps", acting)
+
+
+def test_a_run_child_killed_mid_run_names_the_signal(monkeypatch, tmp_path):
+    _acting_in_runs(monkeypatch, child=lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(RuntimeError, match="^a forked worker exited with signal "
+                                           "SIGKILL before sending its results$"):
+        _desk_run(monkeypatch, tmp_path, "ind_mask", 2)
+
+
+@pytest.mark.parametrize("exc, raised, message", [
+    (ValueError("caller"), SimulationError, "^agent 0, round 2: caller$"),
+    (KeyboardInterrupt(), KeyboardInterrupt, None),
+])
+def test_a_run_kills_its_child_when_the_callers_half_raises(exc, raised, message,
+                                                            monkeypatch, tmp_path):
+    # the caller's agents are the lower ones, so its failure is the one to
+    # raise; the child, still in its 60 s step, is killed and reaped
+    _acting_in_runs(monkeypatch, child=lambda: time.sleep(60),
+                    caller=lambda: _raise(exc))
+    start = time.perf_counter()
+    with pytest.raises(raised, match=message):
+        _desk_run(monkeypatch, tmp_path, "gossip_mask", 2)
+    assert time.perf_counter() - start < 30
+
+
+def test_a_worker_whose_caller_is_gone_exits(monkeypatch):
+    # a forked caller, in a process group of its own, exits inside the
+    # block, so it neither closes nor reaps its worker: the worker reads the
+    # end of its pipe and exits, closing its copy of ``w``, so ``r`` ends
+    # too. A worker that did not exit is killed through the group
+    monkeypatch.setattr(trainer, "_WORKERS", 2)
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.setpgid(0, 0)
+            with trainer._workers([0, 1], lambda part, request: part):
+                os.close(w)
+                os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    try:
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert select.select([r], [], [], 30)[0] == [r]
+        assert os.read(r, 1) == b""
+    finally:
+        os.close(r)
+        try:
+            os.killpg(pid, signal.SIGKILL)
+        except ProcessLookupError:      # the group is empty: nothing was left
+            pass
+    _assert_no_child_left()
 
 
 # ----------------------------------------------------------- bound checker
