@@ -40,7 +40,7 @@ arrays, and each conv's columns below ``_SHARED_BYTES``. From there on
 (the README default shape at batch 128) a conv keeps only its unpadded
 input; its weight gradient pads it and gathers the columns again with the
 same ``np.take``, into the same gemm, in one process-wide buffer, read
-only under its lock, that steps on several threads share. The backward
+only under its lock, so that threads may share it. The backward
 frees each layer's cache once it has used it, a conv's columns before its
 input gradient, and a relu writes in place to the array the layer below
 it made. A pool scatters its input gradient in the memory order of the
@@ -275,7 +275,7 @@ def init_params(arch, seed):
 _BLOCK_BYTES = 1 << 20
 # bytes of im2col columns from which a training step's conv keeps only its
 # input and its weight gradient gathers them again into the shared buffer,
-# and the trainer threads a round's steps: the L2 of both cores. The desk
+# and up to which the trainer stacks agents: the L2 of both cores. The desk
 # convs (0.3 MiB at batch 8) and the harness's (1.2 and 0.9 MiB at 32)
 # keep their columns; the default shape's (19 MiB at 128) reach it
 _SHARED_BYTES = 1 << 22
@@ -402,13 +402,6 @@ def _largest_column_bytes(arch, batch):
                               layer.in_channels, *layer.kernel)
                 for pos, layer in enumerate(arch.layers)
                 if layer.kind == "conv2d"), default=0)
-
-
-def _shares_columns(arch, batch):
-    """Whether a training step of ``arch`` on ``batch`` samples runs a conv
-    whose columns reach ``_SHARED_BYTES``, and so go through the shared
-    buffer."""
-    return _largest_column_bytes(arch, batch) >= _SHARED_BYTES
 
 
 def _stack_size(arch, batch):

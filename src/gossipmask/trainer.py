@@ -35,10 +35,12 @@ Algorithms
 
 Within a round agents are processed in ascending id and all reductions
 over neighbors iterate in ascending sender id, so results do not depend
-on scheduling. Every agent's model is the shared parameters under its own
-mask, so the mask agents' scores, masks, cached gradients and neighbor
-averages live in one :class:`AgentStore`: per layer an (A, *shape) array
-with a row per agent. A round steps them in stacks of consecutive agents
+on scheduling. A run's agents keep their learnable state in one
+:class:`AgentStore`, per layer an (A, *shape) array with a row per agent:
+the mask agents' scores, masks, cached gradients and neighbor averages
+(every mask agent's model is the shared parameters under its own mask),
+or the weight baselines' weights and masks. A round steps the mask agents
+in stacks of consecutive agents
 (:func:`_stack_size`), each a slice of the store: one masked forward and
 backward per stack, then the score chain, group-lasso term, descent,
 aggregation tensor and fine-tuning as (A, ...) array operations per layer,
@@ -48,23 +50,21 @@ them as they were and steps one agent at a time. A stack holds as many
 agents as keep its conv columns below ``nn._SHARED_BYTES``: all 8 of
 configs/train.conf, while a step of the README default shape, whose own
 columns reach it, stays a stack of one, which reads its rows unstacked.
-Every agent's bytes are those of a step of its own. The local steps and
-the per-agent evaluation run on up to two threads (:func:`_each`) where a
-step's conv columns reach ``nn._SHARED_BYTES``: the README default shape.
-Below it, a run's mask agents run on :func:`_workers`, the caller and a
-child forked once, each stepping and evaluating its half of the agents on
-the store, moved to a shared map; the caller alone runs the exchange, the
-ledger and every reduction over agents, in ascending agent order, and
-reaps the child on every path. The harness's arms run on :func:`_workers`
-too. The mask-based algorithms never write the shared parameter set.
+Every agent's bytes are those of a step of its own. A run steps and
+evaluates its agents on :func:`_workers`, the caller and a child forked
+once per further core, each working through its consecutive part of the
+agents on the store, moved to a shared map; the caller alone runs the
+exchange, the ledger, the weight mixing and every reduction over agents,
+in ascending agent order, and reaps the child on every path. A round
+called outside a run runs its phases in the caller. The harness's arms
+run on :func:`_workers` too. The mask-based algorithms never write the
+shared parameter set.
 """
 
 import math
 import mmap
 import os
-import queue
 import signal
-import threading
 from collections import namedtuple
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -75,9 +75,8 @@ from .data import Rows
 from .errors import FieldError, LayerError
 from .masking import (extract, group_lasso_grad, retained_count,
                       threshold_layer)  # noqa: F401 (bench/spans.py traces it)
-from .nn import (ModelArch, _logits, _shares_columns, _stack_size, conv2d,
-                 flatten, grad_z, init_params, linear, loss as batch_loss,
-                 loss_and_grad_v, relu)
+from .nn import (ModelArch, _logits, _stack_size, conv2d, flatten, grad_z,
+                 init_params, linear, loss as batch_loss, loss_and_grad_v, relu)
 from .protocol import (CommLedger, SimulationError, account_real_bits,
                        decode_mask, encode_mask, exchange)
 from .seeds import seed_key, substream
@@ -145,23 +144,25 @@ class HyperConfig:
             raise FieldError("eval_interval", "eval interval must be at least 1")
 
 
-_STORED = ("z", "m", "grad_cache", "neighbor_avg")
+_STORED = ("z", "m", "grad_cache", "neighbor_avg", "weights")
 _Rows = namedtuple("_Rows", _STORED)
 
 
 class AgentStore:
-    """The learnable state of a run's mask agents, one row per agent. Per
-    layer it holds one (A, *shape) array each of scores ``z``, bool masks
-    ``m`` and cached score gradients ``grad_cache`` (from the first round
-    on), and the neighbor averages ``neighbor_avg`` of the exchanges (None
-    before the first, and where nobody heard anyone). ``store[i:j]`` views
-    the rows of agents i to j - 1 as a stack, ``store[i]`` agent i's
-    unstacked. ``workers`` is a run's :func:`_workers` ``run_parts``, if any."""
+    """The learnable state of a run's agents, one row per agent. Per layer
+    it holds one (A, *shape) array each of bool masks ``m`` and of the mask
+    agents' scores ``z``, cached score gradients ``grad_cache`` (from the
+    first round on) and neighbor averages ``neighbor_avg`` of the exchanges,
+    or of the weight baselines' ``weights``; a field is None until an agent
+    binds it (no exchange, or nobody heard anyone: no averages; dsgd: no
+    masks). ``store[i:j]`` views the rows of agents i to j - 1 as a stack,
+    ``store[i]`` agent i's unstacked. ``workers`` is a run's
+    :func:`_workers` ``run_parts``, if any."""
 
     def __init__(self, shapes, count):
         self.shapes, self.count = shapes, count
-        self.z, self.m = self.zeros(), self.zeros(bool)
-        self.grad_cache = self.neighbor_avg = self.workers = None
+        self.z = self.m = self.grad_cache = self.neighbor_avg = None
+        self.weights = self.workers = None
         # (first agent of a stack, step) -> the masks the stack's last such
         # step made, kept until its next one. They are the step's last large
         # arrays, and outside bench/run.py's mallopt glibc would otherwise
@@ -183,9 +184,11 @@ class AgentStore:
         return None if whole is None else {layer: t[key] for layer, t in whole.items()}
 
     def share(self, states):
-        """Move every field (and new cached gradients) onto one anonymous
-        shared map, for processes forked afterwards, and rebind ``states``."""
-        self.grad_cache = self.grad_cache or self.zeros()
+        """Move every field (and a mask store's new cached gradients) onto
+        one anonymous shared map, for processes forked afterwards, and
+        rebind ``states``."""
+        if self.z is not None:
+            self.grad_cache = self.grad_cache or self.zeros()
         names = [name for name in _STORED if getattr(self, name) is not None]
         buf, offset = mmap.mmap(-1, sum(-(-t.nbytes // 64) * 64 for name in names
                                         for t in getattr(self, name).values())), 0
@@ -204,8 +207,8 @@ class AgentState:
     or plain arrays) and owns the rest: its mask ``m`` comes from its
     scores ``z`` or, in a weight baseline, its ``weights``, at ratio ``r``.
 
-    A run's mask agents keep ``z``, ``m``, ``grad_cache`` and
-    ``neighbor_avg`` in row ``agent_id`` of its :class:`AgentStore`
+    A run's agents keep ``z``, ``m``, ``grad_cache``, ``neighbor_avg`` and
+    ``weights`` in row ``agent_id`` of its :class:`AgentStore`
     (``store``): each of those fields is a dict of views of the agent's
     rows, and binding a dict to one copies it into them (None copies
     nothing). A state without a store (a harness arm's, or one built by
@@ -219,8 +222,8 @@ class AgentState:
     test_y: np.ndarray
     eta: float
     lam: float
-    # holds z, m, grad_cache and neighbor_avg; set before them, so that the
-    # constructor copies them into its rows too
+    # holds z, m, grad_cache, neighbor_avg and weights; set before them, so
+    # that the constructor copies them into its rows too
     store: AgentStore = None
     z: dict = None                    # score tensors (mask algorithms)
     min_nonzero: int = 0              # filter zeroing of the scores' mask
@@ -234,7 +237,7 @@ class AgentState:
         store = getattr(self, "store", None) if name in _STORED else None
         if store is not None and value is not None and value is not getattr(self, name, None):
             if getattr(store, name) is None:
-                setattr(store, name, store.zeros())
+                setattr(store, name, store.zeros(bool if name == "m" else np.float64))
             rows = store.rows(name, self.agent_id)
             for layer, t in rows.items():
                 t[...] = value[layer]
@@ -465,12 +468,12 @@ def _local_batch(state, hyper, round_index):
 def _local_step(state, w, arch, batch_x, batch_y, step):
     """One checked local update at round or harness step ``step``: the
     half-step for a state without weights (``state.m`` holds the mask it
-    sends until aggregation), else the weight step. Returns what it sends."""
+    sends until aggregation), else the weight step."""
     with _checked_step(state, step):
         if state.weights is None:
             state.m = backprop_half_step(state, w, arch, batch_x, batch_y)[2]
-            return state.m
-        return _weight_step(state, arch, batch_x, batch_y)
+        else:
+            _weight_step(state, arch, batch_x, batch_y)
 
 
 # What a stacked step raises where one of its agents' steps would fail: a
@@ -582,17 +585,41 @@ def _weight_step(state, arch, batch_x, batch_y):
     """Local SGD step on the agent's own weights. Dense when ``state.m`` is
     None; otherwise masked (v = w * m, so the weight gradient is the
     v-gradient masked) and then magnitude-pruned back to the retention
-    ratio. Returns the weights the agent would transmit."""
+    ratio."""
     loss, grad = loss_and_grad_v(arch, state.weights, state.m, batch_x, batch_y)
     state.last_loss = loss
-    if state.m is None:
-        state.weights = {layer: _descend(t, state.eta, grad[layer])
-                         for layer, t in state.weights.items()}
-        return state.weights
-    state.weights = {layer: _descend(t, state.eta, grad[layer], state.m[layer])
+    state.weights = {layer: _descend(t, state.eta, grad[layer],
+                                     None if state.m is None else state.m[layer])
                      for layer, t in state.weights.items()}
-    state.m = extract(state.weights, state.r)
-    return {layer: t * state.m[layer] for layer, t in state.weights.items()}
+    if state.m is not None:
+        state.m = extract(state.weights, state.r)
+
+
+def _mix_weights(states, graph, kind, round_index, ledger):
+    """The mixing rule of the weight baseline ``kind`` after the round's
+    steps: each agent sends its weights (dsgd) or its masked weights to its
+    neighbors, charged to ``ledger``, and takes the neighborhood average,
+    self included, or for par_weipru that average only where its mask keeps
+    the entry. Every average is taken before any is written, since dsgd's
+    agents send their weights themselves."""
+    sent = {s.agent_id: s.weights if s.m is None else
+            {layer: t * s.m[layer] for layer, t in s.weights.items()} for s in states}
+    mixed = []
+    for state in states:
+        neighbors = graph.neighbors[state.agent_id]
+        if ledger is not None:
+            ledger.add_transmission(round_index, state.agent_id, neighbors,
+                                    account_real_bits(sent[state.agent_id]))
+        parties = [state.agent_id] + [int(j) for j in neighbors]
+        avg = {layer: sum(sent[p][layer] for p in parties) / len(parties)
+               for layer in state.weights}
+        if kind == "par_weipru":     # mix only the entries the mask keeps
+            avg = {layer: np.where(state.m[layer], avg[layer], t)
+                   for layer, t in state.weights.items()}
+        mixed.append(avg)
+    for state, avg in zip(states, mixed):
+        with _checked_step(state, round_index):
+            state.weights = avg
 
 
 # bench/workloads.py times rounds by swapping trainer.gossip_mask_round and
@@ -600,75 +627,58 @@ def _weight_step(state, arch, batch_x, batch_y):
 # six algorithms keeps this name until those two are renamed with it.
 def gossip_mask_round(states, w, arch, graph, hyper, round_index, ledger=None):
     """One synchronous round of ``hyper.algorithm`` (see the module
-    docstring): one local step per agent, collected in ascending id, then
-    the algorithm's mixing rule. A mask algorithm steps stacks of
-    :func:`_stack_size` consecutive agents on their store rows through
-    :func:`_phased`; the stacks, or the weight steps, run through
-    :func:`_each` on :func:`_agent_workers` threads. A diverging step
-    raises what the plain loop would, naming the lowest failing agent."""
+    docstring): one local step per agent, then the algorithm's mixing
+    rule, both phases through :func:`_phased`. A mask algorithm steps
+    stacks of :func:`_stack_size` consecutive agents on their store rows. A
+    diverging step raises what the plain loop would, naming the lowest
+    failing agent."""
     kind = hyper.algorithm
     if kind not in ALGORITHMS:
         raise ValueError(f"unknown algorithm '{kind}'")
-    workers = _agent_workers(arch, hyper.batch_size)
     if kind in _MASK_ALGORITHMS:
-        store = states[0].store     # its cached gradients, before any thread
+        store = states[0].store     # its cached gradients, before any step
         store.grad_cache = store.grad_cache or store.zeros()
-        _phased(states, "half", round_index, w, arch, hyper, workers)
-        if kind == "gossip_mask":
-            _exchange_masks(states, graph, round_index, ledger)
-            _phased(states, "fuse", round_index, w, arch, hyper, workers)
-        return states
-
-    def step(state):
-        return _local_step(state, w, arch, *_local_batch(state, hyper, round_index),
-                           round_index)
-    sent = dict(zip([s.agent_id for s in states], _each(step, states, workers)))
-    if kind != "ind_weipru":
-        for state in states:
-            neighbors = graph.neighbors[state.agent_id]
-            if ledger is not None:
-                ledger.add_transmission(round_index, state.agent_id, neighbors,
-                                        account_real_bits(sent[state.agent_id]))
-            parties = [state.agent_id] + [int(j) for j in neighbors]
-            avg = {layer: sum(sent[p][layer] for p in parties) / len(parties)
-                   for layer in state.weights}
-            if kind == "par_weipru":     # mix only the entries the mask keeps
-                avg = {layer: np.where(state.m[layer], avg[layer], t)
-                       for layer, t in state.weights.items()}
-            with _checked_step(state, round_index):
-                state.weights = avg
+    _phased(states, "step", round_index, w, arch, hyper)
+    if kind == "gossip_mask":
+        _exchange_masks(states, graph, round_index, ledger)
+        _phased(states, "fuse", round_index, w, arch, hyper)
+    elif kind in ("avr_weipru", "par_weipru", "dsgd"):
+        _mix_weights(states, graph, kind, round_index, ledger)
     return states
 
 
-def _phase(states, phase, round_index, w, arch, hyper, threads):
-    """``phase`` of consecutive agents on ``threads`` threads, and per agent
-    its (test accuracy, loss) for ``"evaluate"``, else, after the stacked
-    ``"half"``-steps or ``"fuse"``, its (last loss, cached gradient bound)."""
+def _phase(states, phase, round_index, w, arch, hyper):
+    """``phase`` of consecutive agents, and per agent its (test accuracy,
+    loss) for ``"evaluate"``, else, after the local ``"step"`` (the stacked
+    half-steps, or the weight steps) or the stacked ``"fuse"``, its (last
+    loss, cached gradient bound)."""
     if phase == "evaluate":
         def evaluate(state):
             params = state.weights if state.weights is not None else w
             return (_accuracy(arch, params, state.m, state.test_x, state.test_y),
                     batch_loss(arch, params, state.m, state.train_x[:_LOSS_ROWS],
                                state.train_y[:_LOSS_ROWS]))
-        return _each(evaluate, states, threads)
+        return [evaluate(state) for state in states]
     size = _stack_size(arch, hyper.batch_size)
-    stacks = [states[i:i + size] for i in range(0, len(states), size)]
-    if phase == "half":
-        def step(stack):
+    for stack in (states[i:i + size] for i in range(0, len(states), size)):
+        if stack[0].weights is not None:     # the weight steps, one by one
+            for state in stack:
+                _local_step(state, w, arch, *_local_batch(state, hyper, round_index),
+                            round_index)
+        elif phase == "step":
             _in_stacks(_stack_half_steps, stack, round_index, w, arch, hyper,
                        round_index)
-        _each(step, stacks, threads)
-    for stack in stacks if phase == "fuse" else ():
-        _in_stacks(_stack_fuse, stack, round_index)
+        else:
+            _in_stacks(_stack_fuse, stack, round_index)
     return [(s.last_loss, s.grad_cache is not None) for s in states]
 
 
-def _phased(states, phase, round_index, w, arch, hyper, threads):
+def _phased(states, phase, round_index, w, arch, hyper):
     """:func:`_phase`, on their store's ``workers`` if any, whose answers
     then set the states' other fields."""
     workers = states[0].store and states[0].store.workers
     if workers is None:
-        return _phase(states, phase, round_index, w, arch, hyper, threads)
+        return _phase(states, phase, round_index, w, arch, hyper)
     answers = workers((phase, round_index))
     for state, (loss, cached) in zip(states, answers if phase != "evaluate" else ()):
         state.last_loss = loss
@@ -698,15 +708,15 @@ def _accuracy(arch, params, masks, x, y):
     return correct / len(y)
 
 
-def _evaluate_round(log, round_index, states, w, arch, ledger, workers):
+def _evaluate_round(log, round_index, states, w, arch, ledger):
     """Log every agent's test accuracy and loss over its first
-    ``_LOSS_ROWS`` train samples (:func:`_phased`, on ``workers``
-    threads), in ascending agent order after the round's mean row."""
+    ``_LOSS_ROWS`` train samples (:func:`_phased`), in ascending agent
+    order after the round's mean row."""
     sent_payload, sent_header, _, _ = ledger.totals()
     rows = [MetricsRow(round_index, state.agent_id, acc, loss, sent_payload,
                        sent_header)
             for state, (acc, loss) in zip(states, _phased(
-                states, "evaluate", round_index, w, arch, None, workers))]
+                states, "evaluate", round_index, w, arch, None))]
     log.rows.append(MetricsRow(round_index, -1,
                                float(np.mean([row.accuracy for row in rows])),
                                float(np.mean([row.loss for row in rows])),
@@ -731,8 +741,8 @@ def _scores(arch, seed, *key):
 def build_states(arch, hyper, graph, train, test, plan, w):
     """Per-agent states for :func:`run`, ready for round 1: a data shard each,
     read through :class:`~gossipmask.data.Rows` at the plan's indices (no
-    copy of a sample), and scores from the z substream with their mask
-    (mask algorithms, held in one :class:`AgentStore`) or a copy of ``w``
+    copy of a sample), and, held in one :class:`AgentStore`, scores from
+    the z substream with their mask (mask algorithms) or a copy of ``w``
     with its pruning mask (weight baselines; dsgd is unmasked)."""
     if len(hyper.retention) != graph.n:
         raise ValueError(
@@ -740,7 +750,7 @@ def build_states(arch, hyper, graph, train, test, plan, w):
     if len(plan.train_indices) != graph.n:
         raise ValueError("partition plan does not match the agent count")
     masked = hyper.algorithm in _MASK_ALGORITHMS
-    store = AgentStore(arch.param_shapes(), graph.n) if masked else None
+    store = AgentStore(arch.param_shapes(), graph.n)
     states = []
     for i in range(graph.n):
         tr, te = plan.train_indices[i], plan.test_indices[i]
@@ -755,7 +765,7 @@ def build_states(arch, hyper, graph, train, test, plan, w):
             with _blamed(state, 0):
                 state.m = extract(state.z, state.r, state.min_nonzero)
         else:
-            state.weights = {layer: t.copy() for layer, t in w.items()}
+            state.weights = w       # copied into the agent's store rows
             if hyper.algorithm != "dsgd":
                 state.m = extract(state.weights, state.r)
         states.append(state)
@@ -771,10 +781,9 @@ def run(arch, hyper, graph, train, test, plan):
     Evaluation happens at round 0, every ``eval_interval`` rounds and at the
     final round; the logged loss is the current model's loss over (at most)
     the first 256 local train samples. A diverging step raises
-    SimulationError naming the agent and round. Evaluation runs on the
-    round steps' :func:`_agent_workers` threads or :func:`_agent_children`.
+    SimulationError naming the agent and round. The agents step and are
+    evaluated on :func:`_agent_children`.
     """
-    workers = _agent_workers(arch, hyper.batch_size)
     w = init_params(arch, seed_key(hyper.seed, "params"))
     states = build_states(arch, hyper, graph, train, test, plan, w)
     ledger = CommLedger()
@@ -782,28 +791,25 @@ def run(arch, hyper, graph, train, test, plan):
         _exchange_masks(states, graph, 0, ledger)
 
     log = MetricsLog()
-    with _agent_children(states, w, arch, hyper, workers):
-        _evaluate_round(log, 0, states, w, arch, ledger, workers)
+    with _agent_children(states, w, arch, hyper):
+        _evaluate_round(log, 0, states, w, arch, ledger)
         for k in range(1, hyper.rounds + 1):
             gossip_mask_round(states, w, arch, graph, hyper, k, ledger)
             if k % hyper.eval_interval == 0 or k == hyper.rounds:
-                _evaluate_round(log, k, states, w, arch, ledger, workers)
+                _evaluate_round(log, k, states, w, arch, ledger)
     log.final_sparsity = _final_sparsity(states, arch)
     return log
 
 
 @contextmanager
-def _agent_children(states, w, arch, hyper, threads):
-    """Where a run's mask agents step on one thread, their store on a shared
-    map and, for the block, its ``workers``: :func:`_workers` of :func:`_phase`."""
+def _agent_children(states, w, arch, hyper):
+    """For the block, a run's agent store on a shared map and its
+    ``workers``: :func:`_workers` of :func:`_phase`."""
     store = states[0].store
-    if store is None or threads > 1:
-        yield
-        return
     store.share(states)
     try:
         with _workers(states, lambda part, request: _phase(
-                part, *request, w, arch, hyper, 1)) as store.workers:
+                part, *request, w, arch, hyper)) as store.workers:
             yield
     finally:
         store.workers = None
@@ -892,87 +898,14 @@ def _train_arm(arch, w, state, batches, eval_interval):
 
 
 # Workers that run independent work items, one per core the process may
-# use, at most two: the calling thread and helper threads in _each, the
-# calling process and forked children in _workers. Each thread adds a few
-# MB of peak memory (its own malloc arena); a child's peak RSS (about 34 MB
-# in the harness and 34 MB in a desk run) counts pages it shares with the
-# caller. More than two were never measured against the memory bound.
+# use, at most two: the calling process and forked children in _workers. A
+# child's peak RSS counts the pages it shares with the caller: about 34 MB
+# in the harness and in a desk run, 68 MB at the README default shape. More
+# than two were never measured against the memory bound.
 try:
     _WORKERS = min(2, len(os.sched_getaffinity(0)))
 except AttributeError:      # no affinity masks outside Linux
     _WORKERS = min(2, os.cpu_count() or 1)
-
-
-def _agent_workers(arch, batch_size):
-    """Threads for a run's per-agent work (local steps and evaluation):
-    ``_WORKERS`` where a training step's conv columns reach
-    ``nn._SHARED_BYTES``, else one. Threads pay off only for large kernels
-    (small numpy calls hold the GIL), and fit in memory only where the
-    steps share their columns."""
-    return _WORKERS if _shares_columns(arch, batch_size) else 1
-
-
-# Job queues of the helper threads started so far. A helper serves every
-# later call and never exits: a thread hands its malloc arena back only
-# after join() has returned, so a helper started right after another one
-# could get a fresh arena and keep a second copy of a step's peak memory.
-_helpers = []
-_helpers_lock = threading.Lock()
-
-
-def _serve(jobs):
-    while True:
-        jobs.get()()
-
-
-def _each(fn, items, workers):
-    """``[fn(item) for item in items]``, computed by the calling thread and
-    up to ``workers - 1`` helper threads, which take the items in order
-    under one lock; one worker is a plain loop on the calling thread. Each
-    helper sets the caller's ``np.errstate`` itself, since numpy before
-    2.0 keeps that state per thread. Once a failure is recorded no further
-    item starts, and the failure of the lowest item index is raised: the
-    one a plain loop would raise, since every lower item had started.
-    ``fn`` must not call ``_each``: its job would wait behind its own."""
-    items = list(items)
-    results, failures = [None] * len(items), {}
-    lock, todo = threading.Lock(), iter(range(len(items)))
-
-    def drain():
-        while True:
-            with lock:
-                i = None if failures else next(todo, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                with lock:
-                    failures[i] = exc
-    err, errcall = np.geterr(), np.geterrcall()
-    finished = threading.Semaphore(0)
-
-    def helper():
-        try:
-            with np.errstate(call=errcall, **err):
-                drain()
-        finally:
-            finished.release()
-    count = max(0, min(workers, len(items)) - 1)
-    with _helpers_lock:
-        while len(_helpers) < count:
-            _helpers.append(queue.SimpleQueue())
-            threading.Thread(target=_serve, args=(_helpers[-1],), daemon=True).start()
-        for jobs in _helpers[:count]:
-            jobs.put(helper)
-    try:
-        drain()
-    finally:
-        for _ in range(count):
-            finished.acquire()
-    if failures:
-        raise failures[min(failures)]
-    return results
 
 
 @contextmanager

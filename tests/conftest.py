@@ -1,7 +1,7 @@
 """Test-session set-up: one BLAS thread, fixed before numpy is first
 imported, as ``bench/run.py`` fixes it. Timings then do not depend on the
-caller's environment, and the harness's arm processes and the round
-pool's threads do not compete with BLAS threads for the cores."""
+caller's environment, and the forked workers of runs and the harness do
+not compete with BLAS threads for the cores."""
 
 import os
 import sys

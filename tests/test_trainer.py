@@ -5,7 +5,6 @@ import pickle
 import re
 import select
 import signal
-import sys
 import threading
 import time
 import tracemalloc
@@ -206,9 +205,9 @@ def test_constructor_copies_stored_fields_into_the_store_rows():
     ones = np.ones((2, 3))
     state = AgentState(1, 0.5, None, None, None, None, 1.0, 0.0, z={0: ones},
                        m={0: ones > 0}, grad_cache={0: 2 * ones},
-                       neighbor_avg={0: ones / 2}, store=store)
+                       neighbor_avg={0: ones / 2}, weights={0: 3 * ones}, store=store)
     for name, want in (("z", ones), ("m", ones > 0), ("grad_cache", 2 * ones),
-                       ("neighbor_avg", ones / 2)):
+                       ("neighbor_avg", ones / 2), ("weights", 3 * ones)):
         rows = getattr(store, name)[0]
         np.testing.assert_array_equal(rows[1], want)
         assert not rows[0].any()            # agent 0's row is untouched
@@ -392,31 +391,29 @@ def test_shared_params_frozen_under_mask_rounds():
 
 def _held_bytes(states, w):
     """(array, its bytes) for each array a step may read but not write: the
-    shared parameters, every agent's weights, and the scores, mask and
-    neighbor average of an agent outside an agent store (a store's rows are
-    the agents' own, written in place, its averages by every exchange)."""
+    shared parameters, and the scores, mask, neighbor average and weights of
+    an agent outside an agent store (a store's rows are the agents' own,
+    written in place, its averages by every exchange)."""
     held = [(t, t.tobytes()) for t in w.values()]
     for s in states:
-        own = (s.z, s.m, s.neighbor_avg) if s.store is None else ()
-        for part in (*own, s.weights):
+        for part in (s.z, s.m, s.neighbor_avg, s.weights) if s.store is None else ():
             held += [(t, t.tobytes()) for t in (part or {}).values()]
     return held
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_a_round_writes_only_into_arrays_it_made(algorithm):
-    # or into the rows of the mask agents' store, which stays the same arrays
+    # or into the rows of the agents' store, which stays the same arrays
     arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm=algorithm)
     w = init_params(arch, 5)
     states = build_states(arch, hyper, graph, train, test, plan, w)
     store = states[0].store
-    assert (store is None) == (algorithm not in ("gossip_mask", "ind_mask"))
     if algorithm == "gossip_mask":      # run()'s bootstrap exchange
         trainer._exchange_masks(states, graph, 0, None)
 
     def store_arrays():
-        return [t for name in ("z", "m", "grad_cache", "neighbor_avg")
-                for t in (getattr(store, name, None) or {}).values()]
+        return [t for name in ("z", "m", "grad_cache", "neighbor_avg", "weights")
+                for t in (getattr(store, name) or {}).values()]
     for k in (1, 2, 3):
         held = _held_bytes(states, w)
         rows = store_arrays()
@@ -707,30 +704,24 @@ def test_stacked_round_keeps_each_agents_own_settings(algorithm, monkeypatch):
     # agents of one stack with their own eta, lam (one of them 0) and
     # min_nonzero, beside their own retention ratios: every score, cached
     # gradient, mask and average ends as the one-agent steps leave it. So
-    # do stacks of one on four threads that switch often, each writing its
-    # rows of the one agent store
+    # do stacks of one whose weight gradients gather their columns again in
+    # the shared buffer, as the README default shape's do
     arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm=algorithm)
     w = init_params(arch, 0)
-    monkeypatch.setattr(trainer, "_WORKERS", 4)
     monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
     cols = nn._largest_column_bytes(arch, hyper.batch_size)
     ends = []
-    interval = sys.getswitchinterval()
-    try:
-        for shared in (cols + 1, graph.n * cols + 1, 0):
-            monkeypatch.setattr(nn, "_SHARED_BYTES", shared)
-            sys.setswitchinterval(1e-5 if shared == 0 else interval)
-            states = build_states(arch, hyper, graph, train, test, plan, w)
-            for s, eta, lam, least in zip(states, (1.0, 0.5, 2.0, 1.0),
-                                          (0.001, 0.0, 0.01, 0.001), (2, 0, 1, 3)):
-                s.eta, s.lam, s.min_nonzero = eta, lam, least
-            trainer._exchange_masks(states, graph, 0, None)
-            for k in (1, 2):
-                gossip_mask_round(states, w, arch, graph, hyper, k)
-            ends.append(pickle.dumps([(s.z, s.m, s.grad_cache, s.neighbor_avg,
-                                       s.last_loss) for s in states]))
-    finally:
-        sys.setswitchinterval(interval)
+    for shared in (cols + 1, graph.n * cols + 1, 0):
+        monkeypatch.setattr(nn, "_SHARED_BYTES", shared)
+        states = build_states(arch, hyper, graph, train, test, plan, w)
+        for s, eta, lam, least in zip(states, (1.0, 0.5, 2.0, 1.0),
+                                      (0.001, 0.0, 0.01, 0.001), (2, 0, 1, 3)):
+            s.eta, s.lam, s.min_nonzero = eta, lam, least
+        trainer._exchange_masks(states, graph, 0, None)
+        for k in (1, 2):
+            gossip_mask_round(states, w, arch, graph, hyper, k)
+        ends.append(pickle.dumps([(s.z, s.m, s.grad_cache, s.neighbor_avg,
+                                   s.last_loss) for s in states]))
     assert ends[0] == ends[1] == ends[2]
 
 
@@ -1098,57 +1089,10 @@ def test_mask_vs_weight_trace_lengths():
 
 # ------------------------------------------------------------ harness arms
 
-def test_each_returns_results_in_item_order():
-    delays = np.random.default_rng(0).random(24) * 0.01
-    threads = set()
-
-    def square(i):
-        threads.add(threading.get_ident())
-        time.sleep(delays[i])
-        return i * i
-    assert trainer._each(square, range(24), 4) == [i * i for i in range(24)]
-    assert len(threads) > 1
-    assert trainer._each(square, [], 4) == []
-    # one worker is a plain loop on the calling thread
-    threads.clear()
-    assert trainer._each(square, range(6), 1) == [i * i for i in range(6)]
-    assert threads == {threading.get_ident()}
-
-
-def test_each_keeps_its_helper_threads_across_calls():
-    # a helper that exited would return its malloc arena only after join(),
-    # so a fresh helper per call could allocate a second arena's peak
-    def where(i):
-        time.sleep(0.005)
-        return threading.current_thread()
-    calls = [set(trainer._each(where, range(8), 2)) for _ in range(3)]
-    helpers = [c - {threading.current_thread()} for c in calls]
-    assert helpers[0] and helpers[0] == helpers[1] == helpers[2]
-
-
 def test_workers_stay_at_the_measured_two():
-    # each helper thread adds a few MB of peak memory; more threads were
-    # not measured against the benchmark's memory bound
+    # each forked child adds its own peak memory; more children were not
+    # measured against the benchmark's memory bound
     assert 1 <= trainer._WORKERS <= 2
-
-
-def test_each_reraises_the_lowest_failing_item():
-    # item 1 fails first, while item 0 still runs; item 0's failure is the
-    # one a plain loop would raise. No item starts after a failure
-    failed, started = threading.Event(), []
-
-    def fn(i):
-        started.append(i)
-        if i == 0:
-            assert failed.wait(10)
-            raise ValueError("item 0")
-        if i == 1:
-            failed.set()
-            raise ValueError("item 1")
-        return i
-    with pytest.raises(ValueError, match="^item 0$"):
-        trainer._each(fn, range(6), 2)
-    assert sorted(started) == [0, 1]
 
 
 def _harness_inputs(agents=1):
@@ -1286,145 +1230,84 @@ def test_library_errors_survive_pickling(error):
     assert vars(back) == vars(error)
 
 
-# -------------------------------------------------------------- round pool
+# ------------------------------------------------------------ run workers
 
 def _config_arch(cfg):
     return desk_arch(cfg.dim, cfg.classes, cfg.conv_channels, cfg.hidden)
 
 
-def test_round_pool_gate_threads_only_the_default_shape():
-    # the README default shape's columns reach _SHARED_BYTES at batch 128;
-    # configs/train.conf (batch 8) and the mask-vs-weight harness (batch 32)
-    # stay below it, and their rounds run in a plain loop
-    default = RunConfig()
-    assert default.batch_size == 128
-    assert nn._shares_columns(_config_arch(default), 128)
-    for name, batch in (("train.conf", 8), ("mask_vs_weight.conf", 32)):
-        cfg = parse_config((CONFIGS / name).read_text())
-        assert cfg.batch_size == batch
-        assert not nn._shares_columns(_config_arch(cfg), batch)
+def _phase_spy(monkeypatch):
+    """Rebind ``trainer._phase`` to record (phase, agents) of every call the
+    calling process runs; returns the list of records."""
+    calls, phase = [], trainer._phase
+
+    def phasing(part, name, *args):
+        calls.append((name, [s.agent_id for s in part]))
+        return phase(part, name, *args)
+    monkeypatch.setattr(trainer, "_phase", phasing)
+    return calls
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_round_runs_its_local_steps_through_the_pool_past_the_gate(shared, monkeypatch):
-    monkeypatch.setattr(nn, "_SHARED_BYTES", 0 if shared else 1 << 62)
+@pytest.mark.parametrize("algorithm", ["gossip_mask", "avr_weipru"])
+def test_a_round_outside_a_run_runs_its_phases_in_the_caller(algorithm,
+                                                             monkeypatch):
+    # without a run's workers each phase is one _phase over every agent
     monkeypatch.setattr(trainer, "_WORKERS", 2)
-    pooled = []
-    each = trainer._each
-
-    def spy(fn, items, workers):
-        if workers > 1:
-            pooled.append([[s.agent_id for s in stack] for stack in items])
-        return each(fn, items, workers)
-    monkeypatch.setattr(trainer, "_each", spy)
-    arch, hyper, graph, train, test, plan = fixture_run_inputs()
+    calls = _phase_spy(monkeypatch)
+    arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm=algorithm)
     w = init_params(arch, 0)
     states = build_states(arch, hyper, graph, train, test, plan, w)
     gossip_mask_round(states, w, arch, graph, hyper, 1)
-    assert pooled == ([[[0], [1], [2], [3]]] if shared else [])
-
-
-def test_threaded_round_names_the_lower_of_two_diverging_agents(monkeypatch):
-    # agents 1 and 2 diverge; agent 1 fails only after agent 2 has failed on
-    # the other thread. The error names agent 1, as the serial loop's does
-    # (each agent a stack of one past the gate)
-    monkeypatch.setattr(trainer, "_WORKERS", 2)
-    failed = threading.Event()
-    step = trainer._stack_half_steps
-
-    def ordered(stack, *args):
-        if stack[0].agent_id == 1:
-            assert failed.wait(10)
-        try:
-            return step(stack, *args)
-        except ValueError:
-            if stack[0].agent_id == 2:
-                failed.set()
-            raise
-    arch, hyper, graph, train, test, plan = fixture_run_inputs(algorithm="ind_mask")
-    w = init_params(arch, 0)
-    messages = []
-    for shared in (True, False):
-        monkeypatch.setattr(nn, "_SHARED_BYTES", 0 if shared else 1 << 62)
-        monkeypatch.setattr(trainer, "_stack_half_steps", ordered if shared else step)
-        states = build_states(arch, hyper, graph, train, test, plan, w)
-        for s in states[1:3]:
-            s.train_x = np.full_like(s.train_x, np.nan)
-        with np.errstate(invalid="ignore"), pytest.raises(SimulationError) as err:
-            gossip_mask_round(states, w, arch, graph, hyper, 3)
-        messages.append(str(err.value))
-    assert failed.is_set()
-    assert messages[0] == messages[1]
-    assert messages[0].startswith("agent 1, round 3")
+    agents = list(range(graph.n))
+    assert calls == [("step", agents)] + [("fuse", agents)] * (algorithm == "gossip_mask")
 
 
 def test_round_pool_keeps_the_golden_digests(monkeypatch, tmp_path):
-    # every conv above one block and past the gate, its weight gradient
-    # through the shared buffer, the rounds and evaluations of all six
-    # algorithms on four threads and the harness arms on four processes:
-    # every golden CSV digest stays as it is
+    # the runs of all six algorithms on the caller and three forked
+    # children, two agents each, and the harness arms on four processes:
+    # every golden CSV digest stays as it is, also with every conv above
+    # one block and its weight gradient through the shared buffer
     monkeypatch.setattr(trainer, "_WORKERS", 4)
-    parts = []
-    phase = trainer._phase
-
-    def phasing(part, *args):
-        parts.append(len(part))
-        return phase(part, *args)
-    with monkeypatch.context() as below:
-        # below the gate, the mask runs on the caller and three forked
-        # children, two agents each, and the weight baselines' evaluation
-        # on the caller alone
-        below.setattr(trainer, "_phase", phasing)
-        test_golden.test_golden_trajectory(tmp_path / "processes")
-    assert parts == [2] * (2 + 2 * 10) + [2] * (2 + 10) + [8] * 2 * 4
+    calls = _phase_spy(monkeypatch)
+    # per run the round-0 and round-10 evaluations and each round's step,
+    # and gossip_mask's fuse
+    want = [[0, 1]] * (2 + 2 * 10) + [[0, 1]] * (2 + 10) * 5
+    test_golden.test_golden_trajectory(tmp_path / "processes")
+    assert [agents for _, agents in calls] == want
     _assert_no_child_left()
     monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(nn, "_SHARED_BYTES", 0)
     monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
-    pooled = []
-    each = trainer._each
-
-    def spy(fn, items, workers):
-        pooled.append((fn.__name__, len(items), workers))
-        return each(fn, items, workers)
-    monkeypatch.setattr(trainer, "_each", spy)
-    test_golden.test_golden_trajectory(tmp_path / "threads")
-    # per algorithm: the round-0 evaluation, 10 rounds of 8 agents and the
-    # round-10 evaluation; the harness arms do not go through _each
-    run = [("evaluate", 8, 4)] + [("step", 8, 4)] * 10 + [("evaluate", 8, 4)]
-    assert pooled == run * 6
+    calls.clear()
+    test_golden.test_golden_trajectory(tmp_path / "blocked")
+    assert [agents for _, agents in calls] == want
+    _assert_no_child_left()
     # the harness's batch of 32 at the train.conf shape, from the arms the
     # caller ran
     assert nn._shared_buf.nbytes == 32 * 8 * 8 * 3 * 5 * 5 * 8
 
 
 @pytest.mark.parametrize("name", [None, "train.conf", "mask_vs_weight.conf"])
-def test_run_evaluates_on_the_pool_exactly_past_the_gate(name, monkeypatch):
-    # the README default shape (name None) passes the round steps' gate,
-    # the two config shapes do not; the gate depends only on the
-    # architecture and the batch size, so a small task of each shape does
+def test_run_evaluates_on_the_workers_at_every_shape(name, monkeypatch):
+    # the README default shape (name None) and the two config shapes alike:
+    # at two workers the caller evaluates agent 0, and a forked child agent 1
     monkeypatch.setattr(trainer, "_WORKERS", 2)
     cfg = RunConfig() if name is None else parse_config((CONFIGS / name).read_text())
-    seen = []
-    each = trainer._each
-
-    def spy(fn, items, workers):
-        seen.append((fn.__name__, workers))
-        return each(fn, items, workers)
-    monkeypatch.setattr(trainer, "_each", spy)
+    calls = _phase_spy(monkeypatch)
     train, test = synth_generate(cfg.classes, cfg.dim, 5, noise=0.1, seed=0)
     plan = partition(train, test, assign_labels(2, cfg.classes, cfg.classes, 0), 0)
     hyper = HyperConfig("ind_mask", rounds=0, batch_size=cfg.batch_size, eta=1.0,
                         lam=0.0, seed=0, retention=(0.5, 0.5))
-    run(_config_arch(cfg), hyper, erdos_renyi(2, 1.0, 0), train, test, plan)
-    assert seen == [("evaluate", 2 if name is None else 1)]
+    log = run(_config_arch(cfg), hyper, erdos_renyi(2, 1.0, 0), train, test, plan)
+    assert calls == [("evaluate", [0])]
+    assert [row.agent for row in log.rows] == [-1, 0, 1]
+    _assert_no_child_left()
 
 
-def test_pooled_evaluation_rows_equal_the_plain_loops(monkeypatch):
-    # four threads, switching often, against one, with every conv on the
-    # default shape's blocked forward and weight gradients through the
-    # shared buffer: the same rows, float for float, for every agent and
-    # the mean row
+def test_forked_evaluation_rows_equal_the_plain_loops(monkeypatch):
+    # one, two and four processes, with every conv on the default shape's
+    # blocked forward and weight gradients through the shared buffer: the
+    # same rows, float for float, for every agent and the mean row
     monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(nn, "_SHARED_BYTES", 0)
     monkeypatch.setattr(nn, "_shared_buf", np.empty(0))
@@ -1437,45 +1320,44 @@ def test_pooled_evaluation_rows_equal_the_plain_loops(monkeypatch):
     assert nn._shared_buf.nbytes == nn._largest_column_bytes(arch, hyper.batch_size)
     ledger = trainer.CommLedger()
     logs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for workers in (1, 4):
-            logs.append(trainer.MetricsLog())
-            trainer._evaluate_round(logs[-1], 2, states, w, arch, ledger, workers)
-    finally:
-        sys.setswitchinterval(interval)
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(trainer, "_WORKERS", workers)
+        logs.append(trainer.MetricsLog())
+        with trainer._agent_children(states, w, arch, hyper):
+            trainer._evaluate_round(logs[-1], 2, states, w, arch, ledger)
     assert [row.agent for row in logs[0].rows] == [-1, 0, 1, 2, 3, 4, 5]
-    assert pickle.dumps(logs[0].rows) == pickle.dumps(logs[1].rows)
+    assert len({pickle.dumps(log.rows) for log in logs}) == 1
+    _assert_no_child_left()
 
 
-# ------------------------------------------------------------ run workers
+# the README default shape (3x16x16, convs of 16 and 32 filters, hidden 128,
+# batch 128) on a small task of 4 agents
+_DEFAULT_SMALL = replace(RunConfig(), n=4, per_class=8)
 
-def _desk_run(monkeypatch, out, algorithm, workers, tweak=None, rounds=6):
-    """configs/train.conf's ``algorithm`` for ``rounds`` rounds (evaluated
-    every 3) on ``workers`` processes, ``tweak`` applied to the built
-    states. Returns the CSV bytes, the final states and the agents of every
-    ``_phase`` the calling process ran."""
+
+def _desk_run(monkeypatch, out, algorithm, workers, tweak=None, rounds=6,
+              base=None):
+    """configs/train.conf's ``algorithm``, or ``base``'s, for ``rounds``
+    rounds (evaluated every 3) on ``workers`` processes, ``tweak`` applied
+    to the built states. Returns the CSV bytes, the final states and the
+    agents of every ``_phase`` the calling process ran."""
     monkeypatch.setattr(trainer, "_WORKERS", workers)
-    states, parts = [], []
-    build, phase = trainer.build_states, trainer._phase
+    states = []
+    build = trainer.build_states
 
     def building(*args):
         states[:] = build(*args)
         if tweak is not None:
             tweak(states)
         return states
-
-    def phasing(part, *args):
-        parts.append([s.agent_id for s in part])
-        return phase(part, *args)
     monkeypatch.setattr(trainer, "build_states", building)
-    monkeypatch.setattr(trainer, "_phase", phasing)
-    cfg = replace(parse_config((CONFIGS / "train.conf").read_text()),
+    calls = _phase_spy(monkeypatch)
+    cfg = replace(base or parse_config((CONFIGS / "train.conf").read_text()),
                   algorithm=(algorithm,), rounds=rounds, eval_interval=3, out=str(out))
     try:
         assert run_experiment(cfg, quiet=True) == 0
-        return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}, states, parts
+        return ({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}, states,
+                [agents for _, agents in calls])
     finally:
         _assert_no_child_left()
 
@@ -1509,6 +1391,55 @@ def test_run_names_a_diverging_agent_of_the_childs_half(monkeypatch, tmp_path):
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("agent 5, round 1, layer 0")
+
+
+@pytest.mark.parametrize("poisoned", [pytest.param((6,), id="child"),
+                                      pytest.param((2, 6), id="both")])
+def test_run_names_a_diverging_weight_agent_as_the_plain_loop_does(
+        poisoned, monkeypatch, tmp_path):
+    # avr_weipru at the desk shape: agent 6, stepped by the child at two
+    # workers, diverges at round 1 alone, or beside agent 2 of the caller's
+    # half; the error names the lowest, as on one process
+    def poison(states):
+        for a in poisoned:
+            states[a].weights[0][0, 0, 0, 0] = np.nan
+    messages = []
+    for workers in (1, 2):
+        with np.errstate(invalid="ignore"), pytest.raises(SimulationError) as err:
+            _desk_run(monkeypatch, tmp_path / str(workers), "avr_weipru", workers,
+                      poison)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"agent {poisoned[0]}, round 1, layer 0")
+
+
+@pytest.mark.parametrize("algorithm", ["gossip_mask", "avr_weipru"])
+def test_default_shape_run_does_not_depend_on_the_worker_count(algorithm, monkeypatch,
+                                                               tmp_path):
+    # the README default shape's 4 agents on one process, and split between
+    # the caller and one or three forked children: the same metrics and
+    # sparsity bytes and the same final states
+    ends = []
+    for workers in (1, 2, 4):
+        csvs, states, parts = _desk_run(monkeypatch, tmp_path / str(workers),
+                                        algorithm, workers, rounds=2,
+                                        base=_DEFAULT_SMALL)
+        assert set(map(tuple, parts)) == {tuple(range(4 // workers))}
+        ends.append((csvs, pickle.dumps([(s.z, s.m, s.grad_cache, s.neighbor_avg,
+                                          s.weights, s.last_loss) for s in states])))
+    assert ends[0][0] and ends[0] == ends[1] == ends[2]
+
+
+def test_runs_and_the_harness_leave_no_thread_behind(monkeypatch, tmp_path):
+    # a README-default-shape run, a desk run and a harness call, each on two
+    # processes, start no thread that outlives them, so that no later fork
+    # happens with a thread alive
+    before = threading.active_count()
+    for out, base in (("default", _DEFAULT_SMALL), ("desk", None)):
+        _desk_run(monkeypatch, tmp_path / out, "gossip_mask", 2, rounds=1, base=base)
+        assert threading.active_count() == before
+    _verify_small_harness()
+    assert threading.active_count() == before
 
 
 def _acting_in_runs(monkeypatch, child=None, caller=None):
